@@ -40,10 +40,9 @@ from .poly import (
     random_dataset,
     random_poly,
 )
+from .linear import DecodeVector, EncodingMatrix, LinearCode
 from .harmonic import (
-    DecodeVector,
     EncodeStats,
-    EncodingMatrix,
     GroupCoeffs,
     HarmonicParams,
     WorkerLayout,
@@ -62,22 +61,24 @@ from .baselines import (
     ShamirParams,
     freshman_apply,
     freshman_decode,
+    freshman_decode_vector,
     freshman_encode,
+    freshman_encoding_matrix,
     freshman_oracle,
     lcc_decode,
+    lcc_decode_vector,
     lcc_encode,
+    lcc_encoding_matrix,
     lcc_params,
     shamir_decode,
+    shamir_decode_vector,
     shamir_encode,
+    shamir_encoding_matrix,
     shamir_params,
 )
 from .sim import (
     ClearStorageScheme,
-    FreshmanScheme,
-    HarmonicScheme,
-    LccScheme,
     PrivacyReport,
-    ShamirScheme,
     TrialReport,
     WorkerCountRow,
     make_handle,

@@ -1,5 +1,9 @@
 """Reference schemes sharing the harmonic module's encode/decode contract.
 
+Each is a linear code (see :mod:`harmcode.linear`); this module holds
+their parameters and the builders of their encoding matrices and decode
+vectors, and the encode/decode functions delegate to those.
+
 * Shamir-style MPC: every input is masked separately (X_k + Z_k * theta),
   each of the d+1 share points gets one worker per input, and each
   g(X_k) is recovered by interpolating at 0. K(d+1) workers, K keys.
@@ -22,6 +26,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .field import FieldConfig, FieldElement, FieldVector
+from .linear import DecodeVector, EncodingMatrix
 from .poly import Dataset
 
 
@@ -84,45 +89,40 @@ def shamir_params(field: FieldConfig, K: int, d: int) -> ShamirParams:
                         tuple(field.element(r) for r in range(1, d + 2)))
 
 
+def shamir_encoding_matrix(params: ShamirParams) -> EncodingMatrix:
+    """Row (k, r) is X_k + theta_r Z_k, k-major, with one key column per input."""
+    field, K = params.field, params.K
+    zero, one = field.zero(), field.one()
+    rows = []
+    for k in range(K):
+        for theta in params.thetas:
+            row = [zero] * (2 * K)
+            row[k] = one
+            row[K + k] = theta
+            rows.append(row)
+    return EncodingMatrix(field, K, rows, num_keys=K)
+
+
+def shamir_decode_vector(params: ShamirParams) -> DecodeVector:
+    """Each input's d+1 outputs interpolated at 0: the same weights per input."""
+    zero = params.field.zero()
+    lams = [_basis_coeff(params.thetas, r, zero) for r in range(params.d + 1)]
+    return DecodeVector(params.field, lams * params.K)
+
+
 def shamir_encode(params: ShamirParams, data: Dataset,
                   keys: Sequence[FieldVector]) -> list[FieldVector]:
     """Share for worker (k, r) is X_k + Z_k * theta_r, k-major order."""
-    if data.K != params.K:
-        raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={params.K}")
     keys = list(keys)
     if len(keys) != params.K:
         raise DimensionMismatchError(
             f"need one key per input ({params.K}), got {len(keys)}")
-    for z in keys:
-        if z.dim != data.m:
-            raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
-    shares = []
-    for x, z in zip(data.items, keys):
-        for theta in params.thetas:
-            shares.append(x + z.scale(theta))
-    return shares
+    return shamir_encoding_matrix(params).apply(data, *keys)
 
 
 def shamir_decode(params: ShamirParams, outputs: Sequence[FieldVector]) -> FieldVector:
     """Interpolate each input's degree-d output curve at 0, then sum."""
-    outputs = list(outputs)
-    if len(outputs) != params.N:
-        raise DimensionMismatchError(
-            f"expected {params.N} worker outputs, got {len(outputs)}")
-    field = params.field
-    zero = field.zero()
-    lams = [_basis_coeff(params.thetas, r, zero) for r in range(params.d + 1)]
-    dim = outputs[0].dim
-    p = field.p
-    acc = [0] * dim
-    width = params.d + 1
-    for k in range(params.K):
-        for r, lam in enumerate(lams):
-            out = outputs[k * width + r]
-            if out.dim != dim:
-                raise DimensionMismatchError("outputs of differing dimensions")
-            acc = [(s + lam.value * o) % p for s, o in zip(acc, out.values())]
-    return field.vector(acc)
+    return shamir_decode_vector(params).apply(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -198,47 +198,34 @@ def lcc_params(field: FieldConfig, K: int, d: int) -> LCCParams:
     return LCCParams(field, K, d, alphas, gammas)
 
 
+def lcc_encoding_matrix(params: LCCParams) -> EncodingMatrix:
+    """Row i is the Lagrange basis over the anchors evaluated at gamma_i."""
+    return EncodingMatrix(params.field, params.K, [
+        [_basis_coeff(params.alphas, k, gamma) for k in range(params.K + 1)]
+        for gamma in params.gammas])
+
+
+def lcc_decode_vector(params: LCCParams) -> DecodeVector:
+    """Output i weighs sum_k L_i(alpha_k), L_i the basis over the evaluation points."""
+    weights = []
+    for i in range(params.N):
+        w = params.field.zero()
+        for alpha in params.alphas[:params.K]:
+            w = w + _basis_coeff(params.gammas, i, alpha)
+        weights.append(w)
+    return DecodeVector(params.field, weights)
+
+
 def lcc_encode(params: LCCParams, data: Dataset, z: FieldVector) -> list[FieldVector]:
     """Share i is u(gamma_i) for the degree-<=K vector polynomial with
     u(alpha_k) = X_k and u(alpha_{K+1}) = Z."""
-    if data.K != params.K:
-        raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={params.K}")
-    if z.dim != data.m:
-        raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
-    field = params.field
-    p = field.p
-    cols = [item.values() for item in data.items] + [z.values()]
-    shares = []
-    for gamma in params.gammas:
-        acc = [0] * data.m
-        for k, col in enumerate(cols):
-            cv = _basis_coeff(params.alphas, k, gamma).value
-            if cv:
-                acc = [(s + cv * x) % p for s, x in zip(acc, col)]
-        shares.append(field.vector(acc))
-    return shares
+    return lcc_encoding_matrix(params).apply(data, z)
 
 
 def lcc_decode(params: LCCParams, outputs: Sequence[FieldVector]) -> FieldVector:
     """Interpolate the degree-<=Kd output polynomial through the evaluation
     points and sum its values at the K data anchors."""
-    outputs = list(outputs)
-    if len(outputs) != params.N:
-        raise DimensionMismatchError(
-            f"expected {params.N} worker outputs, got {len(outputs)}")
-    field = params.field
-    p = field.p
-    dim = outputs[0].dim
-    acc = [0] * dim
-    for k in range(params.K):
-        alpha = params.alphas[k]
-        for i, out in enumerate(outputs):
-            if out.dim != dim:
-                raise DimensionMismatchError("outputs of differing dimensions")
-            cv = _basis_coeff(params.gammas, i, alpha).value
-            if cv:
-                acc = [(s + cv * o) % p for s, o in zip(acc, out.values())]
-    return field.vector(acc)
+    return lcc_decode_vector(params).apply(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +271,26 @@ class FreshmanParams:
                 f"m={self.m}, n={self.n}, d={self.d})")
 
 
+def freshman_encoding_matrix(params: FreshmanParams) -> EncodingMatrix:
+    """Rows (0, ..., 0 | 1) and (1, ..., 1 | 1): shares Z and Z + X_1 + ... + X_K."""
+    zero, one = params.field.zero(), params.field.one()
+    return EncodingMatrix(params.field, params.K,
+                          [[zero] * params.K + [one], [one] * (params.K + 1)])
+
+
+def freshman_decode_vector(params: FreshmanParams) -> DecodeVector:
+    """(-1, 1): g(Z + sum X_k) - g(Z)."""
+    one = params.field.one()
+    return DecodeVector(params.field, [-one, one])
+
+
 def freshman_encode(params: FreshmanParams, data: Dataset,
                     z: FieldVector) -> list[FieldVector]:
     """Two shares: Z and Z + X_1 + ... + X_K."""
-    if data.K != params.K:
-        raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={params.K}")
     if data.m != params.m or z.dim != params.m:
         raise DimensionMismatchError(
             f"expected dimension {params.m}, got data {data.m} / key {z.dim}")
-    total = z
-    for item in data.items:
-        total = total + item
-    return [z, total]
+    return freshman_encoding_matrix(params).apply(data, z)
 
 
 def freshman_apply(params: FreshmanParams, x: FieldVector) -> FieldVector:
@@ -321,7 +316,4 @@ def freshman_oracle(params: FreshmanParams, data: Dataset) -> FieldVector:
 def freshman_decode(params: FreshmanParams,
                     outputs: Sequence[FieldVector]) -> FieldVector:
     """g(Z + sum X_k) - g(Z), exact because d-th powers add in characteristic d."""
-    outputs = list(outputs)
-    if len(outputs) != 2:
-        raise DimensionMismatchError(f"expected 2 worker outputs, got {len(outputs)}")
-    return outputs[1] - outputs[0]
+    return freshman_decode_vector(params).apply(outputs)

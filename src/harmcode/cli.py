@@ -108,20 +108,19 @@ def cmd_demo(args) -> int:
         if row != DEMO_P_ROWS[j]:
             diffs.append(f"P{j}: expected {DEMO_P_ROWS[j]}, got {row}")
 
-    matrix = harmonic.encoding_matrix(params)
+    handle = sim.make_handle(params)
     print("encoding matrix rows over (X1, X2, Z):")
-    for w, row in enumerate(matrix.int_rows(), start=1):
+    for w, row in enumerate(handle.matrix.int_rows(), start=1):
         print(f"  worker {w}: {row}")
         if row != DEMO_MATRIX[w - 1]:
             diffs.append(f"matrix row {w}: expected {DEMO_MATRIX[w - 1]}, got {row}")
 
-    vector = harmonic.decode_vector(params).int_weights()
+    vector = handle.vector.int_weights()
     print(f"decode vector: {vector}")
     if vector != DEMO_DECODE:
         diffs.append(f"decode vector: expected {DEMO_DECODE}, got {vector}")
 
     g = _demo_quadratic_map(field)
-    handle = sim.HarmonicScheme(params)
     rng = random.Random(20240405)
     exact = 0
     for _ in range(DEMO_TRIALS):
@@ -194,20 +193,22 @@ def cmd_validate(args) -> int:
     if args.scheme == "freshman" and args.d != field.p:
         raise UsageError(
             f"freshman requires d equal to the characteristic: --d {field.p}")
+    fixed = None
+    if args.scheme != "freshman":
+        fixed = sim.make_handle(
+            _build_params(args.scheme, field, args.K, args.d, args.m, args))
     master = random.Random(args.seed)
     all_exact = True
     for _ in range(args.trials):
-        if args.scheme == "freshman":
-            params = _random_freshman_params(master, field, args.K, args.m, args.n)
-            handle = sim.FreshmanScheme(params)
+        if fixed is None:
+            handle = sim.make_handle(
+                _random_freshman_params(master, field, args.K, args.m, args.n))
             g = None
-            data = random_dataset(master, field, args.K, args.m)
         else:
-            params = _build_params(args.scheme, field, args.K, args.d, args.m, args)
-            handle = sim.make_handle(params)
+            handle = fixed
             g = task_g if task_g is not None else random_poly(
                 master, field, args.m, args.n, args.d)
-            data = random_dataset(master, field, args.K, args.m)
+        data = random_dataset(master, field, args.K, args.m)
         report = sim.run_trial(handle, g, data, master.randrange(2**32))
         print(json.dumps(report.to_json()))
         all_exact &= report.exact_match

@@ -1,8 +1,9 @@
 """Exact arithmetic in prime fields F_p.
 
 Values are residues bound to a :class:`FieldConfig`; mixing different
-moduli raises :class:`FieldMismatchError`. Moduli are capped at 2**31 so
-every intermediate product stays well inside machine-integer range.
+moduli raises :class:`FieldMismatchError`. The supported moduli are the
+primes up to 2**31; Python integers are unbounded, so the cap is the range
+this package is built and tested for, not an overflow guard.
 
 Randomness: callers pass a seeded ``random.Random`` (Mersenne Twister).
 :func:`sample_uniform_vector` draws one ``randrange(p)`` per coordinate,

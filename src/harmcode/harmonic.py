@@ -42,6 +42,7 @@ from .errors import (
     ParameterCorruptionError,
 )
 from .field import FieldConfig, FieldElement, FieldVector, combine
+from .linear import DecodeVector, EncodingMatrix
 from .poly import Dataset
 
 
@@ -253,66 +254,6 @@ def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector,
     return chain
 
 
-class EncodingMatrix:
-    """N x (K+1) scalar matrix: column k <= K multiplies X_k, the last multiplies Z.
-
-    Every row's Z entry must be nonzero -- the per-worker privacy witness --
-    and construction refuses rows that break it.
-    """
-
-    __slots__ = ("field", "K", "rows")
-
-    def __init__(self, field: FieldConfig, K: int,
-                 rows: Sequence[Sequence[FieldElement]]):
-        rows = tuple(tuple(r) for r in rows)
-        for w, row in enumerate(rows, start=1):
-            if len(row) != K + 1:
-                raise DimensionMismatchError(
-                    f"row {w} has {len(row)} entries, expected {K + 1}")
-            if row[-1].value == 0:
-                raise InvalidParamsError(
-                    [f"row {w} gives the key Z a zero coefficient and would leak data"])
-        self.field = field
-        self.K = K
-        self.rows = rows
-
-    @property
-    def N(self) -> int:
-        return len(self.rows)
-
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(e.value for e in row) for row in self.rows)
-
-    def apply(self, data: Dataset, z: FieldVector) -> list[FieldVector]:
-        """Reference encoding: share_w = sum_k row[w][k] X_k + row[w][K] Z."""
-        if data.K != self.K:
-            raise DimensionMismatchError(f"dataset has K={data.K}, matrix has K={self.K}")
-        if z.dim != data.m:
-            raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
-        p = self.field.p
-        cols = [item.values() for item in data.items] + [z.values()]
-        shares = []
-        for row in self.rows:
-            acc = [0] * data.m
-            for coeff, col in zip(row, cols):
-                cv = coeff.value
-                if cv:
-                    acc = [(s + cv * x) % p for s, x in zip(acc, col)]
-            shares.append(self.field.vector(acc))
-        return shares
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EncodingMatrix)
-            and self.field == other.field
-            and self.K == other.K
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"EncodingMatrix(F_{self.field.p}, {self.N}x{self.K + 1})"
-
-
 def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
     """Closed-form share coefficients in worker order.
 
@@ -423,51 +364,6 @@ def group_coeffs(params: HarmonicParams, j: int) -> GroupCoeffs:
     return GroupCoeffs(tuple(weights), a, b)
 
 
-class DecodeVector:
-    """The N master-side weights; applying them to worker outputs yields f."""
-
-    __slots__ = ("field", "weights")
-
-    def __init__(self, field: FieldConfig, weights: Sequence[FieldElement]):
-        self.field = field
-        self.weights = tuple(weights)
-
-    @property
-    def N(self) -> int:
-        return len(self.weights)
-
-    def int_weights(self) -> tuple[int, ...]:
-        return tuple(w.value for w in self.weights)
-
-    def apply(self, outputs: Sequence[FieldVector]) -> FieldVector:
-        """sum_w weight_w * output_w, accumulated in ascending worker order."""
-        outputs = list(outputs)
-        if len(outputs) != self.N:
-            raise DimensionMismatchError(
-                f"expected {self.N} worker outputs, got {len(outputs)}")
-        dim = outputs[0].dim
-        p = self.field.p
-        acc = [0] * dim
-        for w, out in zip(self.weights, outputs):
-            if out.field != self.field:
-                raise DimensionMismatchError("output from a different field")
-            if out.dim != dim:
-                raise DimensionMismatchError("outputs of differing dimensions")
-            wv = w.value
-            acc = [(s + wv * o) % p for s, o in zip(acc, out.values())]
-        return self.field.vector(acc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecodeVector)
-            and self.field == other.field
-            and self.weights == other.weights
-        )
-
-    def __repr__(self):
-        return f"DecodeVector{self.int_weights()}"
-
-
 def decode_vector(params: HarmonicParams) -> DecodeVector:
     """Master weights: A_1 for the head, the group weights, -B_K for the tail.
 
@@ -476,10 +372,11 @@ def decode_vector(params: HarmonicParams) -> DecodeVector:
     output and -B_K times the tail output leaves exactly the gradient sum.
     For d = 1 this degenerates to (c, -(c-K)).
     """
-    weights = [group_coeffs(params, 1).a]
-    for j in range(1, params.K + 1):
-        weights.extend(group_coeffs(params, j).weights)
-    weights.append(-group_coeffs(params, params.K).b)
+    groups = [group_coeffs(params, j) for j in range(1, params.K + 1)]
+    weights = [groups[0].a]
+    for group in groups:
+        weights.extend(group.weights)
+    weights.append(-groups[-1].b)
     return DecodeVector(params.field, weights)
 
 

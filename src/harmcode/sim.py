@@ -12,8 +12,10 @@ pass/fail criterion never touches floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
 )
 from .field import FieldConfig, FieldVector, sample_uniform_vector
+from .linear import LinearCode
 from .poly import Dataset, PolyMap, direct_gradient_sum
 
 DEFAULT_AUDIT_BUDGET = 10_000_000
@@ -99,148 +102,34 @@ class PrivacyReport:
 
 
 # ---------------------------------------------------------------------------
-# Scheme handles: one uniform surface over the four constructions
+# Scheme handles: every construction is one LinearCode
 
 
-class HarmonicScheme:
-    kind = "harmonic"
-    num_keys = 1
-
-    def __init__(self, params: harmonic.HarmonicParams):
-        self.params = params
-
-    @property
-    def field(self) -> FieldConfig:
-        return self.params.field
-
-    @property
-    def K(self) -> int:
-        return self.params.K
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    @property
-    def worker_count(self) -> int:
-        return self.params.N
-
-    def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        (z,) = keys
-        return harmonic.encode(self.params, data, z)
-
-    def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:
-        return harmonic.decode(self.params, outputs)
-
-
-class ShamirScheme:
-    kind = "shamir"
-
-    def __init__(self, params: baselines.ShamirParams):
-        self.params = params
-
-    @property
-    def num_keys(self) -> int:
-        return self.params.K
-
-    @property
-    def field(self) -> FieldConfig:
-        return self.params.field
-
-    @property
-    def K(self) -> int:
-        return self.params.K
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    @property
-    def worker_count(self) -> int:
-        return self.params.N
-
-    def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        return baselines.shamir_encode(self.params, data, keys)
-
-    def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:
-        return baselines.shamir_decode(self.params, outputs)
-
-
-class LccScheme:
-    kind = "lcc"
-    num_keys = 1
-
-    def __init__(self, params: baselines.LCCParams):
-        self.params = params
-
-    @property
-    def field(self) -> FieldConfig:
-        return self.params.field
-
-    @property
-    def K(self) -> int:
-        return self.params.K
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    @property
-    def worker_count(self) -> int:
-        return self.params.N
-
-    def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        (z,) = keys
-        return baselines.lcc_encode(self.params, data, z)
-
-    def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:
-        return baselines.lcc_decode(self.params, outputs)
-
-
-class FreshmanScheme:
-    """Carries its own worker function: g is fixed by the params matrix."""
-
-    kind = "freshman"
-    num_keys = 1
-
-    def __init__(self, params: baselines.FreshmanParams):
-        self.params = params
-
-    @property
-    def field(self) -> FieldConfig:
-        return self.params.field
-
-    @property
-    def K(self) -> int:
-        return self.params.K
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    @property
-    def worker_count(self) -> int:
-        return self.params.N
-
-    def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        (z,) = keys
-        return baselines.freshman_encode(self.params, data, z)
-
-    def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:
-        return baselines.freshman_decode(self.params, outputs)
-
-    def apply_g(self, x: FieldVector) -> FieldVector:
-        return baselines.freshman_apply(self.params, x)
-
-    def oracle(self, data: Dataset) -> FieldVector:
-        return baselines.freshman_oracle(self.params, data)
+def make_handle(params) -> LinearCode:
+    """The linear code of a params object."""
+    if isinstance(params, harmonic.HarmonicParams):
+        return LinearCode("harmonic", params, 1, harmonic.encoding_matrix,
+                          harmonic.decode_vector, fast_encode=harmonic.encode)
+    if isinstance(params, baselines.ShamirParams):
+        return LinearCode("shamir", params, params.K, baselines.shamir_encoding_matrix,
+                          baselines.shamir_decode_vector)
+    if isinstance(params, baselines.LCCParams):
+        return LinearCode("lcc", params, 1, baselines.lcc_encoding_matrix,
+                          baselines.lcc_decode_vector)
+    if isinstance(params, baselines.FreshmanParams):
+        return LinearCode("freshman", params, 1, baselines.freshman_encoding_matrix,
+                          baselines.freshman_decode_vector,
+                          worker_fn=functools.partial(baselines.freshman_apply, params))
+    raise TypeError(f"no scheme handle for {type(params).__name__}")
 
 
 class ClearStorageScheme:
     """Fault-injection wrapper: one worker stores X_1 in the clear.
 
     Exists to prove the auditor rejects leaky schemes; never use outside
-    tests and the audit tooling.
+    tests and the audit tooling. It wraps a LinearCode instead of being
+    one because its leaking row has no key coefficient, which
+    EncodingMatrix refuses.
     """
 
     def __init__(self, inner, leak_worker: int = 0):
@@ -273,6 +162,10 @@ class ClearStorageScheme:
     def worker_count(self) -> int:
         return self.inner.worker_count
 
+    @property
+    def worker_fn(self):
+        return self.inner.worker_fn
+
     def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
         shares = self.inner.encode(data, keys)
         shares[self.leak_worker] = data.items[0]
@@ -282,19 +175,6 @@ class ClearStorageScheme:
         return self.inner.decode(outputs)
 
 
-def make_handle(params):
-    """Wrap a params object in its scheme handle."""
-    if isinstance(params, harmonic.HarmonicParams):
-        return HarmonicScheme(params)
-    if isinstance(params, baselines.ShamirParams):
-        return ShamirScheme(params)
-    if isinstance(params, baselines.LCCParams):
-        return LccScheme(params)
-    if isinstance(params, baselines.FreshmanParams):
-        return FreshmanScheme(params)
-    raise TypeError(f"no scheme handle for {type(params).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Trial runner
 
@@ -302,17 +182,18 @@ def make_handle(params):
 def run_trial(scheme, g: Optional[PolyMap], data: Dataset, seed: int) -> TrialReport:
     """Encode with seeded keys, apply g at every worker, decode, compare.
 
-    The freshman scheme embeds its own g (pass None); every other scheme
-    takes an explicit non-constant map of total degree <= scheme.d. Keys
-    are drawn from random.Random(seed), one vector per key in key order.
+    A scheme with its own worker function (freshman) fixes g (pass None);
+    every other scheme takes an explicit non-constant map of total degree
+    <= scheme.d. Keys are drawn from random.Random(seed), one vector per
+    key in key order.
     """
     if data.K != scheme.K:
         raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={scheme.K}")
-    if isinstance(scheme, FreshmanScheme) or hasattr(scheme, "apply_g"):
+    worker_fn = scheme.worker_fn
+    if worker_fn is not None:
         if g is not None:
             raise ValueError("this scheme fixes its own g; pass g=None")
-        worker_fn = scheme.apply_g
-        oracle = scheme.oracle(data)
+        oracle = functools.reduce(operator.add, map(worker_fn, data.items))
         n = oracle.dim
     else:
         if g is None:

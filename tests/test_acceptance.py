@@ -39,10 +39,7 @@ from harmcode.poly import (
 )
 from harmcode.sim import (
     ClearStorageScheme,
-    FreshmanScheme,
-    HarmonicScheme,
-    LccScheme,
-    ShamirScheme,
+    make_handle,
     privacy_audit_exhaustive,
     run_trial,
     worker_count_table,
@@ -149,11 +146,11 @@ def test_criterion_04_validity_randomized_grid():
         for p, K, d, m, n in grid_cells():
             field = FieldConfig(p)
             handles = [
-                HarmonicScheme(select_params(field, K, d)),
-                ShamirScheme(shamir_params(field, K, d)),
+                make_handle(select_params(field, K, d)),
+                make_handle(shamir_params(field, K, d)),
             ]
             try:
-                handles.append(LccScheme(lcc_params(field, K, d)))
+                handles.append(make_handle(lcc_params(field, K, d)))
             except FieldTooSmallError:
                 pass
             # freshman needs d equal to the characteristic: no cell qualifies
@@ -181,16 +178,16 @@ def test_criterion_05_privacy_exhaustive():
         f5 = FieldConfig(5)
         f3 = FieldConfig(3)
         handles = [
-            HarmonicScheme(select_params(f5, 2, 2)),
-            ShamirScheme(shamir_params(f5, 2, 2)),
-            LccScheme(lcc_params(f5, 2, 1)),  # the only LCC size that fits F_5, K=2
-            FreshmanScheme(FreshmanParams(f3, 2, 1, 1, [[f3.one()]])),
+            make_handle(select_params(f5, 2, 2)),
+            make_handle(shamir_params(f5, 2, 2)),
+            make_handle(lcc_params(f5, 2, 1)),  # the only LCC size that fits F_5, K=2
+            make_handle(FreshmanParams(f3, 2, 1, 1, [[f3.one()]])),
         ]
         for handle in handles:
             report = privacy_audit_exhaustive(handle, m=1)
             assert report.all_private, handle.kind
             assert report.mi_bits_per_worker == (0.0,) * handle.worker_count
-        leaky = ClearStorageScheme(HarmonicScheme(select_params(f5, 2, 2)))
+        leaky = ClearStorageScheme(make_handle(select_params(f5, 2, 2)))
         report = privacy_audit_exhaustive(leaky, m=1)
         assert not report.all_private
         assert math.isclose(report.mi_bits_per_worker[0], math.log2(5), rel_tol=1e-12)
@@ -234,14 +231,14 @@ def test_criterion_07_universality():
                 assert encoding_matrix(params) == reference_matrix
                 assert decode_vector(params) == reference_vector
                 # the scheme also decodes g and every lower degree exactly
-                handle = HarmonicScheme(params)
+                handle = make_handle(params)
                 data = random_dataset(rng, field, K, 2)
                 assert run_trial(handle, g, data, rng.randrange(2**32)).exact_match
             for d_low in range(1, d):
                 for _ in range(5):
                     g = random_poly(rng, field, 2, 1, d_low)
                     data = random_dataset(rng, field, K, 2)
-                    handle = HarmonicScheme(select_params(field, K, d))
+                    handle = make_handle(select_params(field, K, d))
                     assert run_trial(handle, g, data, rng.randrange(2**32)).exact_match
 
 
@@ -290,7 +287,7 @@ def test_criterion_09_characteristic_sharpness():
             for K in [1, 2, 3]:
                 harmonic_bound = K * (p - 1) + 2
                 matrix = [[field.one()]]
-                handle = FreshmanScheme(FreshmanParams(field, K, 1, 1, matrix))
+                handle = make_handle(FreshmanParams(field, K, 1, 1, matrix))
                 assert handle.worker_count == 2 < harmonic_bound
                 for _ in range(20):
                     data = random_dataset(rng, field, K, 1)

@@ -20,7 +20,6 @@ from harmcode.errors import (
 from harmcode.field import FieldConfig, sample_uniform_vector
 from harmcode.harmonic import (
     EncodeStats,
-    EncodingMatrix,
     HarmonicParams,
     WorkerLayout,
     decode,
@@ -32,6 +31,7 @@ from harmcode.harmonic import (
     select_params,
     validate_params,
 )
+from harmcode.linear import EncodingMatrix
 from harmcode.poly import (
     Dataset,
     PolyMap,

@@ -1,0 +1,140 @@
+"""Every scheme as one linear code: the handle, the module functions and the
+encoding matrix / decode vector must agree share for share."""
+
+import random
+
+import pytest
+
+from harmcode import baselines, harmonic
+from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
+from harmcode.errors import FieldTooSmallError, InvalidParamsError
+from harmcode.field import FieldConfig, sample_uniform_vector
+from harmcode.harmonic import select_params
+from harmcode.linear import EncodingMatrix, LinearCode
+from harmcode.poly import direct_gradient_sum, random_dataset, random_poly
+from harmcode.sim import ClearStorageScheme, make_handle
+
+# scheme -> (params builder, module encode taking the key list, module decode)
+MODULE = {
+    "harmonic": (select_params,
+                 lambda pr, data, keys: harmonic.encode(pr, data, *keys), harmonic.decode),
+    "shamir": (shamir_params, baselines.shamir_encode, baselines.shamir_decode),
+    "lcc": (lcc_params,
+            lambda pr, data, keys: baselines.lcc_encode(pr, data, *keys), baselines.lcc_decode),
+}
+
+
+def grid():
+    """(scheme, params) over p in {5, 7, 11, 13}, K <= 3, d <= 3 where they exist,
+    plus freshman at p in {2, 3}."""
+    for p in (5, 7, 11, 13):
+        field = FieldConfig(p)
+        for K in (1, 2, 3):
+            for d in (1, 2, 3):
+                for scheme, (build, _, _) in MODULE.items():
+                    try:
+                        yield scheme, build(field, K, d)
+                    except FieldTooSmallError:
+                        pass
+    for p in (2, 3):
+        field = FieldConfig(p)
+        for K in (1, 2, 3):
+            yield "freshman", FreshmanParams(field, K, 2, 1, [[field.one(), field.one()]])
+
+
+GRID = list(grid())
+
+
+def module_paths(scheme):
+    if scheme == "freshman":
+        return (lambda pr, data, keys: baselines.freshman_encode(pr, data, *keys),
+                baselines.freshman_decode)
+    return MODULE[scheme][1:]
+
+
+def test_grid_covers_every_scheme():
+    assert {scheme for scheme, _ in GRID} == {"harmonic", "shamir", "lcc", "freshman"}
+
+
+@pytest.mark.parametrize("scheme,params", GRID, ids=[f"{s}-{pr!r}" for s, pr in GRID])
+def test_handle_module_and_matrix_agree(scheme, params):
+    handle = make_handle(params)
+    assert handle.kind == scheme
+    module_encode, module_decode = module_paths(scheme)
+    field, K = params.field, params.K
+    rng = random.Random(f"{scheme}-{field.p}-{K}-{params.d}")
+    m = 2
+    for _ in range(3):
+        data = random_dataset(rng, field, K, m)
+        keys = [sample_uniform_vector(rng, field, m) for _ in range(handle.num_keys)]
+        shares = handle.encode(data, keys)
+        assert shares == module_encode(params, data, keys)
+        assert shares == handle.matrix.apply(data, *keys)
+        assert len(shares) == handle.worker_count
+        if handle.worker_fn is None:
+            g = random_poly(rng, field, m, 1, params.d)
+            outputs = [g.eval(s) for s in shares]
+            oracle = direct_gradient_sum(g, data)
+        else:
+            outputs = [handle.worker_fn(s) for s in shares]
+            oracle = baselines.freshman_oracle(params, data)
+        decoded = handle.decode(outputs)
+        assert decoded == oracle
+        assert decoded == module_decode(params, outputs)
+        assert decoded == handle.vector.apply(outputs)
+
+
+@pytest.mark.parametrize("scheme,params", GRID, ids=[f"{s}-{pr!r}" for s, pr in GRID])
+def test_every_row_has_a_key_coefficient(scheme, params):
+    matrix = make_handle(params).matrix
+    assert matrix.num_keys == make_handle(params).num_keys
+    assert all(any(row[params.K:]) for row in matrix.int_rows())
+
+
+def test_zeroed_shamir_key_column_is_refused():
+    field = FieldConfig(7)
+    matrix = baselines.shamir_encoding_matrix(shamir_params(field, 2, 2))
+    rows = [list(row) for row in matrix.rows]
+    # worker (1, 1) carries X_1 + theta_1 Z_1; zero its Z_1 entry
+    rows[0][2] = field.zero()
+    with pytest.raises(InvalidParamsError):
+        EncodingMatrix(field, 2, rows, num_keys=2)
+
+
+def test_matrix_and_vector_are_built_once_and_only_on_demand():
+    built = []
+    params = shamir_params(FieldConfig(11), 2, 2)
+
+    def build_matrix(pr):
+        built.append("matrix")
+        return baselines.shamir_encoding_matrix(pr)
+
+    def build_vector(pr):
+        built.append("vector")
+        return baselines.shamir_decode_vector(pr)
+
+    code = LinearCode("shamir", params, 2, build_matrix, build_vector)
+    rng = random.Random(0)
+    data = random_dataset(rng, params.field, 2, 1)
+    keys = [sample_uniform_vector(rng, params.field, 1) for _ in range(2)]
+    code.encode(data, keys)
+    code.encode(data, keys)
+    assert built == ["matrix"]
+    code.decode(code.encode(data, keys))
+    code.decode(code.encode(data, keys))
+    assert built == ["matrix", "vector"]
+
+
+def test_harmonic_handle_encodes_without_the_matrix():
+    handle = make_handle(select_params(FieldConfig(13), 3, 2))
+    rng = random.Random(1)
+    data = random_dataset(rng, handle.field, 3, 2)
+    handle.encode(data, [sample_uniform_vector(rng, handle.field, 2)])
+    assert "matrix" not in vars(handle)
+
+
+def test_clear_storage_forwards_the_worker_function():
+    field = FieldConfig(3)
+    inner = make_handle(FreshmanParams(field, 2, 1, 1, [[field.one()]]))
+    assert ClearStorageScheme(inner).worker_fn is inner.worker_fn
+    assert ClearStorageScheme(make_handle(select_params(FieldConfig(5), 2, 2))).worker_fn is None

@@ -18,10 +18,6 @@ from harmcode.harmonic import encoding_matrix, select_params
 from harmcode.poly import Dataset, PolyMap, random_dataset, random_poly
 from harmcode.sim import (
     ClearStorageScheme,
-    FreshmanScheme,
-    HarmonicScheme,
-    LccScheme,
-    ShamirScheme,
     make_handle,
     privacy_audit_exhaustive,
     run_trial,
@@ -32,7 +28,7 @@ F5 = FieldConfig(5)
 
 
 def fixture_handle():
-    return HarmonicScheme(select_params(F5, 2, 2, c=4, betas=[4]))
+    return make_handle(select_params(F5, 2, 2, c=4, betas=[4]))
 
 
 def quadratic_g():
@@ -60,9 +56,9 @@ def test_run_trial_k1_linear_all_schemes():
     g = PolyMap.univariate(field, [4, 6])
     data = Dataset([field.vector([9])])
     handles = [
-        HarmonicScheme(select_params(field, 1, 1)),
-        ShamirScheme(shamir_params(field, 1, 1)),
-        LccScheme(lcc_params(field, 1, 1)),
+        make_handle(select_params(field, 1, 1)),
+        make_handle(shamir_params(field, 1, 1)),
+        make_handle(lcc_params(field, 1, 1)),
     ]
     for handle in handles:
         assert run_trial(handle, g, data, seed=3).exact_match
@@ -73,9 +69,9 @@ def test_run_trial_seed_sweep_small_grid():
     for p, K, d in [(11, 2, 2), (13, 3, 2), (11, 1, 3)]:
         field = FieldConfig(p)
         handles = [
-            HarmonicScheme(select_params(field, K, d)),
-            ShamirScheme(shamir_params(field, K, d)),
-            LccScheme(lcc_params(field, K, d)),
+            make_handle(select_params(field, K, d)),
+            make_handle(shamir_params(field, K, d)),
+            make_handle(lcc_params(field, K, d)),
         ]
         for seed in range(20):
             g = random_poly(rng, field, 2, 1, d)
@@ -87,7 +83,7 @@ def test_run_trial_seed_sweep_small_grid():
 def test_run_trial_freshman_builtin_g():
     field = FieldConfig(3)
     params = FreshmanParams(field, 2, 1, 1, [[field.one()]])
-    handle = FreshmanScheme(params)
+    handle = make_handle(params)
     data = Dataset([field.vector([1]), field.vector([2])])
     report = run_trial(handle, None, data, seed=1)
     assert report.exact_match
@@ -133,12 +129,12 @@ def test_audit_harmonic_f5():
 
 
 def test_audit_shamir_lcc_freshman_small():
-    shamir = ShamirScheme(shamir_params(F5, 2, 2))
+    shamir = make_handle(shamir_params(F5, 2, 2))
     assert privacy_audit_exhaustive(shamir).all_private
-    lcc = LccScheme(lcc_params(F5, 2, 1))
+    lcc = make_handle(lcc_params(F5, 2, 1))
     assert privacy_audit_exhaustive(lcc).all_private
     f3 = FieldConfig(3)
-    freshman = FreshmanScheme(FreshmanParams(f3, 2, 1, 1, [[f3.one()]]))
+    freshman = make_handle(FreshmanParams(f3, 2, 1, 1, [[f3.one()]]))
     assert privacy_audit_exhaustive(freshman).all_private
 
 
@@ -187,7 +183,7 @@ def test_audit_zeroed_key_column_fails():
 
 
 def test_audit_budget():
-    handle = HarmonicScheme(select_params(FieldConfig(101), 2, 2))
+    handle = make_handle(select_params(FieldConfig(101), 2, 2))
     with pytest.raises(BudgetExceededError):
         privacy_audit_exhaustive(handle, m=1, budget=1000)
     # m=2 multiplies the state space: p^(K*2) * p^2
@@ -240,8 +236,8 @@ def test_handle_worker_counts_match_formulas():
     field = FieldConfig(101)
     for K in range(1, 5):
         for d in range(1, 4):
-            assert HarmonicScheme(select_params(field, K, d)).worker_count \
+            assert make_handle(select_params(field, K, d)).worker_count \
                 == K * (d - 1) + 2
-            assert ShamirScheme(shamir_params(field, K, d)).worker_count \
+            assert make_handle(shamir_params(field, K, d)).worker_count \
                 == K * (d + 1)
-            assert LccScheme(lcc_params(field, K, d)).worker_count == K * d + 1
+            assert make_handle(lcc_params(field, K, d)).worker_count == K * d + 1
