@@ -30,16 +30,37 @@ from .linear import DecodeVector, EncodingMatrix
 from .poly import Dataset
 
 
-def _basis_coeff(points: Sequence[FieldElement], k: int, at: FieldElement) -> FieldElement:
-    """Lagrange basis for node k over `points`, evaluated at `at`."""
-    num = at.field.one()
-    den = at.field.one()
-    xk = points[k]
-    for k2, xo in enumerate(points):
-        if k2 != k:
-            num = num * (at - xo)
-            den = den * (xk - xo)
-    return num * den.inv()
+def _lagrange_rows(points: Sequence[int], ats: Sequence[int], p: int) -> list[list[int]]:
+    """Row r is [L_k(ats[r]) for every node k] as residues, L_k the Lagrange
+    basis over the distinct `points`.
+
+    Barycentric form (Berrut & Trefethen, SIAM Rev. 2004): with the weights
+    w_k = 1 / prod_{j != k} (x_k - x_j), computed once,
+
+        L_k(at) = prod_j (at - x_j) * w_k / (at - x_k),
+
+    so the rows cost O(n (n + len(ats))) for n points. At a node the row is
+    that node's unit vector.
+    """
+    weights = []
+    for k, xk in enumerate(points):
+        den = 1
+        for j, xj in enumerate(points):
+            if j != k:
+                den = den * (xk - xj) % p
+        weights.append(pow(den, -1, p))
+    rows = []
+    for at in ats:
+        diffs = [(at - x) % p for x in points]
+        if 0 in diffs:
+            hit = diffs.index(0)
+            rows.append([int(k == hit) for k in range(len(points))])
+            continue
+        ell = 1
+        for dx in diffs:
+            ell = ell * dx % p
+        rows.append([ell * w * pow(dx, -1, p) % p for w, dx in zip(weights, diffs)])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +126,9 @@ def shamir_encoding_matrix(params: ShamirParams) -> EncodingMatrix:
 
 def shamir_decode_vector(params: ShamirParams) -> DecodeVector:
     """Each input's d+1 outputs interpolated at 0: the same weights per input."""
-    zero = params.field.zero()
-    lams = [_basis_coeff(params.thetas, r, zero) for r in range(params.d + 1)]
-    return DecodeVector(params.field, lams * params.K)
+    field = params.field
+    [lams] = _lagrange_rows([t.value for t in params.thetas], [0], field.p)
+    return DecodeVector(field, [field.element(v) for v in lams] * params.K)
 
 
 def shamir_encode(params: ShamirParams, data: Dataset,
@@ -199,21 +220,27 @@ def lcc_params(field: FieldConfig, K: int, d: int) -> LCCParams:
 
 
 def lcc_encoding_matrix(params: LCCParams) -> EncodingMatrix:
-    """Row i is the Lagrange basis over the anchors evaluated at gamma_i."""
-    return EncodingMatrix(params.field, params.K, [
-        [_basis_coeff(params.alphas, k, gamma) for k in range(params.K + 1)]
-        for gamma in params.gammas])
+    """Row i is the Lagrange basis over the anchors evaluated at gamma_i.
+
+    O((N + K) K); a gamma on the key anchor (the short-field layout of
+    :func:`lcc_params`) gets the key's unit row.
+    """
+    field = params.field
+    rows = _lagrange_rows([a.value for a in params.alphas],
+                          [g.value for g in params.gammas], field.p)
+    return EncodingMatrix(field, params.K,
+                          [[field.element(v) for v in row] for row in rows])
 
 
 def lcc_decode_vector(params: LCCParams) -> DecodeVector:
-    """Output i weighs sum_k L_i(alpha_k), L_i the basis over the evaluation points."""
-    weights = []
-    for i in range(params.N):
-        w = params.field.zero()
-        for alpha in params.alphas[:params.K]:
-            w = w + _basis_coeff(params.gammas, i, alpha)
-        weights.append(w)
-    return DecodeVector(params.field, weights)
+    """Output i weighs sum_k L_i(alpha_k), L_i the basis over the evaluation points.
+
+    O(N (N + K)): one basis row per data anchor, summed column by column.
+    """
+    field = params.field
+    rows = _lagrange_rows([g.value for g in params.gammas],
+                          [a.value for a in params.alphas[:params.K]], field.p)
+    return DecodeVector(field, [field.element(sum(col)) for col in zip(*rows)])
 
 
 def lcc_encode(params: LCCParams, data: Dataset, z: FieldVector) -> list[FieldVector]:

@@ -5,6 +5,13 @@ moduli raises :class:`FieldMismatchError`. The supported moduli are the
 primes up to 2**31; Python integers are unbounded, so the cap is the range
 this package is built and tested for, not an overflow guard.
 
+Storage: a :class:`FieldVector` is one field plus a tuple of plain ints in
+[0, p). Every vector operation here reduces its results mod p and builds
+that tuple directly; :class:`FieldElement` appears only at the API edge --
+scalars, and the coordinates ``elements``, iteration and indexing hand out.
+File input is range-checked before it becomes a vector (see
+:mod:`harmcode.fileio`).
+
 Randomness: callers pass a seeded ``random.Random`` (Mersenne Twister).
 :func:`sample_uniform_vector` draws one ``randrange(p)`` per coordinate,
 lowest index first, so a given seed always produces the identical stream
@@ -26,23 +33,41 @@ from .errors import (
 MAX_MODULUS = 2**31
 
 
+_WITNESSES = (2, 7, 61)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 7 and 61.
+
+    Exact for every n < 4,759,123,141 (Jaeschke 1993), which covers the
+    supported moduli up to 2**31.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 class FieldConfig:
     """The prime field F_p for a fixed prime p <= 2**31.
 
-    Primality is checked eagerly (trial division); everything downstream
+    Primality is checked eagerly (Miller-Rabin); everything downstream
     assumes a field and never re-checks.
     """
 
@@ -76,10 +101,16 @@ class FieldConfig:
 
     def vector(self, values: Iterable[int]) -> "FieldVector":
         """Build a vector, reducing each integer mod p."""
-        return FieldVector(tuple(FieldElement(v % self.p, self) for v in values))
+        p = self.p
+        values = tuple([v % p for v in values])
+        if not values:
+            raise DimensionMismatchError("vectors need at least one coordinate")
+        return FieldVector._of(self, values)
 
     def zero_vector(self, dim: int) -> "FieldVector":
-        return FieldVector(tuple(FieldElement(0, self) for _ in range(dim)))
+        if dim < 1:
+            raise DimensionMismatchError("vectors need at least one coordinate")
+        return FieldVector._of(self, (0,) * dim)
 
 
 class FieldElement:
@@ -151,9 +182,15 @@ class FieldElement:
 
 
 class FieldVector:
-    """Fixed-length tuple of residues from one field."""
+    """Fixed-length vector over one field: the field once, plus a tuple of
+    ints in [0, p).
 
-    __slots__ = ("elements",)
+    ``FieldVector(elements)`` builds one from :class:`FieldElement` values and
+    checks that they share a field. ``elements``, iteration and indexing
+    hand coordinates back as elements, built on demand.
+    """
+
+    __slots__ = ("field", "_values")
 
     def __init__(self, elements: Sequence[FieldElement]):
         elements = tuple(elements)
@@ -163,18 +200,28 @@ class FieldVector:
         for e in elements[1:]:
             if e.field.p != first.p:
                 raise FieldMismatchError("vector coordinates from different fields")
-        self.elements = elements
+        self.field = first
+        self._values = tuple(e.value for e in elements)
 
-    @property
-    def field(self) -> FieldConfig:
-        return self.elements[0].field
+    @classmethod
+    def _of(cls, field: FieldConfig, values: tuple[int, ...]) -> "FieldVector":
+        """Wrap a nonempty tuple of residues already in [0, p), unchecked."""
+        vec = object.__new__(cls)
+        vec.field = field
+        vec._values = values
+        return vec
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self._values)
+
+    @property
+    def elements(self) -> tuple[FieldElement, ...]:
+        f = self.field
+        return tuple(FieldElement(v, f) for v in self._values)
 
     def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.elements)
+        return self._values
 
     def _check(self, other) -> "FieldVector":
         if not isinstance(other, FieldVector):
@@ -189,49 +236,47 @@ class FieldVector:
 
     def __add__(self, other):
         other = self._check(other)
-        f = self.field
-        return FieldVector(tuple(
-            FieldElement((a.value + b.value) % f.p, f)
-            for a, b in zip(self.elements, other.elements)
-        ))
+        p = self.field.p
+        return FieldVector._of(self.field, tuple(
+            [(a + b) % p for a, b in zip(self._values, other._values)]))
 
     def __sub__(self, other):
         other = self._check(other)
-        f = self.field
-        return FieldVector(tuple(
-            FieldElement((a.value - b.value) % f.p, f)
-            for a, b in zip(self.elements, other.elements)
-        ))
+        p = self.field.p
+        return FieldVector._of(self.field, tuple(
+            [(a - b) % p for a, b in zip(self._values, other._values)]))
 
     def scale(self, s: FieldElement) -> "FieldVector":
         if s.field.p != self.field.p:
             raise FieldMismatchError("scalar from a different field")
-        f = self.field
-        return FieldVector(tuple(
-            FieldElement((s.value * a.value) % f.p, f) for a in self.elements
-        ))
+        p, sv = self.field.p, s.value
+        return FieldVector._of(self.field, tuple([sv * a % p for a in self._values]))
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldVector)
             and self.field.p == other.field.p
-            and self.values() == other.values()
+            and self._values == other._values
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.values()))
+        return hash((self.field.p, self._values))
 
     def __iter__(self):
-        return iter(self.elements)
+        f = self.field
+        return (FieldElement(v, f) for v in self._values)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._values)
 
     def __getitem__(self, idx):
-        return self.elements[idx]
+        f = self.field
+        if isinstance(idx, slice):
+            return tuple(FieldElement(v, f) for v in self._values[idx])
+        return FieldElement(self._values[idx], f)
 
     def __repr__(self):
-        return f"FieldVector{self.values()}%{self.field.p}"
+        return f"FieldVector{self._values}%{self.field.p}"
 
 
 def combine(a: FieldElement, u: FieldVector, b: FieldElement, v: FieldVector) -> FieldVector:
@@ -240,20 +285,17 @@ def combine(a: FieldElement, u: FieldVector, b: FieldElement, v: FieldVector) ->
     This is the unit of work the recursive encoder is measured in.
     """
     u._check(v)
-    if a.field.p != u.field.p or b.field.p != u.field.p:
+    p = u.field.p
+    if a.field.p != p or b.field.p != p:
         raise FieldMismatchError("scalar from a different field")
-    f = u.field
     av, bv = a.value, b.value
-    return FieldVector(tuple(
-        FieldElement((av * x.value + bv * y.value) % f.p, f)
-        for x, y in zip(u.elements, v.elements)
-    ))
+    return FieldVector._of(u.field, tuple(
+        [(av * x + bv * y) % p for x, y in zip(u._values, v._values)]))
 
 
 def sample_uniform_vector(rng: random.Random, field: FieldConfig, dim: int) -> FieldVector:
     """Uniform vector in F_p^dim, one randrange(p) per coordinate in index order."""
     if dim < 1:
         raise DimensionMismatchError("dim must be >= 1")
-    return FieldVector(tuple(
-        FieldElement(rng.randrange(field.p), field) for _ in range(dim)
-    ))
+    draw, p = rng.randrange, field.p
+    return FieldVector._of(field, tuple([draw(p) for _ in range(dim)]))

@@ -57,9 +57,15 @@ class Monomial:
 
 
 class PolyMap:
-    """A polynomial map F_p^m -> F_p^n in canonical sparse form."""
+    """A polynomial map F_p^m -> F_p^n in canonical sparse form.
 
-    __slots__ = ("field", "m", "n", "outputs", "_degree")
+    Construction also compiles each output coordinate once into
+    ``(coeff, ((var, exp), ...))`` pairs with the zero exponents dropped, so
+    ``eval`` costs O(terms x support) -- a degree-d monomial touches at most
+    d variables -- instead of O(terms x m).
+    """
+
+    __slots__ = ("field", "m", "n", "outputs", "_degree", "_compiled")
 
     def __init__(self, field: FieldConfig, m: int,
                  outputs: Sequence[Sequence[Monomial]]):
@@ -91,6 +97,10 @@ class PolyMap:
         self.outputs = tuple(canon)
         degs = [mono.degree for coord in self.outputs for mono in coord]
         self._degree = max(degs) if degs else 0
+        self._compiled = tuple(
+            tuple((mono.coeff.value, tuple((k, e) for k, e in enumerate(mono.exps) if e))
+                  for mono in coord)
+            for coord in self.outputs)
 
     @classmethod
     def from_terms(cls, field: FieldConfig, m: int,
@@ -124,16 +134,14 @@ class PolyMap:
         p = self.field.p
         xs = x.values()
         out = []
-        for coord in self.outputs:
+        for coord in self._compiled:
             acc = 0
-            for mono in coord:
-                t = mono.coeff.value
-                for xv, e in zip(xs, mono.exps):
-                    if e:
-                        t = t * pow(xv, e, p) % p
-                acc = (acc + t) % p
+            for t, support in coord:
+                for k, e in support:
+                    t = t * pow(xs[k], e, p) % p
+                acc += t
             out.append(acc)
-        return FieldVector(tuple(FieldElement(v, self.field) for v in out))
+        return self.field.vector(out)
 
     def total_degree(self) -> int:
         """Max total degree over all stored monomials; 0 for a constant map."""

@@ -20,7 +20,9 @@ from harmcode.baselines import (
     freshman_encode,
     freshman_oracle,
     lcc_decode,
+    lcc_decode_vector,
     lcc_encode,
+    lcc_encoding_matrix,
     lcc_params,
     shamir_decode,
     shamir_encode,
@@ -42,6 +44,18 @@ def interp_eval(points, at, p):
                 den = den * (xi - xk) % p
         total = (total + yi * num * pow(den, p - 2, p)) % p
     return total
+
+
+def basis_coeff(points, k, at):
+    """Reference Lagrange basis for node k over `points` at `at`, straight
+    from the product formula in FieldElement arithmetic."""
+    num = at.field.one()
+    den = at.field.one()
+    for k2, xo in enumerate(points):
+        if k2 != k:
+            num = num * (at - xo)
+            den = den * (points[k] - xo)
+    return num * den.inv()
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +172,32 @@ def test_lcc_rejects_anchor_collisions():
     gammas = (field.element(0),) + tuple(field.element(i) for i in range(4, 8))
     with pytest.raises(InvalidParamsError):
         LCCParams(field, 2, 2, alphas, gammas)  # gamma hits data anchor 0
+
+
+def test_lcc_coefficients_match_product_formula():
+    short_layouts = 0
+    for p in [7, 11, 13, 31]:
+        field = FieldConfig(p)
+        for K in range(1, 4):
+            for d in range(1, 4):
+                try:
+                    params = lcc_params(field, K, d)
+                except FieldTooSmallError:
+                    continue
+                alphas, gammas = params.alphas, params.gammas
+                if gammas[-1] == alphas[K]:
+                    short_layouts += 1
+                assert lcc_encoding_matrix(params).rows == tuple(
+                    tuple(basis_coeff(alphas, k, gamma) for k in range(K + 1))
+                    for gamma in gammas), (p, K, d)
+                want = []
+                for i in range(params.N):
+                    w = field.zero()
+                    for alpha in alphas[:K]:
+                        w = w + basis_coeff(gammas, i, alpha)
+                    want.append(w)
+                assert lcc_decode_vector(params).weights == tuple(want), (p, K, d)
+    assert short_layouts == 3  # F_7 with (K, d) = (2, 2), (3, 1); F_13 with (3, 3)
 
 
 def test_lcc_data_polynomial_roundtrip():

@@ -17,11 +17,26 @@ from harmcode.field import (
     FieldConfig,
     FieldElement,
     FieldVector,
+    _is_prime,
     combine,
     sample_uniform_vector,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 65537, 2147483647]
+
+
+def is_prime_trial_division(n):
+    """Reference primality test: trial division by every odd f <= sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def test_config_rejects_composites_and_out_of_range():
@@ -30,6 +45,20 @@ def test_config_rejects_composites_and_out_of_range():
             FieldConfig(bad)
     for good in PRIMES:
         assert FieldConfig(good).p == good
+
+
+def test_miller_rabin_matches_trial_division():
+    for n in range(20_000):
+        assert _is_prime(n) == is_prime_trial_division(n), n
+    # 2^31 - 1 is prime; 46337^2 is the square of the largest prime below
+    # sqrt(2^31); the rest are strong pseudoprimes to bases 2, (2, 3) and
+    # (2, 3, 5), which a single witness would let through.
+    for n in [2**31 - 1, 46337**2, 2047, 1373653, 25326001]:
+        assert _is_prime(n) == is_prime_trial_division(n), n
+    assert _is_prime(2**31 - 1)
+    for n in [46337**2, 2047, 1373653, 25326001]:
+        with pytest.raises(NotPrimeError):
+            FieldConfig(n)
 
 
 def test_config_equality_is_by_modulus():
@@ -172,3 +201,74 @@ def test_sampling_uniformity_five_sigma():
         for residue in range(5):
             freq = counts[coord][residue] / trials
             assert abs(freq - q) < tol, (coord, residue, freq)
+
+
+def _random_ints(rng, p, dim):
+    # Mix in the edge residues 0 and p-1 so reductions wrap both ways.
+    return [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(dim)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_vector_kernels_match_elementwise_arithmetic(p):
+    field = FieldConfig(p)
+    rng = random.Random(p)
+    for dim in [1, 2, 7, 64]:
+        xs, ys = _random_ints(rng, p, dim), _random_ints(rng, p, dim)
+        ex = [FieldElement(x, field) for x in xs]
+        ey = [FieldElement(y, field) for y in ys]
+        u, v = FieldVector(ex), FieldVector(ey)
+        assert u == field.vector(xs) and v == field.vector(ys)
+        a = field.element(rng.randrange(p))
+        b = field.element(rng.choice([0, 1, p - 1, rng.randrange(p)]))
+        want = {
+            "add": [x + y for x, y in zip(ex, ey)],
+            "sub": [x - y for x, y in zip(ex, ey)],
+            "scale": [a * x for x in ex],
+            "combine": [a * x + b * y for x, y in zip(ex, ey)],
+        }
+        got = {
+            "add": u + v,
+            "sub": u - v,
+            "scale": u.scale(a),
+            "combine": combine(a, u, b, v),
+        }
+        for op, vec in got.items():
+            assert vec.values() == tuple(e.value for e in want[op]), op
+            assert vec == FieldVector(want[op]), op
+            assert vec.field == field
+
+
+def test_vector_coordinates_are_field_elements():
+    f13 = FieldConfig(13)
+    built = [
+        f13.vector([3, 25, -1]),
+        FieldVector([f13.element(3), f13.element(12), f13.element(12)]) - f13.vector([0, 0, 1]),
+        sample_uniform_vector(random.Random(5), f13, 3),
+        f13.zero_vector(3),
+    ]
+    for v in built:
+        for coords in (v.elements, tuple(v), tuple(v[i] for i in range(v.dim))):
+            assert len(coords) == v.dim
+            assert all(isinstance(e, FieldElement) and e.field == f13 for e in coords)
+            assert tuple(e.value for e in coords) == v.values()
+        assert v[-1] == v.elements[-1]
+        assert v[1:] == v.elements[1:]
+        with pytest.raises(IndexError):
+            v[v.dim]
+    assert f13.vector([3, 25, -1]).values() == (3, 12, 12)
+    assert f13.zero_vector(3).values() == (0, 0, 0)
+    with pytest.raises(DimensionMismatchError):
+        f13.vector([])
+    with pytest.raises(DimensionMismatchError):
+        f13.zero_vector(0)
+
+
+def test_indexing_does_not_build_every_element(monkeypatch):
+    v = FieldConfig(7).vector(range(1000))
+
+    def boom(self):
+        raise AssertionError("indexing built the whole element tuple")
+
+    monkeypatch.setattr(FieldVector, "elements", property(boom))
+    assert v[500].value == 500 % 7
+    assert v[-1].value == 999 % 7

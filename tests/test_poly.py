@@ -10,7 +10,7 @@ from harmcode.errors import (
     DegreeMismatchError,
     DimensionMismatchError,
 )
-from harmcode.field import FieldConfig, sample_uniform_vector
+from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
 from harmcode.poly import (
     Dataset,
     Monomial,
@@ -36,6 +36,52 @@ def test_eval_examples():
     # 2*x1*x2 + x2 at (2,3): 2*6+3 = 15 = 0 mod 5
     h = PolyMap.from_terms(F5, 2, [[(2, (1, 1)), (1, (0, 1))]])
     assert h.eval(F5.vector([2, 3])).values() == (0,)
+
+
+def dense_eval(g, x):
+    """Reference evaluator: FieldElement arithmetic over every exponent of
+    every monomial, zero exponents included (x**0 == 1, also for x = 0)."""
+    out = []
+    for coord in g.outputs:
+        acc = g.field.zero()
+        for mono in coord:
+            term = mono.coeff
+            for xe, e in zip(x.elements, mono.exps):
+                term = term * xe ** e
+            acc = acc + term
+        out.append(acc)
+    return FieldVector(out)
+
+
+def _sparse_map(rng, field, m, n):
+    """A map whose monomials touch a few random variables each, with
+    exponents up to p-1 and a constant term in every output."""
+    p = field.p
+    raw = []
+    for _ in range(n):
+        terms = [(rng.randrange(1, p), (0,) * m)]
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * m
+            for k in rng.sample(range(m), rng.randint(1, min(m, 3))):
+                exps[k] = rng.choice([1, p - 1, rng.randint(1, p - 1)])
+            terms.append((rng.randrange(1, p), tuple(exps)))
+        raw.append(terms)
+    return PolyMap.from_terms(field, m, raw)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 2**31 - 1])
+def test_eval_matches_dense_reference(p):
+    field = FieldConfig(p)
+    rng = random.Random(p)
+    for m in [1, 2, 5, 17, 64]:
+        maps = [_sparse_map(rng, field, m, 3)]
+        maps += [random_poly(rng, field, m, 2, d) for d in range(1, 5) if d <= m * (p - 1)]
+        for g in maps:
+            for _ in range(4):
+                x = field.vector([rng.choice([0, 1, p - 1, rng.randrange(p)])
+                                  for _ in range(m)])
+                assert g.eval(x) == dense_eval(g, x)
+            assert g.eval(field.zero_vector(m)) == dense_eval(g, field.zero_vector(m))
 
 
 def test_eval_dimension_checks():
