@@ -39,8 +39,6 @@ from .errors import (
 from .field import FieldConfig, sample_uniform_vector
 from .poly import Dataset, PolyMap, random_dataset, random_poly
 
-SCHEMES = ("harmonic", "lcc", "shamir", "freshman")
-
 # Frozen reference values for the worked example (p=5, K=2, d=2, c=4, beta=4),
 # as coefficient rows over (X1, X2, Z).
 DEMO_P_ROWS = ((0, 0, 1), (3, 0, 3), (2, 2, 2))
@@ -155,21 +153,15 @@ def _probe_chain_rows(params) -> list[tuple[int, ...]]:
     return [tuple(r) for r in rows]
 
 
-def _build_params(scheme, field, K, d, m, args):
-    if scheme == "harmonic":
-        return harmonic.select_params(field, K, d, c=getattr(args, "c", None),
-                                      betas=_parse_betas(getattr(args, "betas", None)))
-    if scheme == "shamir":
-        return baselines.shamir_params(field, K, d)
-    if scheme == "lcc":
-        return baselines.lcc_params(field, K, d)
-    if scheme == "freshman":
-        if d != field.p:
-            raise UsageError(
-                f"freshman requires d equal to the characteristic: --d {field.p}")
-        ones = [[field.one()] * m]
-        return baselines.FreshmanParams(field, K, m, 1, ones)
-    raise UsageError(f"unknown scheme {scheme!r}")
+def _build_handle(field, K, m, args):
+    """The code of --scheme from the flags; --c/--betas only where it stores them."""
+    scheme = sim.SCHEMES[args.scheme]
+    flags = {"c": args.c, "betas": _parse_betas(args.betas)}
+    points = {key: value for key, value in flags.items() if value is not None}
+    ignored = [key for key in points if key not in scheme.scalars + scheme.lists]
+    if ignored:
+        raise UsageError(f"{scheme.name} takes no {' or '.join('--' + k for k in ignored)}")
+    return sim.make_handle(scheme.params(field, K, args.d, m, **points))
 
 
 def cmd_validate(args) -> int:
@@ -178,10 +170,11 @@ def cmd_validate(args) -> int:
     if args.m < 1 or args.n < 1:
         raise UsageError("--m and --n must be >= 1")
     field = FieldConfig(args.p)
+    fixed = _build_handle(field, args.K, args.m, args)
     task_g = None
     if args.task is not None:
-        if args.scheme == "freshman":
-            raise UsageError("freshman fixes its own g; --task is not accepted")
+        if fixed.worker_fn is not None:
+            raise UsageError(f"{fixed.kind} fixes its own g; --task is not accepted")
         task_field, task_g = fileio.load_task(args.task)
         if task_field != field:
             raise UsageError(f"task file is over F_{task_field.p}, flags say F_{field.p}")
@@ -190,17 +183,11 @@ def cmd_validate(args) -> int:
         if task_g.total_degree() > args.d:
             raise UsageError(
                 f"task degree {task_g.total_degree()} exceeds --d {args.d}")
-    if args.scheme == "freshman" and args.d != field.p:
-        raise UsageError(
-            f"freshman requires d equal to the characteristic: --d {field.p}")
-    fixed = None
-    if args.scheme != "freshman":
-        fixed = sim.make_handle(
-            _build_params(args.scheme, field, args.K, args.d, args.m, args))
     master = random.Random(args.seed)
     all_exact = True
     for _ in range(args.trials):
-        if fixed is None:
+        if fixed.worker_fn is not None:
+            # a scheme that fixes g (freshman) gets a fresh g per trial
             handle = sim.make_handle(
                 _random_freshman_params(master, field, args.K, args.m, args.n))
             g = None
@@ -234,8 +221,7 @@ def cmd_privacy_audit(args) -> int:
         except ValueError as exc:
             raise UsageError(f"PRIVACY_AUDIT_BUDGET must be an integer, got {env!r}") from exc
     field = FieldConfig(args.p)
-    params = _build_params(args.scheme, field, args.K, args.d, args.m, args)
-    handle = sim.make_handle(params)
+    handle = _build_handle(field, args.K, args.m, args)
     if args.inject_leak:
         handle = sim.ClearStorageScheme(handle)
     report = sim.privacy_audit_exhaustive(handle, m=args.m, budget=budget)
@@ -264,13 +250,12 @@ def cmd_compare(args) -> int:
 def cmd_encode(args) -> int:
     field = FieldConfig(args.p)
     data = fileio.load_dataset(args.data, field)
-    params = _build_params(args.scheme, field, data.K, args.d, data.m, args)
-    handle = sim.make_handle(params)
+    handle = _build_handle(field, data.K, data.m, args)
     rng = random.Random(args.seed)
     keys = [sample_uniform_vector(rng, field, data.m)
             for _ in range(handle.num_keys)]
     shares = handle.encode(data, keys)
-    fileio.write_shares(args.out, params, shares)
+    fileio.write_shares(args.out, handle.params, shares)
     print(f"wrote {len(shares)} shares to {args.out}")
     return 0
 
@@ -302,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.set_defaults(func=cmd_demo)
 
     p_val = sub.add_parser("validate", help="randomized validity trials")
-    p_val.add_argument("--scheme", choices=SCHEMES, required=True)
+    p_val.add_argument("--scheme", choices=tuple(sim.SCHEMES), required=True)
     p_val.add_argument("--p", type=int, required=True)
     p_val.add_argument("--K", type=int, default=2)
     p_val.add_argument("--d", type=int, required=True)
@@ -317,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_priv = sub.add_parser("privacy-audit", help="exhaustive share-law audit")
-    p_priv.add_argument("--scheme", choices=SCHEMES, required=True)
+    p_priv.add_argument("--scheme", choices=tuple(sim.SCHEMES), required=True)
     p_priv.add_argument("--p", type=int, required=True)
     p_priv.add_argument("--K", type=int, default=2)
     p_priv.add_argument("--d", type=int, required=True)
@@ -334,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_enc = sub.add_parser("encode", help="dataset file -> shares file")
-    p_enc.add_argument("--scheme", choices=SCHEMES, required=True)
+    p_enc.add_argument("--scheme", choices=tuple(sim.SCHEMES), required=True)
     p_enc.add_argument("--p", type=int, required=True)
     p_enc.add_argument("--d", type=int, required=True)
     p_enc.add_argument("--data", type=str, required=True)

@@ -5,10 +5,12 @@ Schemas (all integers are residues in [0, p)):
   task     {"p": p, "m": m, "n": n,
             "g": [[{"coeff": c, "exps": [e_1..e_m]}, ...] x n]}
   dataset  {"K": K, "data": [[x_1..x_m] x K]}
-  shares   {"scheme": "harmonic", "p": p, "K": K, "d": d,
-            "c": c, "betas": [..], "shares": [[..] x N]}
-           shamir adds "thetas", lcc adds "alphas"/"gammas",
-           freshman carries only p/K/d (its shares never depend on g).
+  shares   {"scheme": name, "p": p, "K": K, "d": d, <points>,
+            "shares": [[..] x N]}
+           the scheme-specific <points> come from the scheme table
+           (sim.SCHEMES): harmonic stores "c" and "betas", shamir
+           "thetas", lcc "alphas"/"gammas", freshman none (its shares
+           never depend on g).
   outputs  {"outputs": [[y_1..y_n] x N]}
   decoded  {"f": [y_1..y_n]}
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from . import baselines, harmonic
 from .errors import (
     CountMismatchError,
     ResidueRangeError,
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .field import FieldConfig, FieldVector
 from .poly import Dataset, PolyMap
+from .sim import SCHEMES, scheme_of
 
 
 def _load_json(path) -> dict:
@@ -45,8 +47,7 @@ def _load_json(path) -> dict:
 
 def _dump_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _get(doc: dict, key: str, where: str):
@@ -155,82 +156,38 @@ def write_dataset(path, data: Dataset) -> None:
 
 
 def params_to_json(params) -> dict:
-    if isinstance(params, harmonic.HarmonicParams):
-        return {
-            "scheme": "harmonic",
-            "p": params.field.p,
-            "K": params.K,
-            "d": params.d,
-            "c": params.c.value,
-            "betas": [b.value for b in params.betas],
-        }
-    if isinstance(params, baselines.ShamirParams):
-        return {
-            "scheme": "shamir",
-            "p": params.field.p,
-            "K": params.K,
-            "d": params.d,
-            "thetas": [t.value for t in params.thetas],
-        }
-    if isinstance(params, baselines.LCCParams):
-        return {
-            "scheme": "lcc",
-            "p": params.field.p,
-            "K": params.K,
-            "d": params.d,
-            "alphas": [a.value for a in params.alphas],
-            "gammas": [g.value for g in params.gammas],
-        }
-    if isinstance(params, baselines.FreshmanParams):
-        return {
-            "scheme": "freshman",
-            "p": params.field.p,
-            "K": params.K,
-            "d": params.d,
-        }
-    raise TypeError(f"no JSON form for {type(params).__name__}")
-
-
-def _residue_list(doc, key, p, where) -> list[int]:
-    value = _get(doc, key, where)
-    if not isinstance(value, list):
-        raise SchemaViolationError(f"{where}: {key} must be a list")
-    return [_as_residue(v, p, f"{key}[{i}]") for i, v in enumerate(value)]
+    scheme = scheme_of(params)
+    doc = {"scheme": scheme.name, "p": params.field.p, "K": params.K, "d": params.d}
+    for key in scheme.scalars:
+        doc[key] = getattr(params, key).value
+    for key in scheme.lists:
+        doc[key] = [v.value for v in getattr(params, key)]
+    return doc
 
 
 def params_from_json(doc: dict, m: int = 1):
     """Rebuild scheme parameters from a shares-file header.
 
-    ``m`` is only needed by the freshman scheme, whose stored parameters
-    do not include the (irrelevant-for-coding) output matrix; a placeholder
-    single-row matrix of ones is used.
+    ``m``, the share width, only sizes the freshman scheme's placeholder
+    output matrix: its header stores no matrix, which coding never reads.
     """
-    scheme = _get(doc, "scheme", "shares")
+    name = _get(doc, "scheme", "shares")
+    scheme = SCHEMES.get(name) if isinstance(name, str) else None
+    if scheme is None:
+        raise SchemaViolationError(f"shares: unknown scheme {name!r}")
     p = _as_int(_get(doc, "p", "shares"), "p")
     field = FieldConfig(p)
     K = _as_int(_get(doc, "K", "shares"), "K")
     d = _as_int(_get(doc, "d", "shares"), "d")
-    if scheme == "harmonic":
-        c = _as_residue(_get(doc, "c", "shares"), p, "c")
-        betas = _residue_list(doc, "betas", p, "shares")
-        return harmonic.select_params(field, K, d, c=c, betas=betas)
-    if scheme == "shamir":
-        thetas = _residue_list(doc, "thetas", p, "shares")
-        return baselines.ShamirParams(field, K, d,
-                                      tuple(field.element(t) for t in thetas))
-    if scheme == "lcc":
-        alphas = _residue_list(doc, "alphas", p, "shares")
-        gammas = _residue_list(doc, "gammas", p, "shares")
-        return baselines.LCCParams(field, K, d,
-                                   tuple(field.element(a) for a in alphas),
-                                   tuple(field.element(g) for g in gammas))
-    if scheme == "freshman":
-        if d != p:
-            raise SchemaViolationError(
-                f"shares: freshman requires d equal to the characteristic {p}, got {d}")
-        ones = [[field.one()] * m]
-        return baselines.FreshmanParams(field, K, m, 1, ones)
-    raise SchemaViolationError(f"shares: unknown scheme {scheme!r}")
+    points = {key: field.element(_as_residue(_get(doc, key, "shares"), p, key))
+              for key in scheme.scalars}
+    for key in scheme.lists:
+        values = _get(doc, key, "shares")
+        if not isinstance(values, list):
+            raise SchemaViolationError(f"shares: {key} must be a list")
+        points[key] = tuple(field.element(_as_residue(v, p, f"{key}[{i}]"))
+                            for i, v in enumerate(values))
+    return scheme.params(field, K, d, m, **points)
 
 
 def write_shares(path, params, shares: Sequence[FieldVector]) -> None:

@@ -40,6 +40,7 @@ from .errors import (
     FieldTooSmallError,
     InvalidParamsError,
     ParameterCorruptionError,
+    ZeroInversionError,
 )
 from .field import FieldConfig, FieldElement, FieldVector, combine
 from .linear import DecodeVector, EncodingMatrix
@@ -232,26 +233,42 @@ def select_params(field: FieldConfig, K: int, d: int,
     return params
 
 
-def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector,
-                      stats: EncodeStats | None = None) -> list[FieldVector]:
-    """The masking chain P_0..P_K, one two-term combination per step."""
+def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
+    """The encoders' scalars as residues: 1/c and, per chain step j = 1..K,
+    a_j = (c-j+1)/(c-j) and b_j = -1/(c-j) (P_j = a_j P_{j-1} + b_j X_j) with
+    group j's blend points q_ij = beta_i (c-j+1)/c. ZeroInversionError when
+    a denominator is zero, which validate_params rules out."""
+    p, c = params.field.p, params.c.value
+    if any((c - j) % p == 0 for j in range(params.K + 1)):
+        raise ZeroInversionError(f"c={c} puts a zero among c, c-1, ..., c-{params.K} mod {p}")
+    c_inv = pow(c, -1, p)
+    steps = []
+    for j in range(1, params.K + 1):
+        inv_cj = pow(c - j, -1, p)
+        steps.append(((c - j + 1) * inv_cj % p, -inv_cj % p,
+                      tuple([b.value * (c - j + 1) * c_inv % p for b in params.betas])))
+    return c_inv, steps
+
+
+def _chain(params: HarmonicParams, steps, data: Dataset, z: FieldVector,
+           stats: EncodeStats | None) -> list[FieldVector]:
     if data.K != params.K:
         raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={params.K}")
     if z.dim != data.m:
         raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
-    field = params.field
-    c = params.c
+    element = params.field.element
     chain = [z]
-    prev = z
-    for j in range(1, params.K + 1):
-        inv_cj = field.element(c.value - j).inv()
-        a = field.element(c.value - j + 1) * inv_cj
-        b = -inv_cj
-        prev = combine(a, prev, b, data.items[j - 1])
-        if stats is not None:
-            stats.two_term_combos += 1
-        chain.append(prev)
+    for (a, b, _), x_j in zip(steps, data.items):
+        chain.append(combine(element(a), chain[-1], element(b), x_j))
+    if stats is not None:
+        stats.two_term_combos += params.K
     return chain
+
+
+def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector,
+                      stats: EncodeStats | None = None) -> list[FieldVector]:
+    """The masking chain P_0..P_K, one two-term combination per step."""
+    return _chain(params, _scalars(params)[1], data, z, stats)
 
 
 def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
@@ -262,25 +279,16 @@ def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
             (substituting the chain formula for P_{j-1} into the blend)
     tail:   columns 1..K are -1/(c-K), Z is c/(c-K)
     """
-    field, K, d = params.field, params.K, params.d
-    c = params.c
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * K + [one]]
-    c_inv = c.inv()
-    for j in range(1, K + 1):
-        cj1 = field.element(c.value - j + 1)
-        for beta in params.betas:
-            q = beta * cj1 * c_inv
-            row = [zero] * (K + 1)
-            neg = -(beta * c_inv)
-            for k in range(1, j):
-                row[k - 1] = neg
-            row[j - 1] = one - q
-            row[K] = beta
-            rows.append(row)
-    inv_cK = field.element(c.value - K).inv()
-    rows.append([-inv_cK] * K + [c * inv_cK])
-    return EncodingMatrix(field, K, rows)
+    field, K = params.field, params.K
+    c_inv, steps = _scalars(params)
+    rows = [[0] * K + [1]]
+    for j, (_, _, qs) in enumerate(steps, start=1):
+        for beta, q in zip(params.betas, qs):
+            rows.append([-beta.value * c_inv] * (j - 1) + [1 - q] + [0] * (K - j)
+                        + [beta.value])
+    b_K = steps[-1][1]
+    rows.append([b_K] * K + [-params.c.value * b_K])
+    return EncodingMatrix(field, K, [[field.element(v) for v in row] for row in rows])
 
 
 def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
@@ -290,21 +298,15 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
     Costs K + K(d-1) two-term vector combinations; the result is
     coordinate-identical to ``encoding_matrix(params).apply(data, z)``.
     """
-    field = params.field
-    c = params.c
-    chain = intermediate_vars(params, data, z, stats)
-    shares = [chain[0]]
-    c_inv = c.inv()
-    one = field.one()
-    for j in range(1, params.K + 1):
-        cj1 = field.element(c.value - j + 1)
-        x_j = data.items[j - 1]
-        for beta in params.betas:
-            q = beta * cj1 * c_inv
-            shares.append(combine(one - q, x_j, q, chain[j - 1]))
-            if stats is not None:
-                stats.two_term_combos += 1
-    shares.append(chain[params.K])
+    _, steps = _scalars(params)
+    chain = _chain(params, steps, data, z, stats)
+    element = params.field.element
+    shares = [z]
+    for (_, _, qs), x_j, prev in zip(steps, data.items, chain):
+        shares += [combine(element(1 - q), x_j, element(q), prev) for q in qs]
+    if stats is not None:
+        stats.two_term_combos += params.K * (params.d - 1)
+    shares.append(chain[-1])
     return shares
 
 

@@ -19,7 +19,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import baselines, harmonic
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     ConstantPolynomialError,
     DegreeMismatchError,
     DimensionMismatchError,
+    SchemaViolationError,
 )
 from .field import FieldConfig, FieldVector, sample_uniform_vector
 from .linear import LinearCode
@@ -102,25 +103,78 @@ class PrivacyReport:
 
 
 # ---------------------------------------------------------------------------
-# Scheme handles: every construction is one LinearCode
+# The scheme table: every per-scheme fact, said once
+
+
+class Scheme(NamedTuple):
+    """One scheme: how to build its params, what its shares-file header
+    stores, and the parts of its LinearCode.
+
+    ``defaults(field, K, d, m)`` builds the default params (m, the data
+    width, only sizes freshman's placeholder matrix); ``from_points``, or
+    ``params_type`` when None, builds them from explicit points. The header
+    stores the attributes in ``scalars`` as residues, in ``lists`` as lists.
+    """
+
+    name: str
+    params_type: type
+    defaults: Callable
+    build_matrix: Callable
+    build_vector: Callable
+    scalars: tuple[str, ...] = ()
+    lists: tuple[str, ...] = ()
+    from_points: Optional[Callable] = None
+    keys_per_input: bool = False
+    fast_encode: Optional[Callable] = None
+    worker_fn: Optional[Callable] = None
+
+    def params(self, field: FieldConfig, K: int, d: int, m: int = 1, **points):
+        """Params from the given points, or the defaults when none is given."""
+        if points:
+            params = (self.from_points or self.params_type)(field, K, d, **points)
+        else:
+            params = self.defaults(field, K, d, m)
+        if params.d != d:  # freshman's d is always the characteristic
+            raise SchemaViolationError(
+                f"{self.name} over F_{field.p} needs d={params.d}, got d={d}")
+        return params
+
+
+SCHEMES = {s.name: s for s in (
+    Scheme("harmonic", harmonic.HarmonicParams,
+           lambda f, K, d, m: harmonic.select_params(f, K, d),
+           harmonic.encoding_matrix, harmonic.decode_vector,
+           scalars=("c",), lists=("betas",), from_points=harmonic.select_params,
+           fast_encode=harmonic.encode),
+    Scheme("lcc", baselines.LCCParams,
+           lambda f, K, d, m: baselines.lcc_params(f, K, d),
+           baselines.lcc_encoding_matrix, baselines.lcc_decode_vector,
+           lists=("alphas", "gammas")),
+    Scheme("shamir", baselines.ShamirParams,
+           lambda f, K, d, m: baselines.shamir_params(f, K, d),
+           baselines.shamir_encoding_matrix, baselines.shamir_decode_vector,
+           lists=("thetas",), keys_per_input=True),
+    Scheme("freshman", baselines.FreshmanParams,
+           lambda f, K, d, m: baselines.FreshmanParams(f, K, m, 1, [[f.one()] * m]),
+           baselines.freshman_encoding_matrix, baselines.freshman_decode_vector,
+           worker_fn=baselines.freshman_apply),
+)}
+_BY_TYPE = {s.params_type: s for s in SCHEMES.values()}
+
+
+def scheme_of(params) -> Scheme:
+    """The table entry of a params object."""
+    if type(params) not in _BY_TYPE:
+        raise TypeError(f"no scheme for {type(params).__name__}")
+    return _BY_TYPE[type(params)]
 
 
 def make_handle(params) -> LinearCode:
     """The linear code of a params object."""
-    if isinstance(params, harmonic.HarmonicParams):
-        return LinearCode("harmonic", params, 1, harmonic.encoding_matrix,
-                          harmonic.decode_vector, fast_encode=harmonic.encode)
-    if isinstance(params, baselines.ShamirParams):
-        return LinearCode("shamir", params, params.K, baselines.shamir_encoding_matrix,
-                          baselines.shamir_decode_vector)
-    if isinstance(params, baselines.LCCParams):
-        return LinearCode("lcc", params, 1, baselines.lcc_encoding_matrix,
-                          baselines.lcc_decode_vector)
-    if isinstance(params, baselines.FreshmanParams):
-        return LinearCode("freshman", params, 1, baselines.freshman_encoding_matrix,
-                          baselines.freshman_decode_vector,
-                          worker_fn=functools.partial(baselines.freshman_apply, params))
-    raise TypeError(f"no scheme handle for {type(params).__name__}")
+    s = scheme_of(params)
+    worker_fn = None if s.worker_fn is None else functools.partial(s.worker_fn, params)
+    return LinearCode(s.name, params, params.K if s.keys_per_input else 1, s.build_matrix,
+                      s.build_vector, fast_encode=s.fast_encode, worker_fn=worker_fn)
 
 
 class ClearStorageScheme:

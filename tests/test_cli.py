@@ -200,3 +200,36 @@ def test_bad_schema_files_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["decode", "--shares", str(missing),
                  "--outputs", str(missing), "--out", str(tmp_path / "f.json")]) == 2
+
+
+@pytest.mark.parametrize("scheme,d", [("lcc", 2), ("shamir", 2), ("freshman", 11)])
+def test_point_flags_rejected_where_the_scheme_ignores_them(tmp_path, capsys, scheme, d):
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps({"K": 2, "data": [[1], [2]]}))
+    base = {
+        "encode": ["encode", "--scheme", scheme, "--p", "11", "--d", str(d),
+                   "--data", str(data_path), "--out", str(tmp_path / "s.json")],
+        "validate": ["validate", "--scheme", scheme, "--p", "11", "--d", str(d),
+                     "--trials", "2"],
+        "privacy-audit": ["privacy-audit", "--scheme", scheme, "--p", "11", "--d", str(d)],
+    }
+    for argv in base.values():
+        assert main(argv) == 0  # the same command runs without the point flags
+        for flags in (["--c", "5"], ["--betas", "1,2"], ["--c", "5", "--betas", "1"]):
+            capsys.readouterr()
+            assert main(argv + flags) == 2
+            assert "takes no --" in capsys.readouterr().err
+
+
+def test_point_flags_accepted_by_harmonic(tmp_path, capsys):
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps({"K": 2, "data": [[1], [2]]}))
+    shares_path = tmp_path / "s.json"
+    assert main(["encode", "--scheme", "harmonic", "--p", "11", "--d", "3",
+                 "--data", str(data_path), "--out", str(shares_path),
+                 "--c", "7", "--betas", "2,5"]) == 0
+    params, _ = load_shares(shares_path)
+    assert (params.c.value, [b.value for b in params.betas]) == (7, [2, 5])
+    # freshman's degree is the characteristic, from flags as from files
+    assert main(["encode", "--scheme", "freshman", "--p", "11", "--d", "2",
+                 "--data", str(data_path), "--out", str(shares_path)]) == 2

@@ -60,11 +60,22 @@ def test_dataset_roundtrip(tmp_path):
 def test_shares_roundtrip_all_schemes(tmp_path):
     data = Dataset([F5.vector([1]), F5.vector([2])])
     z = F5.vector([3])
+    F7, F11 = FieldConfig(7), FieldConfig(11)
+    # c and betas away from the defaults (c=3, betas=[2, 4] at p=11, K=2, d=3)
+    explicit = select_params(F11, 2, 3, c=7, betas=[2, 5])
+    assert params_to_json(explicit) != params_to_json(select_params(F11, 2, 3))
+    # one residue short: the last evaluation point is the key anchor
+    short = lcc_params(F7, 2, 2)
+    assert short.gammas[-1] == short.alphas[-1]
     cases = [
         (select_params(F5, 2, 2, c=4, betas=[4]), lambda p: encode(p, data, z)),
+        (explicit, lambda p: encode(
+            p, Dataset([F11.vector([1, 9]), F11.vector([2, 0])]), F11.vector([3, 4]))),
         (shamir_params(F5, 2, 2),
          lambda p: shamir_encode(p, data, [z, F5.vector([4])])),
         (lcc_params(F5, 2, 1), lambda p: lcc_encode(p, data, z)),
+        (short, lambda p: lcc_encode(
+            p, Dataset([F7.vector([6]), F7.vector([5])]), F7.vector([4]))),
         (FreshmanParams(F5, 2, 1, 1, [[F5.one()]]),
          lambda p: freshman_encode(p, data, z)),
     ]
@@ -97,6 +108,19 @@ def test_schema_violationerrors(tmp_path):
         params_from_json({"scheme": "mystery", "p": 5, "K": 1, "d": 1})
     with pytest.raises(SchemaViolationError):
         params_from_json({"scheme": "freshman", "p": 5, "K": 1, "d": 4})
+    # the scheme name is looked up in a table: unhashable or non-string names
+    # must still be schema violations, not TypeErrors
+    for name in (["lcc"], 3, None, {"lcc": 1}):
+        with pytest.raises(SchemaViolationError):
+            params_from_json({"scheme": name, "p": 5, "K": 1, "d": 1})
+    harmonic_doc = params_to_json(select_params(F5, 2, 2, c=4, betas=[4]))
+    shamir_doc = params_to_json(shamir_params(F5, 2, 2))
+    for doc, key, value in ((harmonic_doc, "c", [1]), (harmonic_doc, "betas", 3),
+                            (harmonic_doc, "c", None), (shamir_doc, "thetas", "x")):
+        with pytest.raises(SchemaViolationError):
+            params_from_json({**doc, key: value})
+    with pytest.raises(SchemaViolationError):
+        params_from_json({key: v for key, v in harmonic_doc.items() if key != "betas"})
 
 
 def test_residue_range_errors(tmp_path):

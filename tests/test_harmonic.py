@@ -16,6 +16,7 @@ from harmcode.errors import (
     FieldTooSmallError,
     InvalidParamsError,
     ParameterCorruptionError,
+    ZeroInversionError,
 )
 from harmcode.field import FieldConfig, sample_uniform_vector
 from harmcode.harmonic import (
@@ -447,3 +448,16 @@ def test_exhaustive_validity_f5_sampled_quadratics():
         for (x1, x2, z), (data, shares) in share_sets.items():
             outputs = [g.eval(s) for s in shares]
             assert vec.apply(outputs) == direct_gradient_sum(g, data)
+
+
+def test_broken_anchor_raises_zero_inversion_in_encoders():
+    # c in 0..K makes a chain denominator c-j vanish; validate_params rules it out
+    field = FieldConfig(7)
+    data = Dataset([field.vector([1]), field.vector([2])])
+    for c in (0, 1, 2):
+        params = HarmonicParams(field, 2, 2, field.element(c), (field.element(3),))
+        assert validate_params(params) != []
+        with pytest.raises(ZeroInversionError):
+            encode(params, data, field.vector([3]))
+        with pytest.raises(ZeroInversionError):
+            encoding_matrix(params)

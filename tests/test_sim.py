@@ -11,16 +11,19 @@ from harmcode.errors import (
     ConstantPolynomialError,
     DegreeMismatchError,
     DimensionMismatchError,
+    SchemaViolationError,
 )
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
 from harmcode.field import FieldConfig
 from harmcode.harmonic import encoding_matrix, select_params
 from harmcode.poly import Dataset, PolyMap, random_dataset, random_poly
 from harmcode.sim import (
+    SCHEMES,
     ClearStorageScheme,
     make_handle,
     privacy_audit_exhaustive,
     run_trial,
+    scheme_of,
     worker_count_table,
 )
 
@@ -241,3 +244,27 @@ def test_handle_worker_counts_match_formulas():
             assert make_handle(shamir_params(field, K, d)).worker_count \
                 == K * (d + 1)
             assert make_handle(lcc_params(field, K, d)).worker_count == K * d + 1
+
+
+def test_scheme_table_defaults_and_points():
+    # p=11, K=2, d=2 hosts every scheme but freshman, whose d is p
+    field = FieldConfig(11)
+    assert tuple(SCHEMES) == ("harmonic", "lcc", "shamir", "freshman")
+    for name, scheme in SCHEMES.items():
+        d = field.p if name == "freshman" else 2
+        params = scheme.params(field, 2, d, m=3)
+        assert scheme_of(params) is scheme
+        handle = make_handle(params)
+        assert (handle.kind, handle.d, handle.num_keys) == (
+            name, d, 2 if scheme.keys_per_input else 1)
+        assert (handle.worker_fn is None) == (scheme.worker_fn is None)
+        # rebuilding from the stored points gives the same parameters
+        points = {key: getattr(params, key) for key in scheme.scalars + scheme.lists}
+        again = scheme.params(field, 2, d, m=3, **points)
+        assert make_handle(again).matrix == handle.matrix
+        assert make_handle(again).vector == handle.vector
+    assert SCHEMES["freshman"].params(field, 2, 11, m=3).m == 3
+    with pytest.raises(SchemaViolationError):
+        SCHEMES["freshman"].params(field, 2, 2)
+    with pytest.raises(TypeError):
+        scheme_of(object())
