@@ -282,7 +282,8 @@ class FieldVector:
 def combine(a: FieldElement, u: FieldVector, b: FieldElement, v: FieldVector) -> FieldVector:
     """One two-term linear combination a*u + b*v.
 
-    This is the unit of work the recursive encoder is measured in.
+    This is the unit of work the recursive encoder is measured in; the
+    encoder runs the same arithmetic on its prebuilt int scalars.
     """
     u._check(v)
     p = u.field.p

@@ -28,21 +28,27 @@ at 0 yields
 and the progression forces A_{j+1} = B_j, so summing the Q_j telescopes:
 everything cancels except sum_j g(X_j), A_1 g(P_0), and B_K g(P_K), and
 the head and tail workers supply those last two directly.
+
+The recursive encoder (:func:`encoder`) turns a_j, b_j and q_ij into int
+residues once per parameter set -- once per handle, for a
+:class:`~harmcode.linear.LinearCode` -- and runs every step as one
+reducing comprehension over the coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     FieldTooSmallError,
     InvalidParamsError,
     ParameterCorruptionError,
     ZeroInversionError,
 )
-from .field import FieldConfig, FieldElement, FieldVector, combine
+from .field import FieldConfig, FieldElement, FieldVector
 from .linear import DecodeVector, EncodingMatrix
 from .poly import Dataset
 
@@ -250,25 +256,67 @@ def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple[in
     return c_inv, steps
 
 
-def _chain(params: HarmonicParams, steps, data: Dataset, z: FieldVector,
-           stats: EncodeStats | None) -> list[FieldVector]:
-    if data.K != params.K:
-        raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={params.K}")
+def _steps(params: HarmonicParams) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """Per chain step j: (a_j, b_j, ((1 - q_ij, q_ij) for each blend i)), as residues."""
+    p = params.field.p
+    return tuple((a, b, tuple([((1 - q) % p, q) for q in qs]))
+                 for a, b, qs in _scalars(params)[1])
+
+
+def _chain(field: FieldConfig, K: int, steps, data: Dataset, z: FieldVector,
+           stats: EncodeStats | None) -> list[tuple[int, ...]]:
+    """The coordinates of P_0..P_K: P_j = a_j P_{j-1} + b_j X_j, reduced mod p."""
+    if data.K != K:
+        raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={K}")
     if z.dim != data.m:
         raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
-    element = params.field.element
-    chain = [z]
-    for (a, b, _), x_j in zip(steps, data.items):
-        chain.append(combine(element(a), chain[-1], element(b), x_j))
+    p = field.p
+    if data.field.p != p or z.field.p != p:
+        raise FieldMismatchError(f"data or key from another field than F_{p}")
+    prev = z.values()
+    chain = [prev]
+    for (a, b, _), x in zip(steps, data.items):
+        prev = tuple([(a * u + b * v) % p for u, v in zip(prev, x.values())])
+        chain.append(prev)
     if stats is not None:
-        stats.two_term_combos += params.K
+        stats.two_term_combos += K
     return chain
+
+
+def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
+    """The recursive encoder of one parameter set, as ``encode(data, z, stats=None)``.
+
+    Its scalars are residues computed here, once; each call then costs
+    K + K(d-1) two-term vector combinations on plain ints.
+    ZeroInversionError here when a chain denominator is zero.
+    """
+    field, K = params.field, params.K
+    p, steps = field.p, _steps(params)
+    blends = K * (params.d - 1)
+    of = FieldVector._of
+
+    def encode(data: Dataset, z: FieldVector,
+               stats: EncodeStats | None = None) -> list[FieldVector]:
+        chain = _chain(field, K, steps, data, z, stats)
+        shares = [z]
+        for (_, _, qs), x, prev in zip(steps, data.items, chain):
+            xs = x.values()
+            shares += [of(field, tuple([(r * u + q * v) % p for u, v in zip(xs, prev)]))
+                       for r, q in qs]
+        if stats is not None:
+            stats.two_term_combos += blends
+        shares.append(of(field, chain[-1]))
+        return shares
+
+    return encode
 
 
 def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector,
                       stats: EncodeStats | None = None) -> list[FieldVector]:
     """The masking chain P_0..P_K, one two-term combination per step."""
-    return _chain(params, _scalars(params)[1], data, z, stats)
+    field = params.field
+    return [FieldVector._of(field, v)
+            for v in _chain(field, params.K, _steps(params), data, z, stats)]
 
 
 def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
@@ -293,21 +341,12 @@ def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
 
 def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
            stats: EncodeStats | None = None) -> list[FieldVector]:
-    """Shares in worker order via the recursive chain.
+    """Shares in worker order via the recursive chain; see :func:`encoder`.
 
-    Costs K + K(d-1) two-term vector combinations; the result is
-    coordinate-identical to ``encoding_matrix(params).apply(data, z)``.
+    The result is coordinate-identical to
+    ``encoding_matrix(params).apply(data, z)``.
     """
-    _, steps = _scalars(params)
-    chain = _chain(params, steps, data, z, stats)
-    element = params.field.element
-    shares = [z]
-    for (_, _, qs), x_j, prev in zip(steps, data.items, chain):
-        shares += [combine(element(1 - q), x_j, element(q), prev) for q in qs]
-    if stats is not None:
-        stats.two_term_combos += params.K * (params.d - 1)
-    shares.append(chain[-1])
-    return shares
+    return encoder(params)(data, z, stats)
 
 
 def _guarded_inv(x: FieldElement) -> FieldElement:

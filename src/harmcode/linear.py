@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import DimensionMismatchError, InvalidParamsError
+from .errors import DimensionMismatchError, FieldMismatchError, InvalidParamsError
 from .field import FieldConfig, FieldElement, FieldVector
 from .poly import Dataset
 
@@ -73,7 +73,12 @@ class EncodingMatrix:
             raise DimensionMismatchError(f"dataset has K={data.K}, matrix has K={self.K}")
         if len(keys) != self.num_keys:
             raise DimensionMismatchError(f"need {self.num_keys} keys, got {len(keys)}")
+        p = self.field.p
+        if data.field.p != p:
+            raise FieldMismatchError(f"dataset over F_{data.field.p}, matrix over F_{p}")
         for z in keys:
+            if z.field.p != p:
+                raise FieldMismatchError(f"key over F_{z.field.p}, matrix over F_{p}")
             if z.dim != data.m:
                 raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
         cols = [item.values() for item in data.items] + [z.values() for z in keys]
@@ -139,17 +144,20 @@ class DecodeVector:
 class LinearCode:
     """One parameter set of one scheme, as a linear code.
 
-    ``matrix`` and ``vector`` come from the scheme's builders on first use
-    and are kept, so an encode-only caller never builds the decode vector
-    and a decode-only caller never builds the matrix. ``fast_encode``, when
-    given, takes the place of ``matrix.apply`` and must give the same
-    shares. ``worker_fn`` is set only by a scheme that fixes g itself.
+    ``matrix``, ``vector`` and ``encoder`` come from the scheme's builders
+    on first use and are kept, so an encode-only caller never builds the
+    decode vector and a decode-only caller never builds the matrix.
+    ``fast_encode``, when given, is a builder ``params -> encode(data,
+    *keys)``; the encoder it builds takes the place of ``matrix.apply`` and
+    must give the same shares. Because it is built on first use, a bad
+    parameter set still makes a handle and fails at its first encode.
+    ``worker_fn`` is set only by a scheme that fixes g itself.
     """
 
     def __init__(self, kind: str, params, num_keys: int,
                  build_matrix: Callable[..., EncodingMatrix],
                  build_vector: Callable[..., DecodeVector],
-                 fast_encode: Optional[Callable[..., list[FieldVector]]] = None,
+                 fast_encode: Optional[Callable[..., Callable[..., list[FieldVector]]]] = None,
                  worker_fn: Optional[Callable[[FieldVector], FieldVector]] = None):
         self.kind = kind
         self.params = params
@@ -157,7 +165,7 @@ class LinearCode:
         self.worker_fn = worker_fn
         self._build_matrix = build_matrix
         self._build_vector = build_vector
-        self._fast_encode = fast_encode
+        self._build_encoder = fast_encode
 
     @property
     def field(self) -> FieldConfig:
@@ -183,12 +191,16 @@ class LinearCode:
     def vector(self) -> DecodeVector:
         return self._build_vector(self.params)
 
+    @cached_property
+    def encoder(self) -> Callable[..., list[FieldVector]]:
+        if self._build_encoder is None:
+            return self.matrix.apply
+        return self._build_encoder(self.params)
+
     def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
         if len(keys) != self.num_keys:
             raise DimensionMismatchError(f"need {self.num_keys} keys, got {len(keys)}")
-        if self._fast_encode is not None:
-            return self._fast_encode(self.params, data, *keys)
-        return self.matrix.apply(data, *keys)
+        return self.encoder(data, *keys)
 
     def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:
         return self.vector.apply(outputs)

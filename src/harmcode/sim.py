@@ -114,6 +114,8 @@ class Scheme(NamedTuple):
     width, only sizes freshman's placeholder matrix); ``from_points``, or
     ``params_type`` when None, builds them from explicit points. The header
     stores the attributes in ``scalars`` as residues, in ``lists`` as lists.
+    ``fast_encode`` is a builder ``params -> encode(data, *keys)`` that the
+    handle calls on its first encode, in place of ``matrix.apply``.
     """
 
     name: str
@@ -145,7 +147,7 @@ SCHEMES = {s.name: s for s in (
            lambda f, K, d, m: harmonic.select_params(f, K, d),
            harmonic.encoding_matrix, harmonic.decode_vector,
            scalars=("c",), lists=("betas",), from_points=harmonic.select_params,
-           fast_encode=harmonic.encode),
+           fast_encode=harmonic.encoder),
     Scheme("lcc", baselines.LCCParams,
            lambda f, K, d, m: baselines.lcc_params(f, K, d),
            baselines.lcc_encoding_matrix, baselines.lcc_decode_vector,
@@ -309,12 +311,15 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
             f"audit needs {total} states (> budget {budget}); "
             f"raise the budget to at least {total} to run it")
     N = scheme.worker_count
+    # Every key tuple, built once; no more of them than dataset states
+    # while nkeys <= K, so at most sqrt(budget).
+    all_keys = [[field.vector(z_flat[i * m:(i + 1) * m]) for i in range(nkeys)]
+                for z_flat in itertools.product(range(p), repeat=nkeys * m)]
     counts: list[dict[tuple, Counter]] = [{} for _ in range(N)]
     for x_flat in itertools.product(range(p), repeat=K * m):
         data = Dataset([field.vector(x_flat[i * m:(i + 1) * m]) for i in range(K)])
         per_worker = [Counter() for _ in range(N)]
-        for z_flat in itertools.product(range(p), repeat=nkeys * m):
-            keys = [field.vector(z_flat[i * m:(i + 1) * m]) for i in range(nkeys)]
+        for keys in all_keys:
             shares = scheme.encode(data, keys)
             for w, share in enumerate(shares):
                 per_worker[w][share.values()] += 1

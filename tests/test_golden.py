@@ -1,8 +1,10 @@
 """Pinned SHA-256 digests of `harmcode encode` share files and of the
-`harmcode decode` output, one fixed dataset and seed per scheme.
+`harmcode decode` output, one fixed dataset and seed per scheme, and of
+exhaustive privacy-audit reports.
 
 Any change to the coefficient algebra, the key draw order or the file
-layout shows up here as a digest mismatch.
+layout shows up here as a digest mismatch; so does any change to an audit
+verdict, mutual-information value or state count.
 """
 
 import hashlib
@@ -10,11 +12,13 @@ import json
 
 import pytest
 
-from harmcode.baselines import freshman_apply
+from harmcode import harmonic
+from harmcode.baselines import freshman_apply, lcc_params, shamir_params
 from harmcode.cli import main
 from harmcode.field import FieldConfig
 from harmcode.fileio import load_shares, write_outputs
 from harmcode.poly import PolyMap
+from harmcode.sim import ClearStorageScheme, make_handle, privacy_audit_exhaustive
 
 DATA = {"K": 3, "data": [[1, 2], [3, 4], [4, 0]]}
 SEED = 17
@@ -65,3 +69,51 @@ def test_share_and_decode_digests(tmp_path, capsys, scheme):
     capsys.readouterr()
 
     assert (sha256(shares_path), sha256(decoded_path)) == (shares_digest, decoded_digest)
+
+
+# audit case -> SHA-256 of json.dumps(report.to_json(), sort_keys=True).
+# The private schemes are harmonic on F_5 (K=2, d=2; m=1 and m=2), LCC on F_7
+# and Shamir on F_5 (K=2, d=2, m=1); "<scheme>-leak<w>" is the m=1 instance
+# with worker w storing X_1 in the clear.
+AUDIT_GOLDEN = {
+    "harmonic-m1": "e3091c3d978ca1e24dcc9608d6e54aacf786e79808b2a567d11ec053f469040e",
+    "harmonic-m2": "15a0924f522e1bcea4159972f4ba8021b5f81bacdd76e1c756dc44cc6f486b41",
+    "lcc": "8cd094c8134596745510e9cb496aa714943c78a8105ffa0e1812fa439158a4a2",
+    "shamir": "ce5521992f08c75a7a385a913e5a5d6cfff128804e6ea71586ef51f70815787d",
+    "harmonic-leak0": "ef5d4d438268ea25a8ba03cf604f134041e6c2120ab4435d95b0cd8ecf1b7e65",
+    "harmonic-leak1": "86ec3a3935772d42a48632ba5eabfb60bbb87a1fd4bade93c7d74f00a36366be",
+    "harmonic-leak2": "6328179b2a02c7a151df24a202e2da8ae537be0908331615f70f02cbe09ebc9d",
+    "harmonic-leak3": "cd91341b1060984a2a0832888fbb244dd5208e7fbfd1e62c5c3385cc88686678",
+    "lcc-leak0": "80dce68c575bc1f35e8a4cda5632d78950fb6733a3a791d79e74630847edc4d9",
+    "lcc-leak1": "0fb0092b35fd5f2dca1f48ac4ada92cc1649c9bd87167128d86413304e934ca5",
+    "lcc-leak2": "66cc05cda700ae7eeb3bfc6ed0dd75b9446a585cc0427cef61fe954eddd5f710",
+    "lcc-leak3": "7394f04c2d8effcbc4adcd15643f8264b8a342cbd5735fdf57f3861592b3ad40",
+    "lcc-leak4": "b450b4aa22e37c7c3820dad466c8ab281121506686cfeb601eec40c0a4837a9c",
+    "shamir-leak0": "b17fa2c8ff212083170e84f3cbdf9c268eda9a444d40015725e009779632cc40",
+    "shamir-leak1": "d73d27019b15de159071e2be01860a9b65136a146000e85085a70d1e40f50799",
+    "shamir-leak2": "9073a2253b629d988ca0a6622517102a5c72359790a9cdc2997aa1be00b0f17e",
+    "shamir-leak3": "a2857fa718ce0a2ae6dcb3ce60750df26d89c2da3b2b24ddbf8dce3e2e03a2d2",
+    "shamir-leak4": "84f736f54643ce9464a1c51c3d4ba26e7d36a25ce88dedd2b84d2958b96804cf",
+    "shamir-leak5": "1f71b25f967341a8da8c24731b7c23f06c4b4c752ce070d62c1aa2c2d2b13b30",
+}
+
+
+def audit_case(name):
+    """(scheme, m) of one AUDIT_GOLDEN entry."""
+    f5, f7 = FieldConfig(5), FieldConfig(7)
+    base, _, tag = name.partition("-")
+    params = {"harmonic": harmonic.select_params(f5, 2, 2), "lcc": lcc_params(f7, 2, 2),
+              "shamir": shamir_params(f5, 2, 2)}[base]
+    handle = make_handle(params)
+    if tag.startswith("leak"):
+        return ClearStorageScheme(handle, int(tag[4:])), 1
+    return handle, 2 if tag == "m2" else 1
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_GOLDEN))
+def test_audit_report_digests(name):
+    scheme, m = audit_case(name)
+    report = privacy_audit_exhaustive(scheme, m=m)
+    doc = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == AUDIT_GOLDEN[name]
+

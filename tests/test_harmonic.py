@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from harmcode import harmonic
 from harmcode.errors import (
     DimensionMismatchError,
     FieldTooSmallError,
@@ -33,6 +34,7 @@ from harmcode.harmonic import (
     validate_params,
 )
 from harmcode.linear import EncodingMatrix
+from harmcode.sim import make_handle
 from harmcode.poly import (
     Dataset,
     PolyMap,
@@ -290,18 +292,28 @@ def test_encode_identical_to_matrix_apply():
 
 
 def test_encoder_operation_count():
-    # K chain steps plus one blend per group worker: K*d combos, <= 2N here.
+    # K chain steps plus one blend per group worker: K*d combos, <= 2N here;
+    # the chain alone is K.
     rng = random.Random(5)
-    for K in range(1, 4):
-        for d in range(1, 4):
-            field = FieldConfig(13)
-            params = select_params(field, K, d)
-            stats = EncodeStats()
-            data = random_dataset(rng, field, K, 2)
-            z = sample_uniform_vector(rng, field, 2)
-            encode(params, data, z, stats)
-            assert stats.two_term_combos == K * d
-            assert stats.two_term_combos <= 2 * params.N
+    for p in (13, 7, 11):
+        field = FieldConfig(p)
+        for K in range(1, 4):
+            for d in range(1, 4):
+                try:
+                    params = select_params(field, K, d)
+                except FieldTooSmallError:
+                    continue
+                data = random_dataset(rng, field, K, 2)
+                z = sample_uniform_vector(rng, field, 2)
+                for run in (lambda st: encode(params, data, z, st),
+                            lambda st: harmonic.encoder(params)(data, z, st)):
+                    stats = EncodeStats()
+                    run(stats)
+                    assert stats.two_term_combos == K * d
+                    assert stats.two_term_combos <= 2 * params.N
+                stats = EncodeStats()
+                intermediate_vars(params, data, z, stats)
+                assert stats.two_term_combos == K
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +473,29 @@ def test_broken_anchor_raises_zero_inversion_in_encoders():
             encode(params, data, field.vector([3]))
         with pytest.raises(ZeroInversionError):
             encoding_matrix(params)
+        handle = make_handle(params)  # the encoder is built on first use
+        with pytest.raises(ZeroInversionError):
+            handle.encode(data, [field.vector([3])])
+
+
+def test_handle_builds_its_scalars_once_on_first_encode(monkeypatch):
+    params = select_params(FieldConfig(11), 3, 3)
+    rng = random.Random(9)
+    cases = []
+    for _ in range(50):
+        data = random_dataset(rng, params.field, 3, 2)
+        z = sample_uniform_vector(rng, params.field, 2)
+        cases.append((data, z, encode(params, data, z)))
+    calls = []
+    scalars = harmonic._scalars
+
+    def counted(pr):
+        calls.append(pr)
+        return scalars(pr)
+
+    monkeypatch.setattr(harmonic, "_scalars", counted)
+    handle = make_handle(params)
+    assert calls == []
+    for data, z, shares in cases:
+        assert handle.encode(data, [z]) == shares
+    assert len(calls) == 1

@@ -7,11 +7,11 @@ import pytest
 
 from harmcode import baselines, harmonic
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
-from harmcode.errors import FieldTooSmallError, InvalidParamsError
+from harmcode.errors import FieldMismatchError, FieldTooSmallError, InvalidParamsError
 from harmcode.field import FieldConfig, sample_uniform_vector
 from harmcode.harmonic import select_params
 from harmcode.linear import EncodingMatrix, LinearCode
-from harmcode.poly import direct_gradient_sum, random_dataset, random_poly
+from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
 from harmcode.sim import ClearStorageScheme, make_handle
 
 # scheme -> (params builder, module encode taking the key list, module decode)
@@ -138,3 +138,33 @@ def test_clear_storage_forwards_the_worker_function():
     inner = make_handle(FreshmanParams(field, 2, 1, 1, [[field.one()]]))
     assert ClearStorageScheme(inner).worker_fn is inner.worker_fn
     assert ClearStorageScheme(make_handle(select_params(FieldConfig(5), 2, 2))).worker_fn is None
+
+
+def foreign_field_cases():
+    """(label, encode(data, keys), field): handles of every scheme plus the
+    harmonic encoding matrix."""
+    f11, f3 = FieldConfig(11), FieldConfig(3)
+    for params in (select_params(f11, 2, 2), lcc_params(f11, 2, 2), shamir_params(f11, 2, 2),
+                   FreshmanParams(f3, 2, 1, 1, [[f3.one()]])):
+        handle = make_handle(params)
+        yield handle.kind, handle.encode, handle.num_keys, params.field
+    matrix = harmonic.encoding_matrix(select_params(f11, 2, 2))
+    yield "harmonic-matrix", lambda data, keys: matrix.apply(data, *keys), 1, f11
+
+
+FOREIGN = list(foreign_field_cases())
+
+
+@pytest.mark.parametrize("label,encode,num_keys,field", FOREIGN, ids=[c[0] for c in FOREIGN])
+def test_encoders_refuse_data_and_keys_from_another_field(label, encode, num_keys, field):
+    other = FieldConfig(7)
+    data = Dataset([field.vector([1]), field.vector([2])])
+    keys = [field.vector([t + 1]) for t in range(num_keys)]
+    assert len(encode(data, keys)) > 0
+    with pytest.raises(FieldMismatchError):
+        encode(Dataset([other.vector([1]), other.vector([2])]), keys)
+    for t in range(num_keys):
+        foreign_keys = list(keys)
+        foreign_keys[t] = other.vector([t + 1])
+        with pytest.raises(FieldMismatchError):
+            encode(data, foreign_keys)
