@@ -15,7 +15,9 @@ File input is range-checked before it becomes a vector (see
 Randomness: callers pass a seeded ``random.Random`` (Mersenne Twister).
 :func:`sample_uniform_vector` draws one ``randrange(p)`` per coordinate,
 lowest index first, so a given seed always produces the identical stream
-of vectors -- a requirement for reproducible share files.
+of vectors -- a requirement for reproducible share files. It makes
+randrange's own draws (``getrandbits(p.bit_length())``, redrawn while
+>= p, as CPython 3.10-3.12 do) without randrange's per-call overhead.
 """
 
 from __future__ import annotations
@@ -283,20 +285,37 @@ def combine(a: FieldElement, u: FieldVector, b: FieldElement, v: FieldVector) ->
     """One two-term linear combination a*u + b*v.
 
     This is the unit of work the recursive encoder is measured in; the
-    encoder runs the same arithmetic on its prebuilt int scalars.
+    encoder runs the same kernel, :func:`combine_values`, on its prebuilt
+    int scalars.
     """
     u._check(v)
     p = u.field.p
     if a.field.p != p or b.field.p != p:
         raise FieldMismatchError("scalar from a different field")
-    av, bv = a.value, b.value
-    return FieldVector._of(u.field, tuple(
-        [(av * x + bv * y) % p for x, y in zip(u._values, v._values)]))
+    return FieldVector._of(u.field, combine_values(a.value, u._values, b.value, v._values, p))
+
+
+def combine_values(a: int, xs: Sequence[int], b: int, ys: Sequence[int],
+                   p: int) -> tuple[int, ...]:
+    """(a*x + b*y) mod p coordinatewise, on plain ints, in one pass: the
+    two-term kernel of :func:`combine`, the harmonic chain and sparse rows
+    of an encoding matrix."""
+    return tuple([(a * x + b * y) % p for x, y in zip(xs, ys)])
 
 
 def sample_uniform_vector(rng: random.Random, field: FieldConfig, dim: int) -> FieldVector:
-    """Uniform vector in F_p^dim, one randrange(p) per coordinate in index order."""
+    """Uniform vector in F_p^dim, one randrange(p) per coordinate in index order.
+
+    randrange(p) is rejection sampling: k-bit draws, k = p.bit_length(),
+    the first one below p kept. So the coordinates are the draws below p,
+    in order, and each round makes only as many draws as coordinates are
+    missing -- the stream randrange would consume, draw for draw.
+    """
     if dim < 1:
         raise DimensionMismatchError("dim must be >= 1")
-    draw, p = rng.randrange, field.p
-    return FieldVector._of(field, tuple([draw(p) for _ in range(dim)]))
+    draw, p = rng.getrandbits, field.p
+    k = p.bit_length()
+    values = []
+    while len(values) < dim:
+        values += [r for _ in range(dim - len(values)) if (r := draw(k)) < p]
+    return FieldVector._of(field, tuple(values))

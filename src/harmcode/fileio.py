@@ -69,8 +69,16 @@ def _as_residue(value, p: int, what: str) -> int:
     return v
 
 
+_INT = frozenset({int})  # the type set of a row of plain ints; bool is a type of its own
+
+
 def _as_matrix(value, p: int, what: str) -> list[list[int]]:
-    """Rectangular list of residue rows with at least one column."""
+    """Rectangular list of residue rows with at least one column.
+
+    A row of plain ints in [0, p) passes in one check at C speed; any other
+    row is checked coordinate by coordinate, so the error names the first
+    bad one.
+    """
     if not isinstance(value, list) or not value:
         raise SchemaViolationError(f"{what} must be a non-empty list of rows")
     rows = []
@@ -83,7 +91,10 @@ def _as_matrix(value, p: int, what: str) -> list[list[int]]:
         elif len(row) != width:
             raise CountMismatchError(
                 f"{what}[{r}] has {len(row)} entries, expected {width}")
-        rows.append([_as_residue(v, p, f"{what}[{r}][{i}]") for i, v in enumerate(row)])
+        if set(map(type, row)) == _INT and 0 <= min(row) and max(row) < p:
+            rows.append(row)
+        else:  # name the first bad coordinate
+            rows.append([_as_residue(v, p, f"{what}[{r}][{i}]") for i, v in enumerate(row)])
     return rows
 
 

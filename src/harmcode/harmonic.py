@@ -32,7 +32,7 @@ the head and tail workers supply those last two directly.
 The recursive encoder (:func:`encoder`) turns a_j, b_j and q_ij into int
 residues once per parameter set -- once per handle, for a
 :class:`~harmcode.linear.LinearCode` -- and runs every step as one
-reducing comprehension over the coordinates.
+reducing pass over the coordinates (:func:`~harmcode.field.combine_values`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
     ParameterCorruptionError,
     ZeroInversionError,
 )
-from .field import FieldConfig, FieldElement, FieldVector
+from .field import FieldConfig, FieldElement, FieldVector, combine_values
 from .linear import DecodeVector, EncodingMatrix
 from .poly import Dataset
 
@@ -276,7 +276,7 @@ def _chain(field: FieldConfig, K: int, steps, data: Dataset, z: FieldVector,
     prev = z.values()
     chain = [prev]
     for (a, b, _), x in zip(steps, data.items):
-        prev = tuple([(a * u + b * v) % p for u, v in zip(prev, x.values())])
+        prev = combine_values(a, prev, b, x.values(), p)
         chain.append(prev)
     if stats is not None:
         stats.two_term_combos += K
@@ -301,8 +301,7 @@ def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
         shares = [z]
         for (_, _, qs), x, prev in zip(steps, data.items, chain):
             xs = x.values()
-            shares += [of(field, tuple([(r * u + q * v) % p for u, v in zip(xs, prev)]))
-                       for r, q in qs]
+            shares += [of(field, combine_values(r, xs, q, prev, p)) for r, q in qs]
         if stats is not None:
             stats.two_term_combos += blends
         shares.append(of(field, chain[-1]))

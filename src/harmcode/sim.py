@@ -330,7 +330,9 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     for w in range(N):
         per_x = counts[w]
         reference = next(iter(per_x.values()))
-        equal = all(c == reference for c in per_x.values())
+        # No count is ever zero, so plain dict equality is Counter equality,
+        # without Counter.__eq__'s Python-level walk over every key.
+        equal = all(dict.__eq__(c, reference) for c in per_x.values())
         cond_equal.append(equal)
         if equal:
             mi_bits.append(0.0)

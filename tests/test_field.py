@@ -184,6 +184,20 @@ def test_sampling_range_and_determinism():
         sample_uniform_vector(random.Random(0), f13, 0)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1])
+def test_sampling_draws_the_randrange_stream(p):
+    # 5,000 draws, in one vector and in vectors of 1, 7 and 64 coordinates;
+    # the generator must be left where randrange(p) would leave it.
+    field = FieldConfig(p)
+    for seed, dims in ((p, [5000]), (p + 1, [1, 7, 64] * 69 + [32])):
+        ref = random.Random(seed)
+        expected = [ref.randrange(p) for _ in range(5000)]
+        rng = random.Random(seed)
+        drawn = [x for dim in dims for x in sample_uniform_vector(rng, field, dim).values()]
+        assert drawn == expected
+        assert rng.random() == ref.random()
+
+
 def test_sampling_uniformity_five_sigma():
     # p=5, dim=3, 1e5 draws: every per-coordinate residue frequency must sit
     # within 5 sigma of 1/5. Seeded, so the check is deterministic.

@@ -134,6 +134,19 @@ def test_residue_range_errors(tmp_path):
                           "g": [[{"coeff": 1, "exps": [9]}]]}))  # exps > p-1
 
 
+@pytest.mark.parametrize("bad,error,message", [
+    (True, SchemaViolationError, "data[1][3] must be an integer, got True"),
+    (2.0, SchemaViolationError, "data[1][3] must be an integer, got 2.0"),
+    (5, ResidueRangeError, "data[1][3]=5 outside [0, 5)"),
+    (-1, ResidueRangeError, "data[1][3]=-1 outside [0, 5)"),
+])
+def test_bad_coordinate_after_valid_ones_is_named(tmp_path, bad, error, message):
+    doc = {"K": 2, "data": [[0, 1, 2, 3], [4, 3, 2, bad]]}
+    with pytest.raises(error) as info:
+        load_dataset(_write(tmp_path / "d.json", doc), F5)
+    assert str(info.value) == message
+
+
 def test_count_mismatch_errors(tmp_path):
     with pytest.raises(CountMismatchError):
         load_dataset(_write(tmp_path / "a.json", {"K": 3, "data": [[1], [2]]}), F5)

@@ -8,7 +8,7 @@ import pytest
 from harmcode import baselines, harmonic
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
 from harmcode.errors import FieldMismatchError, FieldTooSmallError, InvalidParamsError
-from harmcode.field import FieldConfig, sample_uniform_vector
+from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
 from harmcode.harmonic import select_params
 from harmcode.linear import EncodingMatrix, LinearCode
 from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
@@ -168,3 +168,52 @@ def test_encoders_refuse_data_and_keys_from_another_field(label, encode, num_key
         foreign_keys[t] = other.vector([t + 1])
         with pytest.raises(FieldMismatchError):
             encode(data, foreign_keys)
+
+
+def reference_apply(matrix, data, keys):
+    """share_w[i] = sum_k row_w[k] * column_k[i], one FieldElement at a time."""
+    columns = list(data.items) + list(keys)
+    shares = []
+    for row in matrix.rows:
+        coords = []
+        for i in range(data.m):
+            acc = matrix.field.zero()
+            for e, column in zip(row, columns):
+                acc = acc + e * column[i]
+            coords.append(acc)
+        shares.append(FieldVector(coords))
+    return shares
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("m", [1, 2, 3, 512])
+def test_apply_matches_elementwise_dot_products(p, m):
+    # K = 16 data columns and one key, as LCC at K = 16: rows of 1, 2, 3, 5
+    # and 17 nonzero terms, and the worst slot, every coefficient and every
+    # coordinate p - 1 over all 17 columns.
+    field, K = FieldConfig(p), 16
+    rng = random.Random(f"apply-{p}-{m}")
+    rows = [[0] * K + [rng.randrange(1, p)] for _ in range(2)]
+    for terms in (2, 3, 5, 17, 17):
+        for _ in range(2):
+            row = [0] * K + [rng.randrange(1, p)]
+            for k in rng.sample(range(K), terms - 1):
+                row[k] = rng.randrange(1, p)
+            rows.append(row)
+    rows.append([p - 1] * (K + 1))
+    matrix = EncodingMatrix(field, K, [[field.element(v) for v in row] for row in rows])
+    assert sorted({sum(map(bool, row)) for row in matrix.int_rows()}) == [1, 2, 3, 5, 17]
+    top = field.vector([p - 1] * m)
+    for data, key in ((random_dataset(rng, field, K, m), sample_uniform_vector(rng, field, m)),
+                      (Dataset([top] * K), top)):
+        assert matrix.apply(data, key) == reference_apply(matrix, data, [key])
+
+
+def test_dense_harmonic_matrix_matches_the_chain_encoder():
+    params = select_params(FieldConfig(2**31 - 1), 8, 3)
+    matrix = harmonic.encoding_matrix(params)
+    assert max(sum(map(bool, row)) for row in matrix.int_rows()) == 9
+    rng = random.Random(8)
+    data = random_dataset(rng, params.field, 8, 512)
+    z = sample_uniform_vector(rng, params.field, 512)
+    assert matrix.apply(data, z) == make_handle(params).encode(data, [z])
