@@ -22,7 +22,7 @@ that would take a row of 2^66 terms to break.
 from __future__ import annotations
 
 import struct
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidParamsError
@@ -39,6 +39,13 @@ def _accumulate(terms, dim: int) -> list[int]:
     for c, col in terms:
         acc = [s + c * x for s, x in zip(acc, col)]
     return acc
+
+
+@lru_cache(maxsize=64)
+def _packers(m: int) -> tuple[struct.Struct, struct.Struct]:
+    """The packed kernel's Structs for m coordinates: the (low, high) 64-bit
+    words of every slot, and a residue followed by a zero high word."""
+    return struct.Struct(f"<{2 * m}Q"), struct.Struct("<" + "Q8x" * m)
 
 
 class EncodingMatrix:
@@ -101,8 +108,7 @@ class EncodingMatrix:
         cols = [item.values() for item in data.items] + [z.values() for z in keys]
         m, field, of = data.m, self.field, FieldVector._of
         if self._packed_columns:
-            slots = struct.Struct(f"<{2 * m}Q")  # (low, high) 64-bit words per slot
-            pad = struct.Struct("<" + "Q8x" * m)  # a residue and a zero high word
+            slots, pad = _packers(m)
             packed = {k: int.from_bytes(pad.pack(*cols[k]), "little")
                       for k in self._packed_columns}
             r = (1 << 64) % p

@@ -8,6 +8,15 @@ of each worker's share, and declares a worker private only when its share
 distribution is literally identical for all dataset values -- mutual
 information is derived from the same counts for reporting, but the
 pass/fail criterion never touches floating point.
+
+The auditor encodes once per dataset value, not once per (dataset, key)
+pair: every key value is laid along the coordinates. Each key is one
+vector of key_states * m coordinates whose coordinate j*m + i is
+coordinate i of the j-th key tuple, and each data vector repeats the
+dataset value's m coordinates key_states times, so slice j of every share
+is the share under key tuple j. This needs encode to act on every
+coordinate alike and independently, as every linear code does (share_w =
+sum_k E[w][k] X_k, coordinatewise).
 """
 
 from __future__ import annotations
@@ -298,6 +307,15 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     key draws) is identical for every dataset value -- equivalent to zero
     mutual information under *any* input prior. The reported MI assumes a
     uniform prior and is computed from the same counts.
+
+    ``scheme.encode`` is called once per dataset value, on vectors of
+    key_states * m coordinates: coordinate j*m + i of each key is
+    coordinate i of the j-th key tuple (``itertools.product`` order), and
+    each data vector is the dataset value's m coordinates repeated
+    key_states times. The scheme must act on every coordinate alike and
+    independently, so that coordinates j*m .. j*m + m-1 of a share are the
+    share under key tuple j; every linear code does. The budget is checked
+    before anything is built.
     """
     field = scheme.field
     p = field.p
@@ -311,37 +329,38 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
             f"audit needs {total} states (> budget {budget}); "
             f"raise the budget to at least {total} to run it")
     N = scheme.worker_count
-    # Every key tuple, built once; no more of them than dataset states
-    # while nkeys <= K, so at most sqrt(budget).
-    all_keys = [[field.vector(z_flat[i * m:(i + 1) * m]) for i in range(nkeys)]
-                for z_flat in itertools.product(range(p), repeat=nkeys * m)]
-    counts: list[dict[tuple, Counter]] = [{} for _ in range(N)]
+    of = FieldVector._of
+    # Every key tuple along the coordinates; no more of them than dataset
+    # states while nkeys <= K, so at most sqrt(budget).
+    key_tuples = list(itertools.product(range(p), repeat=nkeys * m))
+    keys = [of(field, tuple(itertools.chain.from_iterable(
+                z[t * m:(t + 1) * m] for z in key_tuples)))
+            for t in range(nkeys)]
+    # counts[w][x]: worker w's share law for the x-th dataset value
+    counts: list[list[Counter]] = [[] for _ in range(N)]
     for x_flat in itertools.product(range(p), repeat=K * m):
-        data = Dataset([field.vector(x_flat[i * m:(i + 1) * m]) for i in range(K)])
-        per_worker = [Counter() for _ in range(N)]
-        for keys in all_keys:
-            shares = scheme.encode(data, keys)
-            for w, share in enumerate(shares):
-                per_worker[w][share.values()] += 1
-        for w in range(N):
-            counts[w][x_flat] = per_worker[w]
+        data = Dataset([of(field, x_flat[k * m:(k + 1) * m] * key_states) for k in range(K)])
+        for w, share in enumerate(scheme.encode(data, keys)):
+            v = share.values()
+            # at m = 1 the residues themselves are the shares: the same law
+            # without a tuple per key value
+            counts[w].append(Counter(v if m == 1 else zip(*[v[i::m] for i in range(m)])))
     cond_equal = []
     mi_bits = []
-    for w in range(N):
-        per_x = counts[w]
-        reference = next(iter(per_x.values()))
+    for per_x in counts:
+        reference = per_x[0]
         # No count is ever zero, so plain dict equality is Counter equality,
         # without Counter.__eq__'s Python-level walk over every key.
-        equal = all(dict.__eq__(c, reference) for c in per_x.values())
+        equal = all(dict.__eq__(c, reference) for c in per_x)
         cond_equal.append(equal)
         if equal:
             mi_bits.append(0.0)
         else:
             marginal: Counter = Counter()
-            for c in per_x.values():
+            for c in per_x:
                 marginal.update(c)
             mi = 0.0
-            for c in per_x.values():
+            for c in per_x:
                 for share, j in c.items():
                     # P(x,s)=j/total, P(x)=key_states/total, P(s)=marginal/total
                     mi += (j / total) * math.log2(j * total / (key_states * marginal[share]))

@@ -1,8 +1,10 @@
 """Trial harness, scheme handles, and the exhaustive privacy auditor."""
 
+import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from harmcode.errors import (
     ConstantPolynomialError,
     DegreeMismatchError,
     DimensionMismatchError,
+    FieldTooSmallError,
     SchemaViolationError,
 )
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
@@ -20,6 +23,7 @@ from harmcode.poly import Dataset, PolyMap, random_dataset, random_poly
 from harmcode.sim import (
     SCHEMES,
     ClearStorageScheme,
+    PrivacyReport,
     make_handle,
     privacy_audit_exhaustive,
     run_trial,
@@ -152,33 +156,44 @@ def test_audit_clear_storage_leak_detected():
     assert report.mi_bits_per_worker[1:] == (0.0, 0.0, 0.0)
 
 
-def test_audit_zeroed_key_column_fails():
-    # Z-coefficient-zeroing fault: rebuild the fixture's encoding rows with
-    # the key column forced to 0 and audit the resulting raw-matrix scheme.
+class RawMatrixScheme:
+    """A scheme that applies raw integer rows with the reference kernel,
+    so it can carry rows that EncodingMatrix refuses."""
+
+    kind = "zeroed-key"
+    num_keys = 1
+    d = 2
+
+    def __init__(self, field, K, rows):
+        self.field = field
+        self.K = K
+        self.rows = rows
+        self.worker_count = len(rows)
+
+    def encode(self, data, keys):
+        p = self.field.p
+        cols = [item.values() for item in data.items] + [keys[0].values()]
+        shares = []
+        for row in self.rows:
+            acc = [0] * data.m
+            for coeff, col in zip(row, cols):
+                acc = [(s + coeff * x) % p for s, x in zip(acc, col)]
+            shares.append(self.field.vector(acc))
+        return shares
+
+
+def zeroed_key_scheme():
+    """Z-coefficient-zeroing fault: the fixture's encoding rows with the key
+    column forced to 0."""
     params = select_params(F5, 2, 2, c=4, betas=[4])
     rows = [list(r) for r in encoding_matrix(params).int_rows()]
     for r in rows:
         r[-1] = 0
+    return RawMatrixScheme(F5, 2, rows)
 
-    class RawMatrixScheme:
-        kind = "zeroed-key"
-        num_keys = 1
-        field = F5
-        K = 2
-        d = 2
-        worker_count = 4
 
-        def encode(self, data, keys):
-            cols = [item.values() for item in data.items] + [keys[0].values()]
-            shares = []
-            for row in rows:
-                acc = [0] * data.m
-                for coeff, col in zip(row, cols):
-                    acc = [(s + coeff * x) % 5 for s, x in zip(acc, col)]
-                shares.append(F5.vector(acc))
-            return shares
-
-    report = privacy_audit_exhaustive(RawMatrixScheme())
+def test_audit_zeroed_key_column_fails():
+    report = privacy_audit_exhaustive(zeroed_key_scheme())
     assert not report.all_private
     assert not any(report.conditional_equal_per_worker[1:])  # every blend leaks
     # head row becomes all-zero: constant share, private but useless
@@ -202,6 +217,151 @@ def test_privacy_report_json_keys():
     for key in ["scheme", "p", "K", "d", "m", "mi_bits_per_worker",
                 "conditional_equal_per_worker", "dataset_states", "key_states"]:
         assert key in doc
+
+
+def reference_audit(scheme, m=1):
+    """The per-state auditor: one encode per (dataset, key) pair, each on m
+    coordinates, counted share by share. The batched auditor must give the
+    same report, floats included."""
+    field, K, nkeys = scheme.field, scheme.K, scheme.num_keys
+    p = field.p
+    dataset_states = p ** (K * m)
+    key_states = p ** (nkeys * m)
+    total = dataset_states * key_states
+    N = scheme.worker_count
+    all_keys = [[field.vector(z_flat[i * m:(i + 1) * m]) for i in range(nkeys)]
+                for z_flat in itertools.product(range(p), repeat=nkeys * m)]
+    counts = [[] for _ in range(N)]
+    for x_flat in itertools.product(range(p), repeat=K * m):
+        data = Dataset([field.vector(x_flat[i * m:(i + 1) * m]) for i in range(K)])
+        per_worker = [Counter() for _ in range(N)]
+        for keys in all_keys:
+            for w, share in enumerate(scheme.encode(data, keys)):
+                per_worker[w][share.values()] += 1
+        for w in range(N):
+            counts[w].append(per_worker[w])
+    cond_equal, mi_bits = [], []
+    for per_x in counts:
+        equal = all(c == per_x[0] for c in per_x)
+        cond_equal.append(equal)
+        mi = 0.0
+        if not equal:
+            marginal = Counter()
+            for c in per_x:
+                marginal.update(c)
+            for c in per_x:
+                for share, j in c.items():
+                    mi += (j / total) * math.log2(j * total / (key_states * marginal[share]))
+        mi_bits.append(mi)
+    return PrivacyReport(scheme.kind, p, K, scheme.d, m, tuple(mi_bits), tuple(cond_equal),
+                         dataset_states, key_states)
+
+
+REFERENCE_BUDGET = 20_000
+
+
+def fitting_handles(p):
+    """Every scheme's default handle over F_p at K, d in {1, 2} (freshman at
+    d = p) that the field is large enough for."""
+    field = FieldConfig(p)
+    handles = []
+    for name, scheme in SCHEMES.items():
+        for K in (1, 2):
+            for d in ((p,) if name == "freshman" else (1, 2)):
+                try:
+                    handles.append(make_handle(scheme.params(field, K, d)))
+                except FieldTooSmallError:
+                    continue
+    return handles
+
+
+def assert_same_report(scheme, m):
+    batched = privacy_audit_exhaustive(scheme, m=m).to_json()
+    reference = reference_audit(scheme, m).to_json()
+    assert json.dumps(batched, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_batched_audit_matches_per_state_reference(p):
+    cases = 0
+    for handle in fitting_handles(p):
+        for m in (1, 2):
+            if p ** ((handle.K + handle.num_keys) * m) <= REFERENCE_BUDGET:
+                assert_same_report(handle, m)
+                cases += 1
+    assert cases == {3: 12, 5: 24, 7: 21, 11: 21}[p]
+
+
+def test_batched_audit_matches_reference_on_faults():
+    f3, f7 = FieldConfig(3), FieldConfig(7)
+    inners = [(fixture_handle(), (1, 2)),
+              (make_handle(lcc_params(f7, 2, 2)), (1,)),
+              (make_handle(shamir_params(F5, 2, 2)), (1,)),
+              (make_handle(FreshmanParams(f3, 2, 1, 1, [[f3.one()]])), (1, 2))]
+    for inner, ms in inners:
+        for w in range(inner.worker_count):
+            for m in ms:
+                assert_same_report(ClearStorageScheme(inner, leak_worker=w), m)
+    for m in (1, 2):
+        assert_same_report(zeroed_key_scheme(), m)
+
+
+class CountingScheme:
+    """Forwards to a handle and counts its encode calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def encode(self, data, keys):
+        self.calls += 1
+        return self.inner.encode(data, keys)
+
+
+def test_audit_encodes_once_per_dataset_value():
+    for handle, m in [(fixture_handle(), 1), (fixture_handle(), 2),
+                      (make_handle(shamir_params(F5, 2, 2)), 1)]:
+        counting = CountingScheme(handle)
+        report = privacy_audit_exhaustive(counting, m=m)
+        assert counting.calls == report.dataset_states == 5 ** (2 * m)
+
+
+def test_audit_lays_key_tuples_along_the_coordinates():
+    # Shamir over F_3 at K=2, m=2: two keys, so the layout of both the keys
+    # and the inputs shows
+    f3, m = FieldConfig(3), 2
+    handle = make_handle(shamir_params(f3, 2, 1))
+    calls = []
+
+    class RecordingScheme(CountingScheme):
+        def encode(self, data, keys):
+            calls.append(([x.values() for x in data.items], [z.values() for z in keys]))
+            return self.inner.encode(data, keys)
+
+    privacy_audit_exhaustive(RecordingScheme(handle), m=m)
+    # K = num_keys = 2, so dataset and key values are the same tuples
+    tuples = list(itertools.product(range(3), repeat=2 * m))
+    assert len(calls) == len(tuples)
+    for (items, keys), x_flat in zip(calls, tuples):
+        assert items == [x_flat[k * m:(k + 1) * m] * len(tuples) for k in range(2)]
+        for t, z in enumerate(keys):
+            assert [z[j * m:(j + 1) * m] for j in range(len(tuples))] \
+                == [z_flat[t * m:(t + 1) * m] for z_flat in tuples]
+
+
+def test_audit_budget_checked_before_any_encode():
+    class RaisingScheme(CountingScheme):
+        def encode(self, data, keys):
+            raise AssertionError("encode called before the budget check")
+
+    handle = RaisingScheme(make_handle(select_params(FieldConfig(101), 2, 2)))
+    with pytest.raises(BudgetExceededError):
+        privacy_audit_exhaustive(handle, m=1, budget=1000)
+    with pytest.raises(AssertionError):
+        privacy_audit_exhaustive(handle, m=1, budget=101 ** 3)
 
 
 # ---------------------------------------------------------------------------
