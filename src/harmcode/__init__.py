@@ -27,7 +27,6 @@ from .field import (
     FieldConfig,
     FieldElement,
     FieldVector,
-    combine,
     sample_uniform_vector,
 )
 from .poly import (

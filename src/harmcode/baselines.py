@@ -112,23 +112,22 @@ def shamir_params(field: FieldConfig, K: int, d: int) -> ShamirParams:
 
 def shamir_encoding_matrix(params: ShamirParams) -> EncodingMatrix:
     """Row (k, r) is X_k + theta_r Z_k, k-major, with one key column per input."""
-    field, K = params.field, params.K
-    zero, one = field.zero(), field.one()
+    K = params.K
     rows = []
     for k in range(K):
         for theta in params.thetas:
-            row = [zero] * (2 * K)
-            row[k] = one
-            row[K + k] = theta
+            row = [0] * (2 * K)
+            row[k] = 1
+            row[K + k] = theta.value
             rows.append(row)
-    return EncodingMatrix(field, K, rows, num_keys=K)
+    return EncodingMatrix(params.field, K, rows, num_keys=K)
 
 
 def shamir_decode_vector(params: ShamirParams) -> DecodeVector:
     """Each input's d+1 outputs interpolated at 0: the same weights per input."""
     field = params.field
     [lams] = _lagrange_rows([t.value for t in params.thetas], [0], field.p)
-    return DecodeVector(field, [field.element(v) for v in lams] * params.K)
+    return DecodeVector(field, lams * params.K)
 
 
 def shamir_encode(params: ShamirParams, data: Dataset,
@@ -228,8 +227,7 @@ def lcc_encoding_matrix(params: LCCParams) -> EncodingMatrix:
     field = params.field
     rows = _lagrange_rows([a.value for a in params.alphas],
                           [g.value for g in params.gammas], field.p)
-    return EncodingMatrix(field, params.K,
-                          [[field.element(v) for v in row] for row in rows])
+    return EncodingMatrix(field, params.K, rows)
 
 
 def lcc_decode_vector(params: LCCParams) -> DecodeVector:
@@ -240,7 +238,7 @@ def lcc_decode_vector(params: LCCParams) -> DecodeVector:
     field = params.field
     rows = _lagrange_rows([g.value for g in params.gammas],
                           [a.value for a in params.alphas[:params.K]], field.p)
-    return DecodeVector(field, [field.element(sum(col)) for col in zip(*rows)])
+    return DecodeVector(field, [sum(col) for col in zip(*rows)])
 
 
 def lcc_encode(params: LCCParams, data: Dataset, z: FieldVector) -> list[FieldVector]:
@@ -300,15 +298,12 @@ class FreshmanParams:
 
 def freshman_encoding_matrix(params: FreshmanParams) -> EncodingMatrix:
     """Rows (0, ..., 0 | 1) and (1, ..., 1 | 1): shares Z and Z + X_1 + ... + X_K."""
-    zero, one = params.field.zero(), params.field.one()
-    return EncodingMatrix(params.field, params.K,
-                          [[zero] * params.K + [one], [one] * (params.K + 1)])
+    return EncodingMatrix(params.field, params.K, [[0] * params.K + [1], [1] * (params.K + 1)])
 
 
 def freshman_decode_vector(params: FreshmanParams) -> DecodeVector:
     """(-1, 1): g(Z + sum X_k) - g(Z)."""
-    one = params.field.one()
-    return DecodeVector(params.field, [-one, one])
+    return DecodeVector(params.field, [-1, 1])
 
 
 def freshman_encode(params: FreshmanParams, data: Dataset,

@@ -108,12 +108,12 @@ def cmd_demo(args) -> int:
 
     handle = sim.make_handle(params)
     print("encoding matrix rows over (X1, X2, Z):")
-    for w, row in enumerate(handle.matrix.int_rows(), start=1):
+    for w, row in enumerate(handle.matrix.rows, start=1):
         print(f"  worker {w}: {row}")
         if row != DEMO_MATRIX[w - 1]:
             diffs.append(f"matrix row {w}: expected {DEMO_MATRIX[w - 1]}, got {row}")
 
-    vector = handle.vector.int_weights()
+    vector = handle.vector.weights
     print(f"decode vector: {vector}")
     if vector != DEMO_DECODE:
         diffs.append(f"decode vector: expected {DEMO_DECODE}, got {vector}")
@@ -167,7 +167,8 @@ def _build_handle(field, K, m, args):
 def cmd_validate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if args.m < 1 or args.n < 1:
+    n = 1 if args.n is None else args.n
+    if args.m < 1 or n < 1:
         raise UsageError("--m and --n must be >= 1")
     field = FieldConfig(args.p)
     fixed = _build_handle(field, args.K, args.m, args)
@@ -178,6 +179,8 @@ def cmd_validate(args) -> int:
         task_field, task_g = fileio.load_task(args.task)
         if task_field != field:
             raise UsageError(f"task file is over F_{task_field.p}, flags say F_{field.p}")
+        if args.n is not None and args.n != task_g.n:
+            raise UsageError(f"task file has n={task_g.n}, flags say --n {args.n}")
         if task_g.total_degree() == 0:
             raise ConstantPolynomialError("task polynomial is constant")
         if task_g.total_degree() > args.d:
@@ -189,12 +192,12 @@ def cmd_validate(args) -> int:
         if fixed.worker_fn is not None:
             # a scheme that fixes g (freshman) gets a fresh g per trial
             handle = sim.make_handle(
-                _random_freshman_params(master, field, args.K, args.m, args.n))
+                _random_freshman_params(master, field, args.K, args.m, n))
             g = None
         else:
             handle = fixed
             g = task_g if task_g is not None else random_poly(
-                master, field, args.m, args.n, args.d)
+                master, field, args.m, n, args.d)
         data = random_dataset(master, field, args.K, args.m)
         report = sim.run_trial(handle, g, data, master.randrange(2**32))
         print(json.dumps(report.to_json()))
@@ -292,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--K", type=int, default=2)
     p_val.add_argument("--d", type=int, required=True)
     p_val.add_argument("--m", type=int, default=1)
-    p_val.add_argument("--n", type=int, default=1)
+    p_val.add_argument("--n", type=int, default=None,
+                       help="outputs of g (default: the task's n, else 1)")
     p_val.add_argument("--trials", type=int, default=100)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--task", type=str, default=None,

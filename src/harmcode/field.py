@@ -281,25 +281,11 @@ class FieldVector:
         return f"FieldVector{self._values}%{self.field.p}"
 
 
-def combine(a: FieldElement, u: FieldVector, b: FieldElement, v: FieldVector) -> FieldVector:
-    """One two-term linear combination a*u + b*v.
-
-    This is the unit of work the recursive encoder is measured in; the
-    encoder runs the same kernel, :func:`combine_values`, on its prebuilt
-    int scalars.
-    """
-    u._check(v)
-    p = u.field.p
-    if a.field.p != p or b.field.p != p:
-        raise FieldMismatchError("scalar from a different field")
-    return FieldVector._of(u.field, combine_values(a.value, u._values, b.value, v._values, p))
-
-
 def combine_values(a: int, xs: Sequence[int], b: int, ys: Sequence[int],
                    p: int) -> tuple[int, ...]:
     """(a*x + b*y) mod p coordinatewise, on plain ints, in one pass: the
-    two-term kernel of :func:`combine`, the harmonic chain and sparse rows
-    of an encoding matrix."""
+    two-term kernel of the harmonic chain and of the linear maps' two-term
+    rows."""
     return tuple([(a * x + b * y) % p for x, y in zip(xs, ys)])
 
 

@@ -335,7 +335,7 @@ def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
                         + [beta.value])
     b_K = steps[-1][1]
     rows.append([b_K] * K + [-params.c.value * b_K])
-    return EncodingMatrix(field, K, [[field.element(v) for v in row] for row in rows])
+    return EncodingMatrix(field, K, rows)
 
 
 def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
@@ -348,21 +348,21 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
     return encoder(params)(data, z, stats)
 
 
-def _guarded_inv(x: FieldElement) -> FieldElement:
-    if x.value == 0:
+def _guarded_inv(x: int, p: int) -> int:
+    if x % p == 0:
         raise ParameterCorruptionError(
             "zero denominator in decode coefficients; parameters fail validate_params")
-    return x.inv()
+    return pow(x, -1, p)
 
 
 @dataclass(frozen=True)
 class GroupCoeffs:
     """Combining a group's outputs with `weights` yields
-    g(X_j) - a * g(P_{j-1}) + b * g(P_j)."""
+    g(X_j) - a * g(P_{j-1}) + b * g(P_j); every value a residue."""
 
-    weights: tuple[FieldElement, ...]
-    a: FieldElement
-    b: FieldElement
+    weights: tuple[int, ...]
+    a: int
+    b: int
 
 
 def group_coeffs(params: HarmonicParams, j: int) -> GroupCoeffs:
@@ -379,27 +379,24 @@ def group_coeffs(params: HarmonicParams, j: int) -> GroupCoeffs:
     """
     if not 1 <= j <= params.K:
         raise IndexError(f"group index j={j} outside [1, {params.K}]")
-    field = params.field
-    c = params.c
-    cj1 = field.element(c.value - j + 1)
-    cj = field.element(c.value - j)
-    one = field.one()
+    p, c = params.field.p, params.c.value
+    betas = [b.value for b in params.betas]
+    cj1, cj = (c - j + 1) % p, (c - j) % p
 
-    a = cj1
-    b = cj
-    for beta in params.betas:
-        a = a * (beta * cj1) * _guarded_inv(beta * cj1 - c)
-        b = b * (beta * cj) * _guarded_inv(beta * cj - c)
+    a, b = cj1, cj
+    for beta in betas:
+        a = a * beta * cj1 * _guarded_inv(beta * cj1 - c, p) % p
+        b = b * beta * cj * _guarded_inv(beta * cj - c, p) % p
 
-    c_inv = _guarded_inv(c)
-    r = cj1 * _guarded_inv(cj)
+    c_inv = _guarded_inv(c, p)
+    r = cj1 * _guarded_inv(cj, p) % p
     weights = []
-    for i, beta in enumerate(params.betas):
-        q = beta * cj1 * c_inv
-        w = r * _guarded_inv((one - q) * (r - q))
-        for i2, other in enumerate(params.betas):
+    for i, beta in enumerate(betas):
+        q = beta * cj1 * c_inv % p
+        w = r * _guarded_inv((1 - q) * (r - q), p) % p
+        for i2, other in enumerate(betas):
             if i2 != i:
-                w = w * other * _guarded_inv(other - beta)
+                w = w * other * _guarded_inv(other - beta, p) % p
         weights.append(w)
     return GroupCoeffs(tuple(weights), a, b)
 

@@ -36,6 +36,7 @@ from .errors import (
     ConstantPolynomialError,
     DegreeMismatchError,
     DimensionMismatchError,
+    InvalidParamsError,
     SchemaViolationError,
 )
 from .field import FieldConfig, FieldVector, sample_uniform_vector
@@ -124,7 +125,9 @@ class Scheme(NamedTuple):
     ``params_type`` when None, builds them from explicit points. The header
     stores the attributes in ``scalars`` as residues, in ``lists`` as lists.
     ``fast_encode`` is a builder ``params -> encode(data, *keys)`` that the
-    handle calls on its first encode, in place of ``matrix.apply``.
+    handle calls on its first encode, in place of ``matrix.apply``; the
+    encoder it builds must give the same shares. ``worker_fn(params, x)``
+    is set only by a scheme that fixes g itself.
     """
 
     name: str
@@ -182,10 +185,7 @@ def scheme_of(params) -> Scheme:
 
 def make_handle(params) -> LinearCode:
     """The linear code of a params object."""
-    s = scheme_of(params)
-    worker_fn = None if s.worker_fn is None else functools.partial(s.worker_fn, params)
-    return LinearCode(s.name, params, params.K if s.keys_per_input else 1, s.build_matrix,
-                      s.build_vector, fast_encode=s.fast_encode, worker_fn=worker_fn)
+    return LinearCode(scheme_of(params), params)
 
 
 class ClearStorageScheme:
@@ -396,7 +396,7 @@ def worker_count_table(K: int, d: int) -> tuple[WorkerCountRow, ...]:
     characteristic and g has the coordinatewise-powers form.
     """
     if K < 1 or d < 1:
-        raise ValueError(f"need K >= 1 and d >= 1, got K={K}, d={d}")
+        raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
     return (
         WorkerCountRow("harmonic", K * (d - 1) + 2),
         WorkerCountRow("lcc", K * d + 1),

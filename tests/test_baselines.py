@@ -188,14 +188,14 @@ def test_lcc_coefficients_match_product_formula():
                 if gammas[-1] == alphas[K]:
                     short_layouts += 1
                 assert lcc_encoding_matrix(params).rows == tuple(
-                    tuple(basis_coeff(alphas, k, gamma) for k in range(K + 1))
+                    tuple(basis_coeff(alphas, k, gamma).value for k in range(K + 1))
                     for gamma in gammas), (p, K, d)
                 want = []
                 for i in range(params.N):
                     w = field.zero()
                     for alpha in alphas[:K]:
                         w = w + basis_coeff(gammas, i, alpha)
-                    want.append(w)
+                    want.append(w.value)
                 assert lcc_decode_vector(params).weights == tuple(want), (p, K, d)
     assert short_layouts == 3  # F_7 with (K, d) = (2, 2), (3, 1); F_13 with (3, 3)
 

@@ -83,6 +83,29 @@ def test_validate_with_task_file(tmp_path, capsys):
                  "--d", "1", "--trials", "5", "--task", str(task)]) == 2
 
 
+def test_validate_n_defaults_to_the_task_and_must_match_it(tmp_path, capsys):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({
+        "p": 11, "m": 1, "n": 2,
+        "g": [[{"coeff": 1, "exps": [2]}], [{"coeff": 4, "exps": [1]}]],
+    }))
+    base = ["validate", "--scheme", "harmonic", "--p", "11", "--K", "2", "--d", "2",
+            "--trials", "3"]
+    # an explicit --n that differs from the task's n is refused, not dropped
+    assert main(base + ["--task", str(task), "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "n=2" in captured.err
+    for extra in ([], ["--n", "2"]):
+        assert main(base + ["--task", str(task)] + extra) == 0
+        docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(docs) == 3 and all(doc["n"] == 2 for doc in docs)
+    # without a task, n defaults to 1
+    assert main(base) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(docs) == 3 and all(doc["n"] == 1 for doc in docs)
+
+
 def test_validate_config_errors():
     assert main(["validate", "--scheme", "harmonic", "--p", "6", "--d", "2"]) == 2
     assert main(["validate", "--scheme", "harmonic", "--p", "3", "--K", "3",
@@ -127,6 +150,14 @@ def test_compare_text_and_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["workers"] == {"harmonic": 4, "lcc": 5, "shamir": 6, "freshman": 2}
     assert doc["special_case_only"] == ["freshman"]
+
+
+@pytest.mark.parametrize("sizes", [["--K", "0", "--d", "2"], ["--K", "2", "--d", "0"]])
+def test_compare_rejects_sizes_below_one(capsys, sizes):
+    assert main(["compare"] + sizes) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need K >= 1 and d >= 1")
 
 
 @pytest.mark.parametrize("scheme,p,d", [

@@ -201,7 +201,7 @@ def test_chain_dimension_errors():
 
 def test_matrix_fixture_rows():
     matrix = encoding_matrix(worked_example_params())
-    assert matrix.int_rows() == ((0, 0, 1), (2, 0, 4), (4, 3, 4), (2, 2, 2))
+    assert matrix.rows == ((0, 0, 1), (2, 0, 4), (4, 3, 4), (2, 2, 2))
 
 
 def test_matrix_z_column_nonzero_grid():
@@ -212,12 +212,12 @@ def test_matrix_z_column_nonzero_grid():
                 if p < K + d + 2:
                     continue
                 matrix = encoding_matrix(select_params(field, K, d))
-                assert all(row[-1] != 0 for row in matrix.int_rows())
+                assert all(row[-1] != 0 for row in matrix.rows)
 
 
 def test_matrix_construction_rejects_zero_z_entry():
     with pytest.raises(InvalidParamsError):
-        EncodingMatrix(F5, 2, [[F5.element(1), F5.element(0), F5.element(0)]])
+        EncodingMatrix(F5, 2, [[1, 0, 0]])
 
 
 def test_matrix_rows_match_unit_vector_probing():
@@ -241,7 +241,7 @@ def test_matrix_rows_match_unit_vector_probing():
             shares = encode(params, data, z)
             for w, share in enumerate(shares):
                 probed[w][t] = share.values()[0]
-        assert matrix.int_rows() == tuple(tuple(r) for r in probed)
+        assert matrix.rows == tuple(tuple(r) for r in probed)
 
 
 def test_encode_fixture_values():
@@ -323,13 +323,13 @@ def test_encoder_operation_count():
 def test_group_coeffs_fixture():
     params = worked_example_params()
     g1 = group_coeffs(params, 1)
-    assert [w.value for w in g1.weights] == [1]
-    assert g1.a.value == 2
-    assert g1.b.value == 2
+    assert list(g1.weights) == [1]
+    assert g1.a == 2
+    assert g1.b == 2
     g2 = group_coeffs(params, 2)
-    assert [w.value for w in g2.weights] == [3]
-    assert g2.a.value == 2
-    assert g2.b.value == 4
+    assert list(g2.weights) == [3]
+    assert g2.a == 2
+    assert g2.b == 4
     with pytest.raises(IndexError):
         group_coeffs(params, 3)
 
@@ -351,6 +351,51 @@ def test_group_coeffs_telescoping_random():
         assert validate_params(params) == []
         for j in range(1, K):
             assert group_coeffs(params, j + 1).a == group_coeffs(params, j).b
+
+
+def reference_group_coeffs(params, j):
+    """group_coeffs' formulas in FieldElement arithmetic, one guarded
+    inversion at a time: (weights, A_j, B_j) as residues."""
+    field, c = params.field, params.c
+
+    def inv(x):
+        if x.value == 0:
+            raise ParameterCorruptionError("zero denominator")
+        return x.inv()
+
+    cj1 = field.element(c.value - j + 1)
+    cj = field.element(c.value - j)
+    a, b = cj1, cj
+    for beta in params.betas:
+        a = a * (beta * cj1) * inv(beta * cj1 - c)
+        b = b * (beta * cj) * inv(beta * cj - c)
+    r = cj1 * inv(cj)
+    weights = []
+    for i, beta in enumerate(params.betas):
+        q = beta * cj1 * inv(c)
+        w = r * inv((field.one() - q) * (r - q))
+        for i2, other in enumerate(params.betas):
+            if i2 != i:
+                w = w * other * inv(other - beta)
+        weights.append(w.value)
+    return tuple(weights), a.value, b.value
+
+
+def test_group_coeffs_match_field_element_reference():
+    checked = 0
+    for p in (7, 11, 13):
+        field = FieldConfig(p)
+        for K in (1, 2, 3):
+            for d in (1, 2, 3):
+                try:
+                    params = select_params(field, K, d)
+                except FieldTooSmallError:
+                    continue
+                for j in range(1, K + 1):
+                    got = group_coeffs(params, j)
+                    assert (got.weights, got.a, got.b) == reference_group_coeffs(params, j)
+                    checked += 1
+    assert checked == 3 * 3 * (1 + 2 + 3)  # all 27 (p, K, d) have default params
 
 
 def test_decode_vector_fixture():
@@ -442,6 +487,17 @@ def test_corrupt_params_raise_at_decode():
     field = FieldConfig(7)
     params = HarmonicParams(field, 1, 2, field.element(2), (field.element(2),))
     assert validate_params(params) != []
+    with pytest.raises(ParameterCorruptionError):
+        decode_vector(params)
+    # c in 0..K puts a zero among the denominators c and c-j; the guard must
+    # fire before a bare pow(0, -1, p) raises its ValueError
+    for c in (0, 1, 2):
+        params = HarmonicParams(field, 2, 2, field.element(c), (field.element(3),))
+        assert validate_params(params) != []
+        with pytest.raises(ParameterCorruptionError):
+            decode_vector(params)
+    # with no betas (d = 1) only the guard on c itself catches c = 0
+    params = HarmonicParams(field, 2, 1, field.element(0), ())
     with pytest.raises(ParameterCorruptionError):
         decode_vector(params)
 

@@ -10,9 +10,9 @@ from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
 from harmcode.errors import FieldMismatchError, FieldTooSmallError, InvalidParamsError
 from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
 from harmcode.harmonic import select_params
-from harmcode.linear import EncodingMatrix, LinearCode
+from harmcode.linear import DecodeVector, EncodingMatrix, LinearCode
 from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
-from harmcode.sim import ClearStorageScheme, make_handle
+from harmcode.sim import SCHEMES, ClearStorageScheme, make_handle
 
 # scheme -> (params builder, module encode taking the key list, module decode)
 MODULE = {
@@ -88,7 +88,7 @@ def test_handle_module_and_matrix_agree(scheme, params):
 def test_every_row_has_a_key_coefficient(scheme, params):
     matrix = make_handle(params).matrix
     assert matrix.num_keys == make_handle(params).num_keys
-    assert all(any(row[params.K:]) for row in matrix.int_rows())
+    assert all(any(row[params.K:]) for row in matrix.rows)
 
 
 def test_zeroed_shamir_key_column_is_refused():
@@ -96,7 +96,7 @@ def test_zeroed_shamir_key_column_is_refused():
     matrix = baselines.shamir_encoding_matrix(shamir_params(field, 2, 2))
     rows = [list(row) for row in matrix.rows]
     # worker (1, 1) carries X_1 + theta_1 Z_1; zero its Z_1 entry
-    rows[0][2] = field.zero()
+    rows[0][2] = 0
     with pytest.raises(InvalidParamsError):
         EncodingMatrix(field, 2, rows, num_keys=2)
 
@@ -113,7 +113,8 @@ def test_matrix_and_vector_are_built_once_and_only_on_demand():
         built.append("vector")
         return baselines.shamir_decode_vector(pr)
 
-    code = LinearCode("shamir", params, 2, build_matrix, build_vector)
+    scheme = SCHEMES["shamir"]._replace(build_matrix=build_matrix, build_vector=build_vector)
+    code = LinearCode(scheme, params)
     rng = random.Random(0)
     data = random_dataset(rng, params.field, 2, 1)
     keys = [sample_uniform_vector(rng, params.field, 1) for _ in range(2)]
@@ -170,19 +171,18 @@ def test_encoders_refuse_data_and_keys_from_another_field(label, encode, num_key
             encode(data, foreign_keys)
 
 
-def reference_apply(matrix, data, keys):
-    """share_w[i] = sum_k row_w[k] * column_k[i], one FieldElement at a time."""
-    columns = list(data.items) + list(keys)
-    shares = []
-    for row in matrix.rows:
+def reference_apply(field, rows, columns):
+    """out_w[i] = sum_k row_w[k] * column_k[i], one FieldElement at a time."""
+    out = []
+    for row in rows:
         coords = []
-        for i in range(data.m):
-            acc = matrix.field.zero()
+        for i in range(columns[0].dim):
+            acc = field.zero()
             for e, column in zip(row, columns):
-                acc = acc + e * column[i]
+                acc = acc + field.element(e) * column[i]
             coords.append(acc)
-        shares.append(FieldVector(coords))
-    return shares
+        out.append(FieldVector(coords))
+    return out
 
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
@@ -190,7 +190,8 @@ def reference_apply(matrix, data, keys):
 def test_apply_matches_elementwise_dot_products(p, m):
     # K = 16 data columns and one key, as LCC at K = 16: rows of 1, 2, 3, 5
     # and 17 nonzero terms, and the worst slot, every coefficient and every
-    # coordinate p - 1 over all 17 columns.
+    # coordinate p - 1 over all 17 columns. Each row, and a row of zeros, is
+    # also a decode vector with the 17 columns as its worker outputs.
     field, K = FieldConfig(p), 16
     rng = random.Random(f"apply-{p}-{m}")
     rows = [[0] * K + [rng.randrange(1, p)] for _ in range(2)]
@@ -201,18 +202,24 @@ def test_apply_matches_elementwise_dot_products(p, m):
                 row[k] = rng.randrange(1, p)
             rows.append(row)
     rows.append([p - 1] * (K + 1))
-    matrix = EncodingMatrix(field, K, [[field.element(v) for v in row] for row in rows])
-    assert sorted({sum(map(bool, row)) for row in matrix.int_rows()}) == [1, 2, 3, 5, 17]
+    matrix = EncodingMatrix(field, K, rows)
+    assert sorted({sum(map(bool, row)) for row in matrix.rows}) == [1, 2, 3, 5, 17]
+    weights = rows + [[0] * (K + 1)]
     top = field.vector([p - 1] * m)
     for data, key in ((random_dataset(rng, field, K, m), sample_uniform_vector(rng, field, m)),
                       (Dataset([top] * K), top)):
-        assert matrix.apply(data, key) == reference_apply(matrix, data, [key])
+        columns = list(data.items) + [key]
+        want = reference_apply(field, weights, columns)
+        assert want[-1] == field.zero_vector(m)
+        assert matrix.apply(data, key) == want[:-1]
+        for row, f in zip(weights, want):
+            assert DecodeVector(field, row).apply(columns) == f
 
 
 def test_dense_harmonic_matrix_matches_the_chain_encoder():
     params = select_params(FieldConfig(2**31 - 1), 8, 3)
     matrix = harmonic.encoding_matrix(params)
-    assert max(sum(map(bool, row)) for row in matrix.int_rows()) == 9
+    assert max(sum(map(bool, row)) for row in matrix.rows) == 9
     rng = random.Random(8)
     data = random_dataset(rng, params.field, 8, 512)
     z = sample_uniform_vector(rng, params.field, 512)

@@ -186,7 +186,7 @@ def zeroed_key_scheme():
     """Z-coefficient-zeroing fault: the fixture's encoding rows with the key
     column forced to 0."""
     params = select_params(F5, 2, 2, c=4, betas=[4])
-    rows = [list(r) for r in encoding_matrix(params).int_rows()]
+    rows = [list(r) for r in encoding_matrix(params).rows]
     for r in rows:
         r[-1] = 0
     return RawMatrixScheme(F5, 2, rows)
