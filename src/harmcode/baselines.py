@@ -25,7 +25,7 @@ from .errors import (
     FieldTooSmallError,
     InvalidParamsError,
 )
-from .field import FieldConfig, FieldElement, FieldVector
+from .field import FieldConfig, FieldVector
 from .linear import DecodeVector, EncodingMatrix
 from .poly import Dataset
 
@@ -68,24 +68,26 @@ def _lagrange_rows(points: Sequence[int], ats: Sequence[int], p: int) -> list[li
 
 
 class ShamirParams:
-    """Per-variable masking at d+1 nonzero share points; N = K(d+1)."""
+    """Per-variable masking at d+1 nonzero share points; N = K(d+1).
+
+    The share points thetas are ints, reduced to residues before they are
+    checked.
+    """
 
     __slots__ = ("field", "K", "d", "thetas")
 
-    def __init__(self, field: FieldConfig, K: int, d: int,
-                 thetas: Sequence[FieldElement]):
+    def __init__(self, field: FieldConfig, K: int, d: int, thetas: Sequence[int]):
         if K < 1 or d < 1:
             raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
-        thetas = tuple(thetas)
+        thetas = tuple([t % field.p for t in thetas])
         if len(thetas) != d + 1:
             raise InvalidParamsError(
                 [f"need exactly d+1={d + 1} share points, got {len(thetas)}"])
-        vals = [t.value for t in thetas]
-        if 0 in vals:
+        if 0 in thetas:
             raise InvalidParamsError(
                 ["share point 0 would store an input in the clear"])
-        if len(set(vals)) != len(vals):
-            raise InvalidParamsError([f"share points {vals} are not distinct"])
+        if len(set(thetas)) != len(thetas):
+            raise InvalidParamsError([f"share points {list(thetas)} are not distinct"])
         self.field = field
         self.K = K
         self.d = d
@@ -97,7 +99,7 @@ class ShamirParams:
 
     def __repr__(self):
         return (f"ShamirParams(F_{self.field.p}, K={self.K}, d={self.d}, "
-                f"thetas={[t.value for t in self.thetas]})")
+                f"thetas={list(self.thetas)})")
 
 
 def shamir_params(field: FieldConfig, K: int, d: int) -> ShamirParams:
@@ -106,8 +108,7 @@ def shamir_params(field: FieldConfig, K: int, d: int) -> ShamirParams:
         raise FieldTooSmallError(
             f"F_{field.p} has only {field.p - 1} nonzero points, need {d + 1}; "
             f"any prime >= {d + 2} works")
-    return ShamirParams(field, K, d,
-                        tuple(field.element(r) for r in range(1, d + 2)))
+    return ShamirParams(field, K, d, range(1, d + 2))
 
 
 def shamir_encoding_matrix(params: ShamirParams) -> EncodingMatrix:
@@ -118,7 +119,7 @@ def shamir_encoding_matrix(params: ShamirParams) -> EncodingMatrix:
         for theta in params.thetas:
             row = [0] * (2 * K)
             row[k] = 1
-            row[K + k] = theta.value
+            row[K + k] = theta
             rows.append(row)
     return EncodingMatrix(params.field, K, rows, num_keys=K)
 
@@ -126,7 +127,7 @@ def shamir_encoding_matrix(params: ShamirParams) -> EncodingMatrix:
 def shamir_decode_vector(params: ShamirParams) -> DecodeVector:
     """Each input's d+1 outputs interpolated at 0: the same weights per input."""
     field = params.field
-    [lams] = _lagrange_rows([t.value for t in params.thetas], [0], field.p)
+    [lams] = _lagrange_rows(params.thetas, [0], field.p)
     return DecodeVector(field, lams * params.K)
 
 
@@ -154,31 +155,29 @@ class LCCParams:
 
     Evaluation points must avoid the K data anchors -- that keeps the key's
     basis coefficient nonzero in every share -- and be pairwise distinct so
-    the composed polynomial can be interpolated back.
+    the composed polynomial can be interpolated back. Both are ints,
+    reduced to residues before they are checked.
     """
 
     __slots__ = ("field", "K", "d", "alphas", "gammas")
 
     def __init__(self, field: FieldConfig, K: int, d: int,
-                 alphas: Sequence[FieldElement], gammas: Sequence[FieldElement]):
+                 alphas: Sequence[int], gammas: Sequence[int]):
         if K < 1 or d < 1:
             raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
-        alphas = tuple(alphas)
-        gammas = tuple(gammas)
+        alphas = tuple([a % field.p for a in alphas])
+        gammas = tuple([g % field.p for g in gammas])
         if len(alphas) != K + 1:
             raise InvalidParamsError(
                 [f"need K+1={K + 1} anchors, got {len(alphas)}"])
         if len(gammas) != K * d + 1:
             raise InvalidParamsError(
                 [f"need Kd+1={K * d + 1} evaluation points, got {len(gammas)}"])
-        a_vals = [a.value for a in alphas]
-        g_vals = [g.value for g in gammas]
-        if len(set(a_vals)) != len(a_vals):
-            raise InvalidParamsError([f"anchors {a_vals} are not distinct"])
-        if len(set(g_vals)) != len(g_vals):
-            raise InvalidParamsError([f"evaluation points {g_vals} are not distinct"])
-        data_anchors = set(a_vals[:K])
-        clash = sorted(set(g_vals) & data_anchors)
+        if len(set(alphas)) != len(alphas):
+            raise InvalidParamsError([f"anchors {list(alphas)} are not distinct"])
+        if len(set(gammas)) != len(gammas):
+            raise InvalidParamsError([f"evaluation points {list(gammas)} are not distinct"])
+        clash = sorted(set(gammas) & set(alphas[:K]))
         if clash:
             raise InvalidParamsError(
                 [f"evaluation points {clash} coincide with data anchors and leak inputs"])
@@ -205,17 +204,16 @@ def lcc_params(field: FieldConfig, K: int, d: int) -> LCCParams:
     """
     p = field.p
     N = K * d + 1
-    alphas = tuple(field.element(i) for i in range(K + 1))
     room = p - (K + 1)
     if N <= room:
-        gammas = tuple(field.element(K + i) for i in range(1, N + 1))
+        gammas = range(K + 1, K + N + 1)
     elif N == room + 1:
-        gammas = tuple(field.element(v) for v in range(K + 1, p)) + (field.element(K),)
+        gammas = [*range(K + 1, p), K]
     else:
         raise FieldTooSmallError(
             f"F_{p} cannot host {N} evaluation points clear of {K} data anchors; "
             f"any prime >= {K + N + 1} works")
-    return LCCParams(field, K, d, alphas, gammas)
+    return LCCParams(field, K, d, range(K + 1), gammas)
 
 
 def lcc_encoding_matrix(params: LCCParams) -> EncodingMatrix:
@@ -225,8 +223,7 @@ def lcc_encoding_matrix(params: LCCParams) -> EncodingMatrix:
     :func:`lcc_params`) gets the key's unit row.
     """
     field = params.field
-    rows = _lagrange_rows([a.value for a in params.alphas],
-                          [g.value for g in params.gammas], field.p)
+    rows = _lagrange_rows(params.alphas, params.gammas, field.p)
     return EncodingMatrix(field, params.K, rows)
 
 
@@ -236,8 +233,7 @@ def lcc_decode_vector(params: LCCParams) -> DecodeVector:
     O(N (N + K)): one basis row per data anchor, summed column by column.
     """
     field = params.field
-    rows = _lagrange_rows([g.value for g in params.gammas],
-                          [a.value for a in params.alphas[:params.K]], field.p)
+    rows = _lagrange_rows(params.gammas, params.alphas[:params.K], field.p)
     return DecodeVector(field, [sum(col) for col in zip(*rows)])
 
 
@@ -260,22 +256,23 @@ def lcc_decode(params: LCCParams, outputs: Sequence[FieldVector]) -> FieldVector
 class FreshmanParams:
     """Two-worker scheme for g(X) = A (X_1^d, ..., X_m^d)^T with d = char F.
 
-    The matrix A must be nonzero; the implied degree d is always the field
-    characteristic, which is what makes x -> x^d additive.
+    The matrix A holds ints, reduced to residues, and must be nonzero after
+    that; the implied degree d is always the field characteristic, which is
+    what makes x -> x^d additive.
     """
 
     __slots__ = ("field", "K", "m", "n", "matrix")
 
     def __init__(self, field: FieldConfig, K: int, m: int, n: int,
-                 matrix: Sequence[Sequence[FieldElement]]):
+                 matrix: Sequence[Sequence[int]]):
         if K < 1:
             raise InvalidParamsError([f"K must be >= 1, got {K}"])
         if m < 1 or n < 1:
             raise InvalidParamsError([f"need m >= 1 and n >= 1, got m={m}, n={n}"])
-        matrix = tuple(tuple(row) for row in matrix)
+        matrix = tuple(tuple([e % field.p for e in row]) for row in matrix)
         if len(matrix) != n or any(len(row) != m for row in matrix):
             raise InvalidParamsError([f"matrix must be {n}x{m}"])
-        if not any(e.value for row in matrix for e in row):
+        if not any(map(any, matrix)):
             raise InvalidParamsError(["matrix must be nonzero"])
         self.field = field
         self.K = K
@@ -323,7 +320,7 @@ def freshman_apply(params: FreshmanParams, x: FieldVector) -> FieldVector:
     powers = [pow(v, params.d, p) for v in x.values()]
     out = []
     for row in params.matrix:
-        out.append(sum(e.value * v for e, v in zip(row, powers)) % p)
+        out.append(sum(e * v for e, v in zip(row, powers)) % p)
     return params.field.vector(out)
 
 

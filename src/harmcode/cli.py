@@ -96,7 +96,7 @@ def cmd_demo(args) -> int:
         betas = [4]
     params = harmonic.select_params(field, 2, 2, c=c, betas=betas)
     print(f"harmonic coding worked example (p=5, K=2, d=2, "
-          f"c={params.c.value}, betas={[b.value for b in params.betas]})")
+          f"c={params.c}, betas={list(params.betas)})")
     diffs = []
 
     p_rows = _probe_chain_rows(params)
@@ -207,9 +207,8 @@ def cmd_validate(args) -> int:
 
 def _random_freshman_params(rng, field, K, m, n):
     while True:
-        matrix = [[field.element(rng.randrange(field.p)) for _ in range(m)]
-                  for _ in range(n)]
-        if any(e.value for row in matrix for e in row):
+        matrix = [[rng.randrange(field.p) for _ in range(m)] for _ in range(n)]
+        if any(map(any, matrix)):
             return baselines.FreshmanParams(field, K, m, n, matrix)
 
 

@@ -8,7 +8,9 @@ this package is built and tested for, not an overflow guard.
 Storage: a :class:`FieldVector` is one field plus a tuple of plain ints in
 [0, p). Every vector operation here reduces its results mod p and builds
 that tuple directly; :class:`FieldElement` appears only at the API edge --
-scalars, and the coordinates ``elements``, iteration and indexing hand out.
+monomial coefficients, the scalar of :meth:`FieldVector.scale`, and the
+coordinates ``elements``, iteration and indexing hand out. Scheme
+parameters are plain int residues, like the vectors' coordinates.
 File input is range-checked before it becomes a vector (see
 :mod:`harmcode.fileio`).
 

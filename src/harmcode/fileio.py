@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import FieldConfig, FieldVector
 from .poly import Dataset, PolyMap
-from .sim import SCHEMES, scheme_of
+from .sim import SCHEMES, scheme_of, worker_count_table
 
 
 def _load_json(path) -> dict:
@@ -170,18 +170,14 @@ def params_to_json(params) -> dict:
     scheme = scheme_of(params)
     doc = {"scheme": scheme.name, "p": params.field.p, "K": params.K, "d": params.d}
     for key in scheme.scalars:
-        doc[key] = getattr(params, key).value
+        doc[key] = getattr(params, key)
     for key in scheme.lists:
-        doc[key] = [v.value for v in getattr(params, key)]
+        doc[key] = list(getattr(params, key))
     return doc
 
 
-def params_from_json(doc: dict, m: int = 1):
-    """Rebuild scheme parameters from a shares-file header.
-
-    ``m``, the share width, only sizes the freshman scheme's placeholder
-    output matrix: its header stores no matrix, which coding never reads.
-    """
+def _read_header(doc: dict):
+    """The scheme entry, field, K, d and points of a shares-file header."""
     name = _get(doc, "scheme", "shares")
     scheme = SCHEMES.get(name) if isinstance(name, str) else None
     if scheme is None:
@@ -190,14 +186,22 @@ def params_from_json(doc: dict, m: int = 1):
     field = FieldConfig(p)
     K = _as_int(_get(doc, "K", "shares"), "K")
     d = _as_int(_get(doc, "d", "shares"), "d")
-    points = {key: field.element(_as_residue(_get(doc, key, "shares"), p, key))
-              for key in scheme.scalars}
+    points = {key: _as_residue(_get(doc, key, "shares"), p, key) for key in scheme.scalars}
     for key in scheme.lists:
         values = _get(doc, key, "shares")
         if not isinstance(values, list):
             raise SchemaViolationError(f"shares: {key} must be a list")
-        points[key] = tuple(field.element(_as_residue(v, p, f"{key}[{i}]"))
-                            for i, v in enumerate(values))
+        points[key] = [_as_residue(v, p, f"{key}[{i}]") for i, v in enumerate(values)]
+    return scheme, field, K, d, points
+
+
+def params_from_json(doc: dict, m: int = 1):
+    """Rebuild scheme parameters from a shares-file header.
+
+    ``m``, the share width, only sizes the freshman scheme's placeholder
+    output matrix: its header stores no matrix, which coding never reads.
+    """
+    scheme, field, K, d, points = _read_header(doc)
     return scheme.params(field, K, d, m, **points)
 
 
@@ -208,15 +212,19 @@ def write_shares(path, params, shares: Sequence[FieldVector]) -> None:
 
 
 def load_shares(path):
-    """Returns (params, shares). Share count must match the scheme's N."""
+    """Returns (params, shares). Share count must match the scheme's N.
+
+    The count is checked against the header's K and d before the params are
+    built, so a header claiming a huge K costs nothing to refuse.
+    """
     doc = _load_json(path)
     p = _as_int(_get(doc, "p", "shares"), "p")
     rows = _as_matrix(_get(doc, "shares", "shares"), p, "shares")
-    params = params_from_json(doc, m=len(rows[0]))
-    if len(rows) != params.N:
-        raise CountMismatchError(
-            f"shares: scheme needs {params.N} shares, file has {len(rows)}")
-    field = params.field
+    scheme, field, K, d, points = _read_header(doc)
+    N = {row.scheme: row.workers for row in worker_count_table(K, d)}[scheme.name]
+    if len(rows) != N:
+        raise CountMismatchError(f"shares: scheme needs {N} shares, file has {len(rows)}")
+    params = scheme.params(field, K, d, len(rows[0]), **points)
     return params, [field.vector(row) for row in rows]
 
 

@@ -48,7 +48,7 @@ from .errors import (
     ParameterCorruptionError,
     ZeroInversionError,
 )
-from .field import FieldConfig, FieldElement, FieldVector, combine_values
+from .field import FieldConfig, FieldVector, combine_values
 from .linear import DecodeVector, EncodingMatrix
 from .poly import Dataset
 
@@ -114,29 +114,28 @@ class WorkerLayout:
 class HarmonicParams:
     """Scheme parameters: field, K, d, the chain anchor c, and blend points betas.
 
-    Construction only checks shape (d-1 betas, consistent fields); the
-    arithmetic constraints live in :func:`validate_params` so that
-    deliberately broken parameter sets can still be built and probed.
+    c and the betas are ints, stored reduced to residues in [0, p).
+    Construction only checks shape (d-1 betas); the arithmetic constraints
+    live in :func:`validate_params` so that deliberately broken parameter
+    sets can still be built and probed.
     """
 
     __slots__ = ("field", "K", "d", "c", "betas")
 
     def __init__(self, field: FieldConfig, K: int, d: int,
-                 c: FieldElement, betas: Sequence[FieldElement]):
+                 c: int, betas: Sequence[int]):
         if K < 1:
             raise InvalidParamsError([f"K must be >= 1, got {K}"])
         if d < 1:
             raise InvalidParamsError([f"d must be >= 1, got {d}"])
-        betas = tuple(betas)
+        betas = tuple([b % field.p for b in betas])
         if len(betas) != d - 1:
             raise InvalidParamsError(
                 [f"need exactly d-1={d - 1} betas, got {len(betas)}"])
-        if c.field != field or any(b.field != field for b in betas):
-            raise InvalidParamsError(["c/betas bound to a different field"])
         self.field = field
         self.K = K
         self.d = d
-        self.c = c
+        self.c = c % field.p
         self.betas = betas
 
     @property
@@ -156,16 +155,16 @@ class HarmonicParams:
 
     def __repr__(self):
         return (f"HarmonicParams(F_{self.field.p}, K={self.K}, d={self.d}, "
-                f"c={self.c.value}, betas={[b.value for b in self.betas]})")
+                f"c={self.c}, betas={list(self.betas)})")
 
 
-def _forbidden_betas(field: FieldConfig, K: int, c: FieldElement) -> set[int]:
+def _forbidden_betas(field: FieldConfig, K: int, c: int) -> set[int]:
     """{0} plus every defined ratio c/(c-i) for i = 0..K."""
-    bad = {0}
+    p, bad = field.p, {0}
     for i in range(K + 1):
-        den = (c.value - i) % field.p
+        den = (c - i) % p
         if den != 0:
-            bad.add(c.value * pow(den, field.p - 2, field.p) % field.p)
+            bad.add(c * pow(den, -1, p) % p)
     return bad
 
 
@@ -176,17 +175,14 @@ def validate_params(params: HarmonicParams) -> list[str]:
     nonzero), and the betas are pairwise distinct, nonzero, and avoid every
     ratio c/(c-i) for i = 0..K (so all interpolation points stay distinct).
     """
-    field, K = params.field, params.K
+    p, K, c, betas = params.field.p, params.K, params.c, params.betas
     violations = []
-    forbidden_c = {i % field.p for i in range(K + 1)}
-    if params.c.value in forbidden_c:
-        violations.append(
-            f"c={params.c.value} collides with a residue of 0..{K} mod {field.p}")
-    beta_vals = [b.value for b in params.betas]
-    if len(set(beta_vals)) != len(beta_vals):
-        violations.append(f"betas {beta_vals} are not pairwise distinct")
-    bad = _forbidden_betas(field, K, params.c)
-    for b in beta_vals:
+    if c in {i % p for i in range(K + 1)}:
+        violations.append(f"c={c} collides with a residue of 0..{K} mod {p}")
+    if len(set(betas)) != len(betas):
+        violations.append(f"betas {list(betas)} are not pairwise distinct")
+    bad = _forbidden_betas(params.field, K, c)
+    for b in betas:
         if b in bad:
             violations.append(f"beta={b} lies in the forbidden set {sorted(bad)}")
     return violations
@@ -198,41 +194,31 @@ def select_params(field: FieldConfig, K: int, d: int,
 
     Default scan: c is the smallest residue above K, then betas are taken
     in ascending order from 2 upward, skipping the forbidden set. Any
-    prime p >= K + d + 2 is guaranteed to have room. Overrides (ints or
-    elements) are validated and rejected with the full violation list.
+    prime p >= K + d + 2 is guaranteed to have room. Overrides (ints,
+    reduced mod p) are validated and rejected with the full violation list.
     """
     if K < 1 or d < 1:
         raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
     p = field.p
     if c is None:
-        chosen_c = None
         forbidden_c = {i % p for i in range(K + 1)}
-        for cand in range(K + 1, p):
-            if cand not in forbidden_c:
-                chosen_c = field.element(cand)
-                break
-        if chosen_c is None:
+        c = next((cand for cand in range(K + 1, p) if cand not in forbidden_c), None)
+        if c is None:
             raise FieldTooSmallError(
                 f"F_{p} has no anchor c outside 0..{K}; any prime >= {K + d + 2} works")
-    else:
-        chosen_c = c if isinstance(c, FieldElement) else field.element(c)
     if betas is None:
-        bad = _forbidden_betas(field, K, chosen_c)
-        chosen: list[FieldElement] = []
+        bad = _forbidden_betas(field, K, c)
+        betas = []
         for cand in range(2, p):
-            if len(chosen) == d - 1:
+            if len(betas) == d - 1:
                 break
             if cand not in bad:
-                chosen.append(field.element(cand))
-        if len(chosen) < d - 1:
+                betas.append(cand)
+        if len(betas) < d - 1:
             raise FieldTooSmallError(
-                f"F_{p} has only {len(chosen)} usable betas, need {d - 1}; "
+                f"F_{p} has only {len(betas)} usable betas, need {d - 1}; "
                 f"any prime >= {K + d + 2} works")
-        chosen_betas = tuple(chosen)
-    else:
-        chosen_betas = tuple(
-            b if isinstance(b, FieldElement) else field.element(b) for b in betas)
-    params = HarmonicParams(field, K, d, chosen_c, chosen_betas)
+    params = HarmonicParams(field, K, d, c, betas)
     violations = validate_params(params)
     if violations:
         raise InvalidParamsError(violations)
@@ -244,7 +230,7 @@ def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple[in
     a_j = (c-j+1)/(c-j) and b_j = -1/(c-j) (P_j = a_j P_{j-1} + b_j X_j) with
     group j's blend points q_ij = beta_i (c-j+1)/c. ZeroInversionError when
     a denominator is zero, which validate_params rules out."""
-    p, c = params.field.p, params.c.value
+    p, c = params.field.p, params.c
     if any((c - j) % p == 0 for j in range(params.K + 1)):
         raise ZeroInversionError(f"c={c} puts a zero among c, c-1, ..., c-{params.K} mod {p}")
     c_inv = pow(c, -1, p)
@@ -252,7 +238,7 @@ def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple[in
     for j in range(1, params.K + 1):
         inv_cj = pow(c - j, -1, p)
         steps.append(((c - j + 1) * inv_cj % p, -inv_cj % p,
-                      tuple([b.value * (c - j + 1) * c_inv % p for b in params.betas])))
+                      tuple([b * (c - j + 1) * c_inv % p for b in params.betas])))
     return c_inv, steps
 
 
@@ -331,10 +317,9 @@ def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
     rows = [[0] * K + [1]]
     for j, (_, _, qs) in enumerate(steps, start=1):
         for beta, q in zip(params.betas, qs):
-            rows.append([-beta.value * c_inv] * (j - 1) + [1 - q] + [0] * (K - j)
-                        + [beta.value])
+            rows.append([-beta * c_inv] * (j - 1) + [1 - q] + [0] * (K - j) + [beta])
     b_K = steps[-1][1]
-    rows.append([b_K] * K + [-params.c.value * b_K])
+    rows.append([b_K] * K + [-params.c * b_K])
     return EncodingMatrix(field, K, rows)
 
 
@@ -379,8 +364,7 @@ def group_coeffs(params: HarmonicParams, j: int) -> GroupCoeffs:
     """
     if not 1 <= j <= params.K:
         raise IndexError(f"group index j={j} outside [1, {params.K}]")
-    p, c = params.field.p, params.c.value
-    betas = [b.value for b in params.betas]
+    p, c, betas = params.field.p, params.c, params.betas
     cj1, cj = (c - j + 1) % p, (c - j) % p
 
     a, b = cj1, cj

@@ -161,7 +161,8 @@ class DecodeVector:
         dim = outputs[0].dim
         for out in outputs:
             if out.field != self.field:
-                raise DimensionMismatchError("output from a different field")
+                raise FieldMismatchError(
+                    f"output over F_{out.field.p}, decode vector over F_{self.field.p}")
             if out.dim != dim:
                 raise DimensionMismatchError("outputs of differing dimensions")
         [values] = _apply_rows(self._terms, self._packed_columns,

@@ -169,7 +169,7 @@ SCHEMES = {s.name: s for s in (
            baselines.shamir_encoding_matrix, baselines.shamir_decode_vector,
            lists=("thetas",), keys_per_input=True),
     Scheme("freshman", baselines.FreshmanParams,
-           lambda f, K, d, m: baselines.FreshmanParams(f, K, m, 1, [[f.one()] * m]),
+           lambda f, K, d, m: baselines.FreshmanParams(f, K, m, 1, [[1] * m]),
            baselines.freshman_encoding_matrix, baselines.freshman_decode_vector,
            worker_fn=baselines.freshman_apply),
 )}

@@ -181,7 +181,7 @@ def test_criterion_05_privacy_exhaustive():
             make_handle(select_params(f5, 2, 2)),
             make_handle(shamir_params(f5, 2, 2)),
             make_handle(lcc_params(f5, 2, 1)),  # the only LCC size that fits F_5, K=2
-            make_handle(FreshmanParams(f3, 2, 1, 1, [[f3.one()]])),
+            make_handle(FreshmanParams(f3, 2, 1, 1, [[1]])),
         ]
         for handle in handles:
             report = privacy_audit_exhaustive(handle, m=1)
@@ -204,14 +204,13 @@ def test_criterion_06_telescoping_identity():
             field = FieldConfig(p)
             K = rng.randint(2, 5)
             d = rng.randint(1, 5)
-            c = field.element(rng.randrange(K + 1, p))
+            c = rng.randrange(K + 1, p)
             bad = _forbidden_betas(field, K, c)
             pool = [v for v in range(2, min(p, 4000)) if v not in bad]
             if len(pool) < d - 1:
                 continue
             rng.shuffle(pool)
-            params = HarmonicParams(field, K, d, c,
-                                    tuple(field.element(v) for v in pool[:d - 1]))
+            params = HarmonicParams(field, K, d, c, tuple(pool[:d - 1]))
             assert validate_params(params) == []
             for j in range(1, K):
                 assert group_coeffs(params, j + 1).a == group_coeffs(params, j).b
@@ -286,7 +285,7 @@ def test_criterion_09_characteristic_sharpness():
             field = FieldConfig(p)
             for K in [1, 2, 3]:
                 harmonic_bound = K * (p - 1) + 2
-                matrix = [[field.one()]]
+                matrix = [[1]]
                 handle = make_handle(FreshmanParams(field, K, 1, 1, matrix))
                 assert handle.worker_count == 2 < harmonic_bound
                 for _ in range(20):

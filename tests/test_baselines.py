@@ -46,11 +46,13 @@ def interp_eval(points, at, p):
     return total
 
 
-def basis_coeff(points, k, at):
-    """Reference Lagrange basis for node k over `points` at `at`, straight
-    from the product formula in FieldElement arithmetic."""
-    num = at.field.one()
-    den = at.field.one()
+def basis_coeff(field, points, k, at):
+    """Reference Lagrange basis for node k over the int `points` at `at`,
+    straight from the product formula in FieldElement arithmetic."""
+    points = [field.element(x) for x in points]
+    at = field.element(at)
+    num = field.one()
+    den = field.one()
     for k2, xo in enumerate(points):
         if k2 != k:
             num = num * (at - xo)
@@ -65,16 +67,19 @@ def basis_coeff(points, k, at):
 def test_shamir_params_canonical_points():
     field = FieldConfig(11)
     params = shamir_params(field, 3, 2)
-    assert [t.value for t in params.thetas] == [1, 2, 3]
+    assert list(params.thetas) == [1, 2, 3]
     assert params.N == 9
 
 
 def test_shamir_rejects_zero_or_duplicate_points():
     field = FieldConfig(11)
     with pytest.raises(InvalidParamsError):
-        ShamirParams(field, 2, 1, (field.element(0), field.element(1)))
+        ShamirParams(field, 2, 1, (0, 1))
     with pytest.raises(InvalidParamsError):
-        ShamirParams(field, 2, 1, (field.element(2), field.element(2)))
+        ShamirParams(field, 2, 1, (2, 2))
+    # points are reduced before they are checked: 5 is share point 0 in F_5
+    with pytest.raises(InvalidParamsError, match="share point 0"):
+        ShamirParams(FieldConfig(5), 2, 1, (5, 1))
     with pytest.raises(FieldTooSmallError):
         shamir_params(FieldConfig(3), 2, 2)  # needs 3 nonzero points, has 2
 
@@ -112,7 +117,7 @@ def test_shamir_decode_matches_interpolation_oracle():
     shares = shamir_encode(params, data, keys)
     outputs = [g.eval(s) for s in shares]
     got = shamir_decode(params, outputs)
-    thetas = [t.value for t in params.thetas]
+    thetas = list(params.thetas)
     width = params.d + 1
     total = 0
     for k in range(2):
@@ -148,8 +153,8 @@ def test_shamir_wrong_key_count():
 def test_lcc_params_canonical_points():
     field = FieldConfig(101)
     params = lcc_params(field, 3, 2)
-    assert [a.value for a in params.alphas] == [0, 1, 2, 3]
-    assert [g.value for g in params.gammas] == [4, 5, 6, 7, 8, 9, 10]
+    assert list(params.alphas) == [0, 1, 2, 3]
+    assert list(params.gammas) == [4, 5, 6, 7, 8, 9, 10]
     assert params.N == 7
 
 
@@ -157,8 +162,8 @@ def test_lcc_params_tight_field_fallback():
     # F_5, K=2, d=1 has exactly enough residues if the key anchor doubles as
     # the last evaluation point.
     params = lcc_params(FieldConfig(5), 2, 1)
-    assert [a.value for a in params.alphas] == [0, 1, 2]
-    assert [g.value for g in params.gammas] == [3, 4, 2]
+    assert list(params.alphas) == [0, 1, 2]
+    assert list(params.gammas) == [3, 4, 2]
 
 
 def test_lcc_params_collision_error():
@@ -168,10 +173,12 @@ def test_lcc_params_collision_error():
 
 def test_lcc_rejects_anchor_collisions():
     field = FieldConfig(11)
-    alphas = tuple(field.element(i) for i in range(3))
-    gammas = (field.element(0),) + tuple(field.element(i) for i in range(4, 8))
+    alphas = tuple(range(3))
+    gammas = (0,) + tuple(range(4, 8))
     with pytest.raises(InvalidParamsError):
         LCCParams(field, 2, 2, alphas, gammas)  # gamma hits data anchor 0
+    with pytest.raises(InvalidParamsError, match="coincide with data anchors"):
+        LCCParams(field, 2, 2, alphas, (11, 4, 5, 6, 7))  # 11 is anchor 0 mod 11
 
 
 def test_lcc_coefficients_match_product_formula():
@@ -188,13 +195,13 @@ def test_lcc_coefficients_match_product_formula():
                 if gammas[-1] == alphas[K]:
                     short_layouts += 1
                 assert lcc_encoding_matrix(params).rows == tuple(
-                    tuple(basis_coeff(alphas, k, gamma).value for k in range(K + 1))
+                    tuple(basis_coeff(field, alphas, k, gamma).value for k in range(K + 1))
                     for gamma in gammas), (p, K, d)
                 want = []
                 for i in range(params.N):
                     w = field.zero()
                     for alpha in alphas[:K]:
-                        w = w + basis_coeff(gammas, i, alpha)
+                        w = w + basis_coeff(field, gammas, i, alpha)
                     want.append(w.value)
                 assert lcc_decode_vector(params).weights == tuple(want), (p, K, d)
     assert short_layouts == 3  # F_7 with (K, d) = (2, 2), (3, 1); F_13 with (3, 3)
@@ -209,9 +216,9 @@ def test_lcc_data_polynomial_roundtrip():
     data = random_dataset(rng, field, 2, 3)
     z = sample_uniform_vector(rng, field, 3)
     shares = lcc_encode(params, data, z)
-    gam = [g.value for g in params.gammas]
+    gam = list(params.gammas)
     for k in range(2):
-        alpha = params.alphas[k].value
+        alpha = params.alphas[k]
         rec = []
         for t in range(3):
             pts = [(gam[i], shares[i].values()[t]) for i in range(3)]  # K+1 = 3
@@ -219,7 +226,7 @@ def test_lcc_data_polynomial_roundtrip():
         assert tuple(rec) == data.items[k].values()
     # and the key anchor reproduces Z
     rec_z = [interp_eval([(gam[i], shares[i].values()[t]) for i in range(3)],
-                         params.alphas[2].value, 13) for t in range(3)]
+                         params.alphas[2], 13) for t in range(3)]
     assert tuple(rec_z) == z.values()
 
 
@@ -228,11 +235,11 @@ def test_lcc_key_basis_coefficient_nonzero_everywhere():
     for p, K, d in [(13, 2, 2), (11, 3, 1), (5, 2, 1)]:
         field = FieldConfig(p)
         params = lcc_params(field, K, d)
-        a = [x.value for x in params.alphas]
+        a = list(params.alphas)
         for gamma in params.gammas:
             num = 1
             for k in range(K):
-                num = num * (gamma.value - a[k]) % p
+                num = num * (gamma - a[k]) % p
             assert num != 0
 
 
@@ -257,7 +264,7 @@ def test_lcc_share_reproduction_identity():
     data = random_dataset(rng, field, 2, 1)
     z = sample_uniform_vector(rng, field, 1)
     outputs = [g.eval(s) for s in lcc_encode(params, data, z)]
-    gam = [x.value for x in params.gammas]
+    gam = list(params.gammas)
     pts = [(gam[i], outputs[i].values()[0]) for i in range(params.N)]
     for i in range(params.N):
         assert interp_eval(pts, gam[i], 13) == outputs[i].values()[0]
@@ -282,7 +289,7 @@ def test_lcc_decode_matches_oracle():
 
 def test_freshman_hand_example_p3():
     field = FieldConfig(3)
-    params = FreshmanParams(field, 2, 1, 1, [[field.one()]])
+    params = FreshmanParams(field, 2, 1, 1, [[1]])
     data = Dataset([field.vector([1]), field.vector([2])])
     z = field.vector([1])
     shares = freshman_encode(params, data, z)
@@ -295,7 +302,7 @@ def test_freshman_hand_example_p3():
 
 def test_freshman_hand_example_p2():
     field = FieldConfig(2)
-    params = FreshmanParams(field, 2, 1, 1, [[field.one()]])
+    params = FreshmanParams(field, 2, 1, 1, [[1]])
     data = Dataset([field.vector([1]), field.vector([1])])
     for z in range(2):
         shares = freshman_encode(params, data, field.vector([z]))
@@ -305,7 +312,7 @@ def test_freshman_hand_example_p2():
 
 def test_freshman_zero_data_shares_coincide():
     field = FieldConfig(5)
-    params = FreshmanParams(field, 3, 2, 1, [[field.one(), field.element(2)]])
+    params = FreshmanParams(field, 3, 2, 1, [[1, 2]])
     data = Dataset([field.zero_vector(2)] * 3)
     z = field.vector([4, 2])
     shares = freshman_encode(params, data, z)
@@ -314,7 +321,7 @@ def test_freshman_zero_data_shares_coincide():
 
 def test_freshman_share_distribution_uniform_exhaustive():
     field = FieldConfig(3)
-    params = FreshmanParams(field, 2, 1, 1, [[field.one()]])
+    params = FreshmanParams(field, 2, 1, 1, [[1]])
     data = Dataset([field.vector([2]), field.vector([1])])
     hist = [Counter(), Counter()]
     for z in range(3):
@@ -332,10 +339,10 @@ def test_freshman_matches_oracle_randomized():
             K = rng.randint(1, 3)
             m = rng.randint(1, 2)
             n = rng.randint(1, 2)
-            matrix = [[field.element(rng.randrange(p)) for _ in range(m)]
+            matrix = [[rng.randrange(p) for _ in range(m)]
                       for _ in range(n)]
-            if not any(e.value for row in matrix for e in row):
-                matrix[0][0] = field.one()
+            if not any(e for row in matrix for e in row):
+                matrix[0][0] = 1
             params = FreshmanParams(field, K, m, n, matrix)
             data = random_dataset(rng, field, K, m)
             z = sample_uniform_vector(rng, field, m)
@@ -348,7 +355,7 @@ def test_freshman_two_workers_always():
     for p in [2, 3, 5]:
         field = FieldConfig(p)
         for K in [1, 2, 5]:
-            params = FreshmanParams(field, K, 1, 1, [[field.one()]])
+            params = FreshmanParams(field, K, 1, 1, [[1]])
             assert params.N == 2
             assert params.d == p
 
@@ -356,12 +363,14 @@ def test_freshman_two_workers_always():
 def test_freshman_rejects_zero_matrix():
     field = FieldConfig(3)
     with pytest.raises(InvalidParamsError):
-        FreshmanParams(field, 1, 2, 1, [[field.zero(), field.zero()]])
+        FreshmanParams(field, 1, 2, 1, [[0, 0]])
+    with pytest.raises(InvalidParamsError, match="nonzero"):
+        FreshmanParams(FieldConfig(5), 1, 1, 1, [[5]])  # 5 is 0 in F_5
 
 
 def test_freshman_wrong_output_count():
     field = FieldConfig(3)
-    params = FreshmanParams(field, 1, 1, 1, [[field.one()]])
+    params = FreshmanParams(field, 1, 1, 1, [[1]])
     with pytest.raises(DimensionMismatchError):
         freshman_decode(params, [field.vector([1])])
 

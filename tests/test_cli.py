@@ -260,7 +260,7 @@ def test_point_flags_accepted_by_harmonic(tmp_path, capsys):
                  "--data", str(data_path), "--out", str(shares_path),
                  "--c", "7", "--betas", "2,5"]) == 0
     params, _ = load_shares(shares_path)
-    assert (params.c.value, [b.value for b in params.betas]) == (7, [2, 5])
+    assert (params.c, list(params.betas)) == (7, [2, 5])
     # freshman's degree is the characteristic, from flags as from files
     assert main(["encode", "--scheme", "freshman", "--p", "11", "--d", "2",
                  "--data", str(data_path), "--out", str(shares_path)]) == 2

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from harmcode import harmonic
 from harmcode.errors import (
     CountMismatchError,
     ResidueRangeError,
@@ -76,7 +77,7 @@ def test_shares_roundtrip_all_schemes(tmp_path):
         (lcc_params(F5, 2, 1), lambda p: lcc_encode(p, data, z)),
         (short, lambda p: lcc_encode(
             p, Dataset([F7.vector([6]), F7.vector([5])]), F7.vector([4]))),
-        (FreshmanParams(F5, 2, 1, 1, [[F5.one()]]),
+        (FreshmanParams(F5, 2, 1, 1, [[1]]),
          lambda p: freshman_encode(p, data, z)),
     ]
     for idx, (params, encoder) in enumerate(cases):
@@ -159,6 +160,18 @@ def test_count_mismatch_errors(tmp_path):
     doc["shares"] = [[1], [2], [3]]  # N should be 4
     with pytest.raises(CountMismatchError):
         load_shares(_write(tmp_path / "c.json", doc))
+
+
+def test_share_count_is_checked_before_the_params_are_built(tmp_path, monkeypatch):
+    # a header claiming K = 10^6 would cost O(K) inversions to validate
+    def never(params):
+        raise AssertionError("validate_params ran before the share count check")
+
+    doc = params_to_json(select_params(FieldConfig(2**31 - 1), 2, 2))
+    doc.update(K=10**6, shares=[[1], [2], [3], [4]])
+    monkeypatch.setattr(harmonic, "validate_params", never)
+    with pytest.raises(CountMismatchError):
+        load_shares(_write(tmp_path / "huge.json", doc))
 
 
 def test_shares_file_is_deterministic(tmp_path):

@@ -56,23 +56,23 @@ def worked_example_params():
 
 def test_select_params_scan_f5():
     params = select_params(F5, 2, 2)
-    assert params.c.value == 3
+    assert params.c == 3
     # forbidden betas for c=3: {0, 3/3=1, 3/2=4, 3/1=3}; scan from 2 hits 2
-    assert [b.value for b in params.betas] == [2]
+    assert list(params.betas) == [2]
     assert validate_params(params) == []
 
 
 def test_select_params_scan_f7():
     params = select_params(FieldConfig(7), 2, 2)
-    assert params.c.value == 3
+    assert params.c == 3
     # forbidden: {0, 1, 3/2=5, 3}; 2 is free
-    assert [b.value for b in params.betas] == [2]
+    assert list(params.betas) == [2]
 
 
 def test_select_params_override_fixture():
     params = worked_example_params()
-    assert params.c.value == 4
-    assert [b.value for b in params.betas] == [4]
+    assert params.c == 4
+    assert list(params.betas) == [4]
     assert validate_params(params) == []
 
 
@@ -91,20 +91,22 @@ def test_select_params_field_too_small():
 
 
 def test_validate_params_reports_violations():
-    bad_c = HarmonicParams(F5, 2, 2, F5.element(2), (F5.element(4),))
+    bad_c = HarmonicParams(F5, 2, 2, 2, (4,))
     assert any("c=2" in v for v in validate_params(bad_c))
-    bad_beta = HarmonicParams(F5, 2, 2, F5.element(4), (F5.element(1),))
+    bad_beta = HarmonicParams(F5, 2, 2, 4, (1,))
     assert any("beta=1" in v for v in validate_params(bad_beta))
-    dup = HarmonicParams(FieldConfig(11), 1, 3, FieldConfig(11).element(2),
-                         (FieldConfig(11).element(4), FieldConfig(11).element(4)))
+    dup = HarmonicParams(FieldConfig(11), 1, 3, 2, (4, 4))
     assert any("distinct" in v for v in validate_params(dup))
 
 
 def test_params_structural_checks():
     with pytest.raises(InvalidParamsError):
-        HarmonicParams(F5, 2, 2, F5.element(4), ())  # needs d-1 = 1 beta
+        HarmonicParams(F5, 2, 2, 4, ())  # needs d-1 = 1 beta
     with pytest.raises(InvalidParamsError):
-        HarmonicParams(F5, 0, 2, F5.element(4), (F5.element(4),))
+        HarmonicParams(F5, 0, 2, 4, (4,))
+    # points are reduced mod p before anything else looks at them
+    F11 = FieldConfig(11)
+    assert HarmonicParams(F11, 2, 2, 15, (13,)) == HarmonicParams(F11, 2, 2, 4, (2,))
 
 
 def test_worker_layout_group_major():
@@ -131,7 +133,7 @@ def chain_direct(params, data, z):
     """Independent oracle: P_j = (c/(c-j)) Z - (1/(c-j)) sum_{k<=j} X_k."""
     field = params.field
     p = field.p
-    c = params.c.value
+    c = params.c
     out = []
     for j in range(params.K + 1):
         inv_cj = pow((c - j) % p, p - 2, p)
@@ -255,7 +257,7 @@ def test_encode_fixture_values():
 def test_encode_k1_d1_two_shares():
     field = FieldConfig(7)
     params = select_params(field, 1, 1)
-    c = params.c.value
+    c = params.c
     x1, z = 4, 6
     shares = encode(params, Dataset([field.vector([x1])]), field.vector([z]))
     assert len(shares) == 2
@@ -341,12 +343,12 @@ def test_group_coeffs_telescoping_random():
         field = FieldConfig(p)
         K = rng.randint(2, 5)
         d = rng.randint(1, 5)
-        c = field.element(rng.randrange(K + 1, p))
+        c = rng.randrange(K + 1, p)
         from harmcode.harmonic import _forbidden_betas
         bad = _forbidden_betas(field, K, c)
         pool = [v for v in range(2, p) if v not in bad]
         rng.shuffle(pool)
-        betas = tuple(field.element(v) for v in pool[:d - 1])
+        betas = tuple(pool[:d - 1])
         params = HarmonicParams(field, K, d, c, betas)
         assert validate_params(params) == []
         for j in range(1, K):
@@ -356,7 +358,9 @@ def test_group_coeffs_telescoping_random():
 def reference_group_coeffs(params, j):
     """group_coeffs' formulas in FieldElement arithmetic, one guarded
     inversion at a time: (weights, A_j, B_j) as residues."""
-    field, c = params.field, params.c
+    field = params.field
+    c = field.element(params.c)
+    betas = [field.element(b) for b in params.betas]
 
     def inv(x):
         if x.value == 0:
@@ -366,15 +370,15 @@ def reference_group_coeffs(params, j):
     cj1 = field.element(c.value - j + 1)
     cj = field.element(c.value - j)
     a, b = cj1, cj
-    for beta in params.betas:
+    for beta in betas:
         a = a * (beta * cj1) * inv(beta * cj1 - c)
         b = b * (beta * cj) * inv(beta * cj - c)
     r = cj1 * inv(cj)
     weights = []
-    for i, beta in enumerate(params.betas):
+    for i, beta in enumerate(betas):
         q = beta * cj1 * inv(c)
         w = r * inv((field.one() - q) * (r - q))
-        for i2, other in enumerate(params.betas):
+        for i2, other in enumerate(betas):
             if i2 != i:
                 w = w * other * inv(other - beta)
         weights.append(w.value)
@@ -407,7 +411,7 @@ def test_decode_vector_d1_closed_form():
     for p, K in [(7, 3), (11, 2), (13, 5)]:
         field = FieldConfig(p)
         params = select_params(field, K, 1)
-        c = params.c.value
+        c = params.c
         assert decode_vector(params).int_weights() == (c, (-(c - K)) % p)
 
 
@@ -485,19 +489,19 @@ def test_universality_matrix_independent_of_g():
 def test_corrupt_params_raise_at_decode():
     # beta = c/(c-1) collides with an interpolation point; the guard fires.
     field = FieldConfig(7)
-    params = HarmonicParams(field, 1, 2, field.element(2), (field.element(2),))
+    params = HarmonicParams(field, 1, 2, 2, (2,))
     assert validate_params(params) != []
     with pytest.raises(ParameterCorruptionError):
         decode_vector(params)
     # c in 0..K puts a zero among the denominators c and c-j; the guard must
     # fire before a bare pow(0, -1, p) raises its ValueError
     for c in (0, 1, 2):
-        params = HarmonicParams(field, 2, 2, field.element(c), (field.element(3),))
+        params = HarmonicParams(field, 2, 2, c, (3,))
         assert validate_params(params) != []
         with pytest.raises(ParameterCorruptionError):
             decode_vector(params)
     # with no betas (d = 1) only the guard on c itself catches c = 0
-    params = HarmonicParams(field, 2, 1, field.element(0), ())
+    params = HarmonicParams(field, 2, 1, 0, ())
     with pytest.raises(ParameterCorruptionError):
         decode_vector(params)
 
@@ -523,7 +527,7 @@ def test_broken_anchor_raises_zero_inversion_in_encoders():
     field = FieldConfig(7)
     data = Dataset([field.vector([1]), field.vector([2])])
     for c in (0, 1, 2):
-        params = HarmonicParams(field, 2, 2, field.element(c), (field.element(3),))
+        params = HarmonicParams(field, 2, 2, c, (3,))
         assert validate_params(params) != []
         with pytest.raises(ZeroInversionError):
             encode(params, data, field.vector([3]))

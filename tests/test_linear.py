@@ -39,7 +39,7 @@ def grid():
     for p in (2, 3):
         field = FieldConfig(p)
         for K in (1, 2, 3):
-            yield "freshman", FreshmanParams(field, K, 2, 1, [[field.one(), field.one()]])
+            yield "freshman", FreshmanParams(field, K, 2, 1, [[1, 1]])
 
 
 GRID = list(grid())
@@ -136,28 +136,35 @@ def test_harmonic_handle_encodes_without_the_matrix():
 
 def test_clear_storage_forwards_the_worker_function():
     field = FieldConfig(3)
-    inner = make_handle(FreshmanParams(field, 2, 1, 1, [[field.one()]]))
+    inner = make_handle(FreshmanParams(field, 2, 1, 1, [[1]]))
     assert ClearStorageScheme(inner).worker_fn is inner.worker_fn
     assert ClearStorageScheme(make_handle(select_params(FieldConfig(5), 2, 2))).worker_fn is None
 
 
 def foreign_field_cases():
-    """(label, encode(data, keys), field): handles of every scheme plus the
-    harmonic encoding matrix."""
+    """(label, encode(data, keys), decode(outputs), num_keys, field, foreign
+    output field): handles of every scheme plus the harmonic encoding matrix
+    and decode vector."""
     f11, f3 = FieldConfig(11), FieldConfig(3)
-    for params in (select_params(f11, 2, 2), lcc_params(f11, 2, 2), shamir_params(f11, 2, 2),
-                   FreshmanParams(f3, 2, 1, 1, [[f3.one()]])):
+    for params, foreign in ((select_params(f11, 2, 2), FieldConfig(7)),
+                            (lcc_params(f11, 2, 2), FieldConfig(7)),
+                            (shamir_params(f11, 2, 2), FieldConfig(7)),
+                            (FreshmanParams(f3, 2, 1, 1, [[1]]), FieldConfig(5))):
         handle = make_handle(params)
-        yield handle.kind, handle.encode, handle.num_keys, params.field
-    matrix = harmonic.encoding_matrix(select_params(f11, 2, 2))
-    yield "harmonic-matrix", lambda data, keys: matrix.apply(data, *keys), 1, f11
+        yield handle.kind, handle.encode, handle.decode, handle.num_keys, params.field, foreign
+    params = select_params(f11, 2, 2)
+    matrix = harmonic.encoding_matrix(params)
+    yield ("harmonic-matrix", lambda data, keys: matrix.apply(data, *keys),
+           harmonic.decode_vector(params).apply, 1, f11, FieldConfig(7))
 
 
 FOREIGN = list(foreign_field_cases())
 
 
-@pytest.mark.parametrize("label,encode,num_keys,field", FOREIGN, ids=[c[0] for c in FOREIGN])
-def test_encoders_refuse_data_and_keys_from_another_field(label, encode, num_keys, field):
+@pytest.mark.parametrize("label,encode,decode,num_keys,field,foreign", FOREIGN,
+                         ids=[c[0] for c in FOREIGN])
+def test_encoders_refuse_data_and_keys_from_another_field(label, encode, decode, num_keys,
+                                                          field, foreign):
     other = FieldConfig(7)
     data = Dataset([field.vector([1]), field.vector([2])])
     keys = [field.vector([t + 1]) for t in range(num_keys)]
@@ -169,6 +176,20 @@ def test_encoders_refuse_data_and_keys_from_another_field(label, encode, num_key
         foreign_keys[t] = other.vector([t + 1])
         with pytest.raises(FieldMismatchError):
             encode(data, foreign_keys)
+
+
+@pytest.mark.parametrize("label,encode,decode,num_keys,field,foreign", FOREIGN,
+                         ids=[c[0] for c in FOREIGN])
+def test_decoders_refuse_outputs_from_another_field(label, encode, decode, num_keys,
+                                                    field, foreign):
+    data = Dataset([field.vector([1]), field.vector([2])])
+    outputs = encode(data, [field.vector([t + 1]) for t in range(num_keys)])
+    assert decode(outputs).field == field
+    for w in range(len(outputs)):
+        mixed = list(outputs)
+        mixed[w] = foreign.vector([1])
+        with pytest.raises(FieldMismatchError):
+            decode(mixed)
 
 
 def reference_apply(field, rows, columns):

@@ -89,7 +89,7 @@ def test_run_trial_seed_sweep_small_grid():
 
 def test_run_trial_freshman_builtin_g():
     field = FieldConfig(3)
-    params = FreshmanParams(field, 2, 1, 1, [[field.one()]])
+    params = FreshmanParams(field, 2, 1, 1, [[1]])
     handle = make_handle(params)
     data = Dataset([field.vector([1]), field.vector([2])])
     report = run_trial(handle, None, data, seed=1)
@@ -141,7 +141,7 @@ def test_audit_shamir_lcc_freshman_small():
     lcc = make_handle(lcc_params(F5, 2, 1))
     assert privacy_audit_exhaustive(lcc).all_private
     f3 = FieldConfig(3)
-    freshman = make_handle(FreshmanParams(f3, 2, 1, 1, [[f3.one()]]))
+    freshman = make_handle(FreshmanParams(f3, 2, 1, 1, [[1]]))
     assert privacy_audit_exhaustive(freshman).all_private
 
 
@@ -297,7 +297,7 @@ def test_batched_audit_matches_reference_on_faults():
     inners = [(fixture_handle(), (1, 2)),
               (make_handle(lcc_params(f7, 2, 2)), (1,)),
               (make_handle(shamir_params(F5, 2, 2)), (1,)),
-              (make_handle(FreshmanParams(f3, 2, 1, 1, [[f3.one()]])), (1, 2))]
+              (make_handle(FreshmanParams(f3, 2, 1, 1, [[1]])), (1, 2))]
     for inner, ms in inners:
         for w in range(inner.worker_count):
             for m in ms:
@@ -390,7 +390,7 @@ def test_make_handle_dispatch():
     assert make_handle(shamir_params(F5, 2, 2)).kind == "shamir"
     assert make_handle(lcc_params(F5, 2, 1)).kind == "lcc"
     f3 = FieldConfig(3)
-    assert make_handle(FreshmanParams(f3, 1, 1, 1, [[f3.one()]])).kind == "freshman"
+    assert make_handle(FreshmanParams(f3, 1, 1, 1, [[1]])).kind == "freshman"
     with pytest.raises(TypeError):
         make_handle(object())
 
