@@ -286,8 +286,8 @@ class FieldVector:
 def combine_values(a: int, xs: Sequence[int], b: int, ys: Sequence[int],
                    p: int) -> tuple[int, ...]:
     """(a*x + b*y) mod p coordinatewise, on plain ints, in one pass: the
-    two-term kernel of the harmonic chain and of the linear maps' two-term
-    rows."""
+    kernel of the linear maps' two-term rows, where packing the columns
+    would cost more than it saves."""
     return tuple([(a * x + b * y) % p for x, y in zip(xs, ys)])
 
 

@@ -31,8 +31,12 @@ the head and tail workers supply those last two directly.
 
 The recursive encoder (:func:`encoder`) turns a_j, b_j and q_ij into int
 residues once per parameter set -- once per handle, for a
-:class:`~harmcode.linear.LinearCode` -- and runs every step as one
-reducing pass over the coordinates (:func:`~harmcode.field.combine_values`).
+:class:`~harmcode.linear.LinearCode`. Each call packs Z and every X_j into
+one int with a slot per coordinate, and runs every chain step and every
+blend as one multiply-add a * P + b * X on those ints. A chain step ends
+with a slot-wise Barrett step that leaves P_j in [0, 2p), so each sum
+stays below 4 (p-1)^2; one call of :func:`~harmcode.linear._residues`
+then reduces the blends and P_K to [0, p) together.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from .errors import (
     ParameterCorruptionError,
     ZeroInversionError,
 )
-from .field import FieldConfig, FieldVector, combine_values
-from .linear import DecodeVector, EncodingMatrix
+from .field import FieldConfig, FieldVector
+from .linear import DecodeVector, EncodingMatrix, _layout, _pack, _residues
 from .poly import Dataset
 
 
@@ -249,9 +253,15 @@ def _steps(params: HarmonicParams) -> tuple[tuple[int, int, tuple[tuple[int, int
                  for a, b, qs in _scalars(params)[1])
 
 
+# a * P + b * X with P in [0, 2p) stays below 4 (p-1)^2: four products' worth
+_CHAIN_TERMS = 4
+
+
 def _chain(field: FieldConfig, K: int, steps, data: Dataset, z: FieldVector,
-           stats: EncodeStats | None) -> list[tuple[int, ...]]:
-    """The coordinates of P_0..P_K: P_j = a_j P_{j-1} + b_j X_j, reduced mod p."""
+           stats: EncodeStats | None) -> tuple[tuple, list[int], list[int]]:
+    """P_0..P_K and X_1..X_K packed on m slots, and their layout. Each step
+    P_j = a_j P_{j-1} + b_j X_j is one multiply-add and one Barrett step, so
+    every slot of P_1..P_K lies in [0, 2p), not yet [0, p)."""
     if data.K != K:
         raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={K}")
     if z.dim != data.m:
@@ -259,21 +269,25 @@ def _chain(field: FieldConfig, K: int, steps, data: Dataset, z: FieldVector,
     p = field.p
     if data.field.p != p or z.field.p != p:
         raise FieldMismatchError(f"data or key from another field than F_{p}")
-    prev = z.values()
+    layout = _layout(data.m, p, _CHAIN_TERMS)
+    shift, mu, mask = layout[:3]
+    xs = [_pack(layout, x.values()) for x in data.items]
+    prev = _pack(layout, z.values())
     chain = [prev]
-    for (a, b, _), x in zip(steps, data.items):
-        prev = combine_values(a, prev, b, x.values(), p)
+    for (a, b, _), x in zip(steps, xs):
+        v = a * prev + b * x
+        prev = v - (v * mu >> shift & mask) * p
         chain.append(prev)
     if stats is not None:
         stats.two_term_combos += K
-    return chain
+    return layout, chain, xs
 
 
 def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
     """The recursive encoder of one parameter set, as ``encode(data, z, stats=None)``.
 
     Its scalars are residues computed here, once; each call then costs
-    K + K(d-1) two-term vector combinations on plain ints.
+    K + K(d-1) two-term combinations, each one multiply-add on packed ints.
     ZeroInversionError here when a chain denominator is zero.
     """
     field, K = params.field, params.K
@@ -283,25 +297,24 @@ def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
 
     def encode(data: Dataset, z: FieldVector,
                stats: EncodeStats | None = None) -> list[FieldVector]:
-        chain = _chain(field, K, steps, data, z, stats)
-        shares = [z]
-        for (_, _, qs), x, prev in zip(steps, data.items, chain):
-            xs = x.values()
-            shares += [of(field, combine_values(r, xs, q, prev, p)) for r, q in qs]
+        layout, chain, xs = _chain(field, K, steps, data, z, stats)
+        sums = [r * x + q * prev
+                for (_, _, qs), x, prev in zip(steps, xs, chain) for r, q in qs]
+        sums.append(chain[-1])
         if stats is not None:
             stats.two_term_combos += blends
-        shares.append(of(field, chain[-1]))
-        return shares
+        return [z] + [of(field, v) for v in _residues(sums, layout, p)]
 
     return encode
 
 
 def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector,
                       stats: EncodeStats | None = None) -> list[FieldVector]:
-    """The masking chain P_0..P_K, one two-term combination per step."""
+    """The masking chain P_0..P_K as residues in [0, p), one two-term
+    combination per step."""
     field = params.field
-    return [FieldVector._of(field, v)
-            for v in _chain(field, params.K, _steps(params), data, z, stats)]
+    layout, chain, _ = _chain(field, params.K, _steps(params), data, z, stats)
+    return [FieldVector._of(field, v) for v in _residues(chain, layout, field.p)]
 
 
 def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:

@@ -16,11 +16,16 @@ coefficients over columns of residues. It picks a path per row from the
 row's own nonzero count. A row of one or two terms is one reducing pass
 over the coordinates. A denser row is a sum of big-int multiply-adds: each
 column that such a row uses is packed once per call into one Python int
-with a 128-bit slot per coordinate, the row sums c * packed over its terms
-in C, and its slots are reduced mod p once. No carry crosses a slot, so
-this is exact while terms * (p-1)^2 < 2^128; at the supported moduli
-p <= 2^31 that would take a row of 2^66 terms to break. The decode vector
-is the one-row case, with the worker outputs as its columns.
+with a slot per coordinate, and the row sums c * packed over its terms in
+C. One call of :func:`_residues` then reduces all such rows, each with a
+slot-wise Barrett step and one conditional subtraction of p over all of
+its slots at once, and unpacks each row's residues with one Struct.
+:func:`_layout` sizes the slots from the densest row: its slot sums stay
+below terms * (p-1)^2 < 2^s, and a slot holds each sum times
+mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow crosses
+a slot at any row length or modulus. The decode vector is the one-row
+case, with the worker outputs as its columns. The harmonic chain encoder
+runs on the same layout.
 """
 
 from __future__ import annotations
@@ -35,31 +40,71 @@ from .poly import Dataset
 
 
 @lru_cache(maxsize=64)
-def _packers(m: int) -> tuple[struct.Struct, struct.Struct]:
-    """The packed kernel's Structs for m coordinates: the (low, high) 64-bit
-    words of every slot, and a residue followed by a zero high word."""
-    return struct.Struct(f"<{2 * m}Q"), struct.Struct("<" + "Q8x" * m)
+def _layout(m: int, p: int, terms: int) -> tuple:
+    """The packed layout of m slots for sums of at most ``terms`` products of
+    two residues, as (s, mu, mask, ones, bias, bit, slots):
+
+    - s covers the largest slot sum, terms * (p-1)^2 < 2^s, and mu = 2^s // p;
+    - a slot is the fewest bytes, ``width``, that hold both 2^s * mu and
+      bit = p.bit_length(), and at least the 8 its residue is read from;
+    - mask holds the low 8 * width - s bits of every slot, where
+      v * mu >> s leaves each slot's quotient; ones holds 1 and bias
+      2^bit - p in every slot;
+    - the Struct ``slots`` packs a residue into each slot's low 8 bytes,
+      zeros above it.
+    """
+    s = (terms * (p - 1) ** 2).bit_length()
+    mu = (1 << s) // p
+    bit = p.bit_length()
+    width = max(8, -(-max((mu << s).bit_length(), bit + 1) // 8))
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * m, "little")
+    return (s, mu, ones * ((1 << (8 * width - s)) - 1), ones, ones * ((1 << bit) - p), bit,
+            struct.Struct("<" + ("Q" + "x" * (width - 8)) * m))
+
+
+def _pack(layout: tuple, values: Sequence[int]) -> int:
+    """Residues laid one per slot, lowest coordinate in the lowest slot."""
+    return int.from_bytes(layout[-1].pack(*values), "little")
+
+
+def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...]]:
+    """The slots of each packed sum, reduced mod p.
+
+    A Barrett step, v - (((v * mu) >> s) & mask) * p, leaves every slot in
+    [0, 2p); adding 2^bit - p then sets bit ``bit`` in exactly the slots
+    still >= p, and one more subtraction of p clears them.
+    """
+    s, mu, mask, ones, bias, bit, slots = layout
+    size, unpack = slots.size, slots.unpack
+    out = []
+    for v in sums:
+        v -= (v * mu >> s & mask) * p
+        v -= ((v + bias) >> bit & ones) * p
+        out.append(unpack(v.to_bytes(size, "little")))
+    return out
 
 
 def _compile(rows: tuple[tuple[int, ...], ...]):
-    """Per row, its (column, coefficient) nonzero terms; and the columns the
-    packed (three or more term) rows read."""
+    """Per row, its (column, coefficient) nonzero terms; the columns the
+    packed (three or more term) rows read; and the most terms in such a row."""
     terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
-    return terms, frozenset(k for t in terms if len(t) > 2 for k, _ in t)
+    dense = [t for t in terms if len(t) > 2]
+    return (terms, frozenset(k for t in dense for k, _ in t),
+            max(map(len, dense), default=0))
 
 
-def _apply_rows(terms, packed_columns, cols: Sequence[Sequence[int]], m: int,
-                p: int) -> list[tuple[int, ...]]:
+def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """sum_k c * cols[k] mod p for each row's (k, c) terms, m coordinates wide."""
+    terms, packed_columns, most = plan
     if packed_columns:
-        slots, pad = _packers(m)
-        packed = {k: int.from_bytes(pad.pack(*cols[k]), "little") for k in packed_columns}
-        r = (1 << 64) % p
+        layout = _layout(m, p, most)
+        packed = {k: _pack(layout, cols[k]) for k in packed_columns}
+        sums = [sum([c * packed[k] for k, c in row]) for row in terms if len(row) > 2]
+        dense = iter(_residues(sums, layout, p))
     out = []
     for row in terms:
         if len(row) > 2:
-            w = slots.unpack(sum([c * packed[k] for k, c in row]).to_bytes(16 * m, "little"))
-            out.append(tuple([(lo + hi * r) % p for lo, hi in zip(w[::2], w[1::2])]))
+            out.append(next(dense))
         elif len(row) == 2:
             (k, a), (j, b) = row
             out.append(combine_values(a, cols[k], b, cols[j], p))
@@ -79,7 +124,7 @@ class EncodingMatrix:
     privacy witness -- and construction refuses rows that break it.
     """
 
-    __slots__ = ("field", "K", "num_keys", "rows", "_terms", "_packed_columns")
+    __slots__ = ("field", "K", "num_keys", "rows", "_plan")
 
     def __init__(self, field: FieldConfig, K: int, rows: Sequence[Sequence[int]],
                  num_keys: int = 1):
@@ -96,7 +141,7 @@ class EncodingMatrix:
         self.K = K
         self.num_keys = num_keys
         self.rows = rows
-        self._terms, self._packed_columns = _compile(rows)
+        self._plan = _compile(rows)
 
     @property
     def N(self) -> int:
@@ -119,7 +164,7 @@ class EncodingMatrix:
         cols = [item.values() for item in data.items] + [z.values() for z in keys]
         field, of = self.field, FieldVector._of
         return [of(field, values) for values in
-                _apply_rows(self._terms, self._packed_columns, cols, data.m, p)]
+                _apply_rows(self._plan, cols, data.m, p)]
 
     def __eq__(self, other):
         return (
@@ -138,12 +183,12 @@ class DecodeVector:
     """The N master-side weights, as residues; applying them to worker
     outputs yields f."""
 
-    __slots__ = ("field", "weights", "_terms", "_packed_columns")
+    __slots__ = ("field", "weights", "_plan")
 
     def __init__(self, field: FieldConfig, weights: Sequence[int]):
         self.field = field
         self.weights = tuple([w % field.p for w in weights])
-        self._terms, self._packed_columns = _compile((self.weights,))
+        self._plan = _compile((self.weights,))
 
     @property
     def N(self) -> int:
@@ -165,8 +210,8 @@ class DecodeVector:
                     f"output over F_{out.field.p}, decode vector over F_{self.field.p}")
             if out.dim != dim:
                 raise DimensionMismatchError("outputs of differing dimensions")
-        [values] = _apply_rows(self._terms, self._packed_columns,
-                               [out.values() for out in outputs], dim, self.field.p)
+        [values] = _apply_rows(self._plan, [out.values() for out in outputs], dim,
+                               self.field.p)
         return FieldVector._of(self.field, values)
 
     def __eq__(self, other):

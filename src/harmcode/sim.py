@@ -305,8 +305,11 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
 
     A worker passes when its share distribution (exact integer counts over
     key draws) is identical for every dataset value -- equivalent to zero
-    mutual information under *any* input prior. The reported MI assumes a
-    uniform prior and is computed from the same counts.
+    mutual information under *any* input prior. Each law is kept as the
+    worker's shares under every key tuple, in key order, and two laws are
+    equal when their sorted shares are, multiplicity included. Counts are
+    built only for a worker that fails; the reported MI assumes a uniform
+    prior and is computed from them.
 
     ``scheme.encode`` is called once per dataset value, on vectors of
     key_states * m coordinates: coordinate j*m + i of each key is
@@ -336,31 +339,33 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     keys = [of(field, tuple(itertools.chain.from_iterable(
                 z[t * m:(t + 1) * m] for z in key_tuples)))
             for t in range(nkeys)]
-    # counts[w][x]: worker w's share law for the x-th dataset value
-    counts: list[list[Counter]] = [[] for _ in range(N)]
+    # laws[w][x]: worker w's share coordinates for the x-th dataset value
+    laws: list[list[tuple[int, ...]]] = [[] for _ in range(N)]
     for x_flat in itertools.product(range(p), repeat=K * m):
         data = Dataset([of(field, x_flat[k * m:(k + 1) * m] * key_states) for k in range(K)])
         for w, share in enumerate(scheme.encode(data, keys)):
-            v = share.values()
-            # at m = 1 the residues themselves are the shares: the same law
-            # without a tuple per key value
-            counts[w].append(Counter(v if m == 1 else zip(*[v[i::m] for i in range(m)])))
+            laws[w].append(share.values())
+
+    def shares(v):
+        # at m = 1 the residues themselves are the shares: the same law
+        # without a tuple per key value
+        return v if m == 1 else zip(*[v[i::m] for i in range(m)])
+
     cond_equal = []
     mi_bits = []
-    for per_x in counts:
-        reference = per_x[0]
-        # No count is ever zero, so plain dict equality is Counter equality,
-        # without Counter.__eq__'s Python-level walk over every key.
-        equal = all(dict.__eq__(c, reference) for c in per_x)
+    for per_x in laws:
+        reference = sorted(shares(per_x[0]))
+        equal = all(sorted(shares(v)) == reference for v in per_x)
         cond_equal.append(equal)
         if equal:
             mi_bits.append(0.0)
         else:
+            counts = [Counter(shares(v)) for v in per_x]
             marginal: Counter = Counter()
-            for c in per_x:
+            for c in counts:
                 marginal.update(c)
             mi = 0.0
-            for c in per_x:
+            for c in counts:
                 for share, j in c.items():
                     # P(x,s)=j/total, P(x)=key_states/total, P(s)=marginal/total
                     mi += (j / total) * math.log2(j * total / (key_states * marginal[share]))

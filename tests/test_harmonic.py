@@ -188,6 +188,28 @@ def test_chain_recursion_matches_direct_formula():
         assert intermediate_vars(params, data, z) == chain_direct(params, data, z)
 
 
+def test_intermediate_vars_are_residues_though_the_chain_runs_below_2p():
+    rng = random.Random(6)
+    above_p = 0
+    for p in (7, 11, 13):
+        field = FieldConfig(p)
+        for K in (1, 2, 3):
+            params = select_params(field, K, 2)
+            data = random_dataset(rng, field, K, 64)
+            z = sample_uniform_vector(rng, field, 64)
+            layout, chain, _ = harmonic._chain(field, K, harmonic._steps(params), data, z, None)
+            bits = 8 * layout[-1].size // 64
+            slots = [v >> (i * bits) & (2**bits - 1) for v in chain for i in range(64)]
+            assert max(slots) < 2 * p
+            # so a chain step a_j P + b_j X peaks at (p-1)(2p-1) + (p-1)^2
+            assert (p - 1) * (3 * p - 2) < 2 ** layout[0]
+            above_p += sum(v >= p for v in slots)
+            chain = intermediate_vars(params, data, z)
+            assert all(0 <= x < p for v in chain for x in v.values())
+            assert chain == chain_direct(params, data, z)
+    assert above_p > 0  # the packed chain did hold slots in [p, 2p)
+
+
 def test_chain_dimension_errors():
     params = worked_example_params()
     data = Dataset([F5.vector([1]), F5.vector([2])])

@@ -10,7 +10,7 @@ from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
 from harmcode.errors import FieldMismatchError, FieldTooSmallError, InvalidParamsError
 from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
 from harmcode.harmonic import select_params
-from harmcode.linear import DecodeVector, EncodingMatrix, LinearCode
+from harmcode.linear import DecodeVector, EncodingMatrix, LinearCode, _layout, _residues
 from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
 from harmcode.sim import SCHEMES, ClearStorageScheme, make_handle
 
@@ -206,7 +206,7 @@ def reference_apply(field, rows, columns):
     return out
 
 
-@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
 @pytest.mark.parametrize("m", [1, 2, 3, 512])
 def test_apply_matches_elementwise_dot_products(p, m):
     # K = 16 data columns and one key, as LCC at K = 16: rows of 1, 2, 3, 5
@@ -245,3 +245,80 @@ def test_dense_harmonic_matrix_matches_the_chain_encoder():
     data = random_dataset(rng, params.field, 8, 512)
     z = sample_uniform_vector(rng, params.field, 512)
     assert matrix.apply(data, z) == make_handle(params).encode(data, [z])
+
+
+def test_empty_matrix_applies_to_no_shares():
+    field = FieldConfig(7)
+    data = Dataset([field.vector([1, 2]), field.vector([3, 4])])
+    assert EncodingMatrix(field, 2, []).apply(data, field.vector([5, 6])) == []
+
+
+LAYOUT_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1]
+LAYOUT_TERMS = [1, 2, 3, 4, 17, 2**16, 2**17, 2**20]
+
+
+def slot_bits(layout, m):
+    return 8 * layout[-1].size // m
+
+
+def packed_sums(layout, sums):
+    """Slot sums laid one per slot, which may exceed the 8 bytes _pack fills."""
+    bits = slot_bits(layout, len(sums))
+    return sum(v << (i * bits) for i, v in enumerate(sums))
+
+
+@pytest.mark.parametrize("p", LAYOUT_PRIMES)
+@pytest.mark.parametrize("terms", LAYOUT_TERMS)
+def test_layout_bounds_every_slot(p, terms):
+    m = 3
+    layout = _layout(m, p, terms)
+    s, mu, mask, ones, bias, bit, _ = layout
+    bits = slot_bits(layout, m)
+    assert bits % 8 == 0 and bits >= 64
+    assert terms * (p - 1) ** 2 < 2**s
+    assert mu == 2**s // p
+    assert 2**s * mu < 2**bits       # no slot's v * mu reaches the next slot
+    assert bit == p.bit_length() < bits
+    for i in range(m):
+        assert [v >> (i * bits) & (2**bits - 1) for v in (ones, mask, bias)] == [
+            1, 2**(bits - s) - 1, 2**bit - p]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("terms", [1, 2, 3, 4])
+def test_residues_of_every_slot_sum(p, terms):
+    top = terms * (p - 1) ** 2
+    sums = list(range(top + 1))
+    layout = _layout(len(sums), p, terms)
+    want = tuple(v % p for v in sums)
+    # two rows: every sum, then every sum in reverse
+    got = _residues([packed_sums(layout, sums), packed_sums(layout, sums[::-1])], layout, p)
+    assert got == [want, want[::-1]]
+
+
+@pytest.mark.parametrize("terms", LAYOUT_TERMS)
+def test_residues_at_the_top_of_the_range(terms):
+    p = 2**31 - 1
+    top = terms * (p - 1) ** 2
+    q = top // p
+    # the top sums, the multiples of p at and below them, and their neighbours
+    sums = [top - k for k in range(64)] + [
+        k * p + e for k in (q, q - 1, q - 2, 1) for e in (-1, 0, 1, p - 1) if k * p + e <= top]
+    layout = _layout(len(sums), p, terms)
+    assert _residues([packed_sums(layout, sums)], layout, p) == [tuple(v % p for v in sums)]
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 2**31 - 1])
+def test_packed_chain_encoder_matches_the_matrix_and_the_reference(p):
+    # every datum and the key p - 1: the largest products the chain meets
+    field = FieldConfig(p)
+    for K, d in ((1, 1), (2, 2), (3, 3)):
+        params = select_params(field, K, d)
+        matrix = harmonic.encoding_matrix(params)
+        rng = random.Random(f"chain-{p}-{K}-{d}")
+        top = field.vector([p - 1] * 5)
+        for data, z in ((Dataset([top] * K), top),
+                        (random_dataset(rng, field, K, 5), sample_uniform_vector(rng, field, 5))):
+            shares = harmonic.encoder(params)(data, z)
+            assert shares == matrix.apply(data, z)
+            assert shares == reference_apply(field, matrix.rows, list(data.items) + [z])

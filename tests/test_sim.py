@@ -296,7 +296,9 @@ def test_batched_audit_matches_reference_on_faults():
     f3, f7 = FieldConfig(3), FieldConfig(7)
     inners = [(fixture_handle(), (1, 2)),
               (make_handle(lcc_params(f7, 2, 2)), (1,)),
+              (make_handle(lcc_params(F5, 1, 2)), (1, 2)),
               (make_handle(shamir_params(F5, 2, 2)), (1,)),
+              (make_handle(shamir_params(F5, 1, 2)), (1, 2)),
               (make_handle(FreshmanParams(f3, 2, 1, 1, [[1]])), (1, 2))]
     for inner, ms in inners:
         for w in range(inner.worker_count):
@@ -304,6 +306,33 @@ def test_batched_audit_matches_reference_on_faults():
                 assert_same_report(ClearStorageScheme(inner, leak_worker=w), m)
     for m in (1, 2):
         assert_same_report(zeroed_key_scheme(), m)
+
+
+class TableScheme:
+    """One worker at p = 3, K = 1, one key, whose share is TABLE[x][z]
+    coordinate by coordinate. Its laws (0, 0, 1) and (0, 1, 1) share a
+    support and differ only in multiplicity, so comparing sets would pass it."""
+
+    kind = "table"
+    field = FieldConfig(3)
+    K = 1
+    num_keys = 1
+    d = 1
+    worker_count = 1
+    TABLE = ((0, 0, 1), (0, 1, 1), (0, 0, 1))
+
+    def encode(self, data, keys):
+        xs, zs = data.items[0].values(), keys[0].values()
+        return [self.field.vector([self.TABLE[x][z] for x, z in zip(xs, zs)])]
+
+
+def test_audit_flags_laws_that_differ_only_in_multiplicity():
+    scheme = TableScheme()
+    for m in (1, 2):
+        report = privacy_audit_exhaustive(scheme, m=m)
+        assert report.conditional_equal_per_worker == (False,)
+        assert report.mi_bits_per_worker[0] > 0
+        assert_same_report(scheme, m)
 
 
 class CountingScheme:
