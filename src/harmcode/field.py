@@ -283,14 +283,6 @@ class FieldVector:
         return f"FieldVector{self._values}%{self.field.p}"
 
 
-def combine_values(a: int, xs: Sequence[int], b: int, ys: Sequence[int],
-                   p: int) -> tuple[int, ...]:
-    """(a*x + b*y) mod p coordinatewise, on plain ints, in one pass: the
-    kernel of the linear maps' two-term rows, where packing the columns
-    would cost more than it saves."""
-    return tuple([(a * x + b * y) % p for x, y in zip(xs, ys)])
-
-
 def sample_uniform_vector(rng: random.Random, field: FieldConfig, dim: int) -> FieldVector:
     """Uniform vector in F_p^dim, one randrange(p) per coordinate in index order.
 

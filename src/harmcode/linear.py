@@ -12,20 +12,17 @@ when they are built. :class:`LinearCode` binds one parameter set to its
 scheme modules only supply the coefficients.
 
 Both maps are applied by one kernel, :func:`_apply_rows`: rows of int
-coefficients over columns of residues. It picks a path per row from the
-row's own nonzero count. A row of one or two terms is one reducing pass
-over the coordinates. A denser row is a sum of big-int multiply-adds: each
-column that such a row uses is packed once per call into one Python int
-with a slot per coordinate, and the row sums c * packed over its terms in
-C. One call of :func:`_residues` then reduces all such rows, each with a
-slot-wise Barrett step and one conditional subtraction of p over all of
-its slots at once, and unpacks each row's residues with one Struct.
-:func:`_layout` sizes the slots from the densest row: its slot sums stay
-below terms * (p-1)^2 < 2^s, and a slot holds each sum times
-mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow crosses
-a slot at any row length or modulus. The decode vector is the one-row
-case, with the worker outputs as its columns. The harmonic chain encoder
-runs on the same layout.
+coefficients over columns of residues. Each column a row uses is packed
+once per call into one Python int with a slot per coordinate, and each row
+sums c * packed over its terms in C. One call of :func:`_residues` then
+reduces every row with a slot-wise Barrett step and one conditional
+subtraction of p over all of its slots at once, and unpacks each row's
+residues with one Struct. :func:`_layout` sizes the slots from the densest
+row: its slot sums stay below terms * (p-1)^2 < 2^s, and a slot holds each
+sum times mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow
+crosses a slot at any row length or modulus. The decode vector is the
+one-row case, with the worker outputs as its columns. The harmonic chain
+encoder runs on the same layout.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidParamsError
-from .field import FieldConfig, FieldVector, combine_values
+from .field import FieldConfig, FieldVector
 from .poly import Dataset
 
 
@@ -44,7 +41,8 @@ def _layout(m: int, p: int, terms: int) -> tuple:
     """The packed layout of m slots for sums of at most ``terms`` products of
     two residues, as (s, mu, mask, ones, bias, bit, slots):
 
-    - s covers the largest slot sum, terms * (p-1)^2 < 2^s, and mu = 2^s // p;
+    - s covers the largest slot sum, terms * (p-1)^2 < 2^s, and mu = 2^s // p
+      (terms = 0, rows that are all zero, gives s = mu = 0: every sum is 0);
     - a slot is the fewest bytes, ``width``, that hold both 2^s * mu and
       bit = p.bit_length(), and at least the 8 its residue is read from;
     - mask holds the low 8 * width - s bits of every slot, where
@@ -85,35 +83,19 @@ def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...
 
 
 def _compile(rows: tuple[tuple[int, ...], ...]):
-    """Per row, its (column, coefficient) nonzero terms; the columns the
-    packed (three or more term) rows read; and the most terms in such a row."""
+    """Per row, its (column, coefficient) nonzero terms; the columns the rows
+    read; and the most terms in a row."""
     terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
-    dense = [t for t in terms if len(t) > 2]
-    return (terms, frozenset(k for t in dense for k, _ in t),
-            max(map(len, dense), default=0))
+    return (terms, frozenset(k for row in terms for k, _ in row),
+            max(map(len, terms), default=0))
 
 
 def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """sum_k c * cols[k] mod p for each row's (k, c) terms, m coordinates wide."""
-    terms, packed_columns, most = plan
-    if packed_columns:
-        layout = _layout(m, p, most)
-        packed = {k: _pack(layout, cols[k]) for k in packed_columns}
-        sums = [sum([c * packed[k] for k, c in row]) for row in terms if len(row) > 2]
-        dense = iter(_residues(sums, layout, p))
-    out = []
-    for row in terms:
-        if len(row) > 2:
-            out.append(next(dense))
-        elif len(row) == 2:
-            (k, a), (j, b) = row
-            out.append(combine_values(a, cols[k], b, cols[j], p))
-        elif row:
-            (k, a), = row
-            out.append(tuple([a * x % p for x in cols[k]]))
-        else:
-            out.append((0,) * m)
-    return out
+    terms, columns, most = plan
+    layout = _layout(m, p, most)
+    packed = {k: _pack(layout, cols[k]) for k in columns}
+    return _residues([sum([c * packed[k] for k, c in row]) for row in terms], layout, p)
 
 
 class EncodingMatrix:

@@ -317,9 +317,11 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     each data vector is the dataset value's m coordinates repeated
     key_states times. The scheme must act on every coordinate alike and
     independently, so that coordinates j*m .. j*m + m-1 of a share are the
-    share under key tuple j; every linear code does. The budget is checked
-    before anything is built.
+    share under key tuple j; every linear code does. m is checked, then the
+    budget, before anything is built.
     """
+    if m < 1:
+        raise DimensionMismatchError(f"m must be >= 1, got {m}")
     field = scheme.field
     p = field.p
     K = scheme.K

@@ -18,7 +18,6 @@ from harmcode.field import (
     FieldElement,
     FieldVector,
     _is_prime,
-    combine_values,
     sample_uniform_vector,
 )
 
@@ -220,18 +219,15 @@ def test_vector_kernels_match_elementwise_arithmetic(p):
         u, v = FieldVector(ex), FieldVector(ey)
         assert u == field.vector(xs) and v == field.vector(ys)
         a = field.element(rng.randrange(p))
-        b = field.element(rng.choice([0, 1, p - 1, rng.randrange(p)]))
         want = {
             "add": [x + y for x, y in zip(ex, ey)],
             "sub": [x - y for x, y in zip(ex, ey)],
             "scale": [a * x for x in ex],
-            "combine": [a * x + b * y for x, y in zip(ex, ey)],
         }
         got = {
             "add": u + v,
             "sub": u - v,
             "scale": u.scale(a),
-            "combine": FieldVector._of(field, combine_values(a.value, xs, b.value, ys, p)),
         }
         for op, vec in got.items():
             assert vec.values() == tuple(e.value for e in want[op]), op

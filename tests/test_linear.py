@@ -267,8 +267,9 @@ def packed_sums(layout, sums):
     return sum(v << (i * bits) for i, v in enumerate(sums))
 
 
+# terms = 0 is the layout of an all-zero decode vector or a matrix with no rows
 @pytest.mark.parametrize("p", LAYOUT_PRIMES)
-@pytest.mark.parametrize("terms", LAYOUT_TERMS)
+@pytest.mark.parametrize("terms", [0] + LAYOUT_TERMS)
 def test_layout_bounds_every_slot(p, terms):
     m = 3
     layout = _layout(m, p, terms)
@@ -285,7 +286,7 @@ def test_layout_bounds_every_slot(p, terms):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-@pytest.mark.parametrize("terms", [1, 2, 3, 4])
+@pytest.mark.parametrize("terms", [0, 1, 2, 3, 4])
 def test_residues_of_every_slot_sum(p, terms):
     top = terms * (p - 1) ** 2
     sums = list(range(top + 1))

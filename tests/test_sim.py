@@ -393,6 +393,13 @@ def test_audit_budget_checked_before_any_encode():
         privacy_audit_exhaustive(handle, m=1, budget=101 ** 3)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_audit_refuses_m_below_one(m):
+    # refused before the budget check, which a budget of 0 would fail
+    with pytest.raises(DimensionMismatchError):
+        privacy_audit_exhaustive(fixture_handle(), m=m, budget=0)
+
+
 # ---------------------------------------------------------------------------
 # worker counts and handles
 
