@@ -18,6 +18,7 @@ state-count cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -276,7 +277,10 @@ def cmd_decode(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built by the first ``main`` call and kept: parsing
+    leaves it unchanged, so later in-process calls reuse it."""
     parser = argparse.ArgumentParser(
         prog="harmcode",
         description="Privacy-preserving coded computation of g(X_1)+...+g(X_K) "
@@ -341,8 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, SchemaViolationError, ResidueRangeError, CountMismatchError,

@@ -9,14 +9,14 @@ distribution is literally identical for all dataset values -- mutual
 information is derived from the same counts for reporting, but the
 pass/fail criterion never touches floating point.
 
-The auditor encodes once per dataset value, not once per (dataset, key)
-pair: every key value is laid along the coordinates. Each key is one
-vector of key_states * m coordinates whose coordinate j*m + i is
-coordinate i of the j-th key tuple, and each data vector repeats the
-dataset value's m coordinates key_states times, so slice j of every share
-is the share under key tuple j. This needs encode to act on every
-coordinate alike and independently, as every linear code does (share_w =
-sum_k E[w][k] X_k, coordinatewise).
+The auditor encodes once per value of X_1, not once per (dataset, key)
+pair: every X_2..X_K tuple and every key tuple is laid along the
+coordinates. Coordinate (r*key_states + j)*m + i of a call's vectors holds
+coordinate i of the r-th X_2..X_K tuple under the j-th key tuple, and X_1
+repeats one value throughout, so slice r*key_states + j of every share is
+the share for that dataset value and key tuple. This needs encode to act
+on every coordinate alike and independently, as every linear code does
+(share_w = sum_k E[w][k] X_k + sum_t E[w][K+t] Z_t, coordinatewise).
 """
 
 from __future__ import annotations
@@ -311,13 +311,16 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     built only for a worker that fails; the reported MI assumes a uniform
     prior and is computed from them.
 
-    ``scheme.encode`` is called once per dataset value, on vectors of
-    key_states * m coordinates: coordinate j*m + i of each key is
-    coordinate i of the j-th key tuple (``itertools.product`` order), and
-    each data vector is the dataset value's m coordinates repeated
-    key_states times. The scheme must act on every coordinate alike and
-    independently, so that coordinates j*m .. j*m + m-1 of a share are the
-    share under key tuple j; every linear code does. m is checked, then the
+    ``scheme.encode`` is called once per value of X_1 (p^m calls), on
+    vectors of W = p^((K-1)m) * key_states * m coordinates, built once per
+    audit but for X_1. Coordinate (r*key_states + j)*m + i of X_2..X_K and
+    of each key is coordinate i of the r-th X_2..X_K tuple and of the j-th
+    key tuple (``itertools.product`` order), and X_1 is its value repeated.
+    The scheme must act on every coordinate alike and independently, so
+    that each consecutive slice of key_states * m coordinates of a share
+    is one dataset value's shares under every key tuple, in dataset order;
+    every linear code does. Each worker keeps one share tuple per value of
+    X_1 and the laws are read slice by slice. m is checked, then the
     budget, before anything is built.
     """
     if m < 1:
@@ -335,16 +338,22 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
             f"raise the budget to at least {total} to run it")
     N = scheme.worker_count
     of = FieldVector._of
-    # Every key tuple along the coordinates; no more of them than dataset
-    # states while nkeys <= K, so at most sqrt(budget).
+    S = key_states * m  # coordinates per dataset value
+    # The X_2..X_K columns and the keys, shared by every call: the r-th
+    # X_2..X_K tuple under every key tuple j, for r in turn.
+    rest_tuples = list(itertools.product(range(p), repeat=(K - 1) * m))
     key_tuples = list(itertools.product(range(p), repeat=nkeys * m))
+    rest = [of(field, tuple(itertools.chain.from_iterable(
+                x[k * m:(k + 1) * m] * key_states for x in rest_tuples)))
+            for k in range(K - 1)]
     keys = [of(field, tuple(itertools.chain.from_iterable(
-                z[t * m:(t + 1) * m] for z in key_tuples)))
+                z[t * m:(t + 1) * m] for z in key_tuples)) * len(rest_tuples))
             for t in range(nkeys)]
-    # laws[w][x]: worker w's share coordinates for the x-th dataset value
+    # laws[w][a]: worker w's share coordinates for the a-th value of X_1,
+    # one slice of S coordinates per X_2..X_K tuple
     laws: list[list[tuple[int, ...]]] = [[] for _ in range(N)]
-    for x_flat in itertools.product(range(p), repeat=K * m):
-        data = Dataset([of(field, x_flat[k * m:(k + 1) * m] * key_states) for k in range(K)])
+    for x_1 in itertools.product(range(p), repeat=m):
+        data = Dataset([of(field, x_1 * (len(rest_tuples) * key_states))] + rest)
         for w, share in enumerate(scheme.encode(data, keys)):
             laws[w].append(share.values())
 
@@ -353,16 +362,22 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
         # without a tuple per key value
         return v if m == 1 else zip(*[v[i::m] for i in range(m)])
 
+    def per_dataset_value(per_x1):
+        # each dataset value's share coordinates, in dataset order
+        for v in per_x1:
+            for start in range(0, len(v), S):
+                yield v[start:start + S]
+
     cond_equal = []
     mi_bits = []
-    for per_x in laws:
-        reference = sorted(shares(per_x[0]))
-        equal = all(sorted(shares(v)) == reference for v in per_x)
+    for per_x1 in laws:
+        reference = sorted(shares(per_x1[0][:S]))
+        equal = all(sorted(shares(v)) == reference for v in per_dataset_value(per_x1))
         cond_equal.append(equal)
         if equal:
             mi_bits.append(0.0)
         else:
-            counts = [Counter(shares(v)) for v in per_x]
+            counts = [Counter(shares(v)) for v in per_dataset_value(per_x1)]
             marginal: Counter = Counter()
             for c in counts:
                 marginal.update(c)

@@ -1,9 +1,15 @@
 """The command-line surface: golden demo output, exit codes, file pipelines."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import harmcode
+from harmcode import cli
 from harmcode.cli import main
 from harmcode.field import FieldConfig
 from harmcode.fileio import load_decoded, load_shares, write_outputs
@@ -208,6 +214,38 @@ def test_encode_is_byte_deterministic(tmp_path, capsys):
                      "--data", str(data_path), "--out", str(out), "--seed", "4"]) == 0
     capsys.readouterr()
     assert s1.read_bytes() == s2.read_bytes()
+
+
+def test_cached_parser_survives_a_rejected_argv(tmp_path, capsys):
+    # argparse rejects the argv and exits 2; the parser it leaves behind is
+    # the one every later call reuses
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", "--scheme", "harmonic", "--p", "eleven", "--d", "2"])
+    assert exc.value.code == 2
+    assert cli._build_parser() is cli._build_parser()
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps({"K": 2, "data": [[1, 2], [3, 4]]}))
+    outputs_path = tmp_path / "outputs.json"
+    write_outputs(outputs_path, [FieldConfig(11).vector([w, 2 * w]) for w in range(4)])
+
+    def argvs(tag):
+        shares, out = tmp_path / f"shares-{tag}.json", tmp_path / f"f-{tag}.json"
+        return [["encode", "--scheme", "harmonic", "--p", "11", "--d", "2",
+                 "--data", str(data_path), "--out", str(shares), "--seed", "5"],
+                ["decode", "--shares", str(shares), "--outputs", str(outputs_path),
+                 "--out", str(out)]], (shares, out)
+
+    cached, cached_files = argvs("cached")
+    for argv in cached:
+        assert main(argv) == 0
+    capsys.readouterr()
+    fresh, fresh_files = argvs("fresh")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(harmcode.__file__).parent.parent)}
+    for argv in fresh:
+        subprocess.run([sys.executable, "-m", "harmcode.cli", *argv], env=env,
+                       check=True, capture_output=True)
+    for a, b in zip(cached_files, fresh_files):
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_decode_wrong_output_count(tmp_path, capsys):

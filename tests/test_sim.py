@@ -308,6 +308,15 @@ def test_batched_audit_matches_reference_on_faults():
         assert_same_report(zeroed_key_scheme(), m)
 
 
+def test_batched_audit_matches_reference_at_three_inputs():
+    # K = 3 lays two X_2..X_K columns along the coordinates
+    f7 = FieldConfig(7)
+    for inner in (make_handle(select_params(f7, 3, 2)), make_handle(lcc_params(f7, 3, 1))):
+        assert_same_report(inner, 1)
+        for w in range(inner.worker_count):
+            assert_same_report(ClearStorageScheme(inner, leak_worker=w), 1)
+
+
 class TableScheme:
     """One worker at p = 3, K = 1, one key, whose share is TABLE[x][z]
     coordinate by coordinate. Its laws (0, 0, 1) and (0, 1, 1) share a
@@ -350,17 +359,27 @@ class CountingScheme:
         return self.inner.encode(data, keys)
 
 
-def test_audit_encodes_once_per_dataset_value():
+def test_audit_encodes_once_per_value_of_x1():
     for handle, m in [(fixture_handle(), 1), (fixture_handle(), 2),
                       (make_handle(shamir_params(F5, 2, 2)), 1)]:
-        counting = CountingScheme(handle)
+        widths = []
+
+        class WidthScheme(CountingScheme):
+            def encode(self, data, keys):
+                widths.append({v.dim for v in (*data.items, *keys)})
+                return super().encode(data, keys)
+
+        counting = WidthScheme(handle)
         report = privacy_audit_exhaustive(counting, m=m)
-        assert counting.calls == report.dataset_states == 5 ** (2 * m)
+        assert counting.calls == 5 ** m
+        # every X_2 value under every key tuple, m coordinates each
+        W = 5 ** m * report.key_states * m
+        assert widths == [{W}] * counting.calls
 
 
-def test_audit_lays_key_tuples_along_the_coordinates():
-    # Shamir over F_3 at K=2, m=2: two keys, so the layout of both the keys
-    # and the inputs shows
+def test_audit_lays_x2_and_key_tuples_along_the_coordinates():
+    # Shamir over F_3 at K=2, m=2: two keys, so the layout of X_2 and of
+    # both keys shows
     f3, m = FieldConfig(3), 2
     handle = make_handle(shamir_params(f3, 2, 1))
     calls = []
@@ -371,14 +390,21 @@ def test_audit_lays_key_tuples_along_the_coordinates():
             return self.inner.encode(data, keys)
 
     privacy_audit_exhaustive(RecordingScheme(handle), m=m)
-    # K = num_keys = 2, so dataset and key values are the same tuples
-    tuples = list(itertools.product(range(3), repeat=2 * m))
-    assert len(calls) == len(tuples)
-    for (items, keys), x_flat in zip(calls, tuples):
-        assert items == [x_flat[k * m:(k + 1) * m] * len(tuples) for k in range(2)]
-        for t, z in enumerate(keys):
-            assert [z[j * m:(j + 1) * m] for j in range(len(tuples))] \
-                == [z_flat[t * m:(t + 1) * m] for z_flat in tuples]
+    values = list(itertools.product(range(3), repeat=m))  # of X_1, and of X_2
+    key_tuples = list(itertools.product(range(3), repeat=2 * m))
+    W = len(values) * len(key_tuples) * m
+    assert len(calls) == len(values)
+    for (items, keys), x_1 in zip(calls, values):
+        assert len(items) == len(keys) == 2
+        assert all(len(v) == W for v in items + keys)
+        assert items[0] == x_1 * (W // m)  # X_1 is constant within a call
+        for r, x_2 in enumerate(values):
+            for j, z in enumerate(key_tuples):
+                for i in range(m):
+                    c = (r * len(key_tuples) + j) * m + i
+                    assert items[1][c] == x_2[i]
+                    assert keys[0][c] == z[i]
+                    assert keys[1][c] == z[m + i]
 
 
 def test_audit_budget_checked_before_any_encode():
