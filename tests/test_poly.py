@@ -1,16 +1,21 @@
 """Polynomial maps: evaluation, degrees, the gradient-sum oracle, and the
 multilinear blend construction."""
 
+import copy
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 
 from harmcode.errors import (
     DegreeMismatchError,
     DimensionMismatchError,
+    FieldMismatchError,
 )
-from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
+from harmcode.field import FieldConfig, FieldElement, FieldVector, sample_uniform_vector
 from harmcode.poly import (
     Dataset,
     Monomial,
@@ -84,6 +89,144 @@ def test_eval_matches_dense_reference(p):
             assert g.eval(field.zero_vector(m)) == dense_eval(g, field.zero_vector(m))
 
 
+def _points(rng, field, m, count):
+    """The zero vector, the all-(p-1) vector and `count` uniform vectors."""
+    p = field.p
+    return ([field.zero_vector(m), field.vector([p - 1] * m)]
+            + [sample_uniform_vector(rng, field, m) for _ in range(count)])
+
+
+def test_eval_cancelled_and_constant_outputs():
+    # output 0 cancels to nothing in from_terms, output 1 is constant only,
+    # output 2 loses a cancelling pair and keeps 3*x_2
+    g = PolyMap.from_terms(F7, 2, [
+        [(3, (1, 2)), (4, (1, 2)), (2, (0, 0)), (5, (0, 0))],
+        [(6, (0, 0))],
+        [(1, (2, 0)), (6, (2, 0)), (3, (0, 1))],
+    ])
+    assert g.outputs[0] == ()
+    for x in itertools.product(range(7), repeat=2):
+        x = F7.vector(x)
+        assert g.eval(x) == dense_eval(g, x)
+        assert g.eval(x).values()[:2] == (0, 6)
+    const = PolyMap.from_terms(F7, 3, [[(4, (0, 0, 0))], [(1, (0, 0, 0))]])
+    assert const.total_degree() == 0
+    for x in _points(random.Random(1), F7, 3, 5):
+        assert const.eval(x).values() == (4, 1) == dense_eval(const, x).values()
+
+
+def test_eval_over_f2_exhaustive():
+    f2 = FieldConfig(2)
+    rng = random.Random(2)
+    g = _sparse_map(rng, f2, 4, 3)
+    assert all(e <= 1 for coord in g.outputs for mono in coord for e in mono.exps)
+    for x in itertools.product(range(2), repeat=4):
+        x = f2.vector(x)
+        assert g.eval(x) == dense_eval(g, x)
+
+
+@pytest.mark.parametrize("p", [3, 7, 2**31 - 1])
+def test_eval_exponents_p_minus_one(p):
+    field = FieldConfig(p)
+    e = p - 1
+    # x1^(p-1) * x2^(p-1) + 2 x1^(p-1): Fermat makes each factor 0 or 1
+    g = PolyMap.from_terms(field, 2, [[(1, (e, e)), (2, (e, 0))], [(1, (0, e))]])
+    for x in _points(random.Random(p), field, 2, 6) + [field.vector([0, 3 % p])]:
+        got = g.eval(x)
+        assert got == dense_eval(g, x)
+        a, b = (int(v != 0) for v in x.values())
+        assert got.values() == ((a * b + 2 * a) % p, b)
+
+
+def test_eval_twenty_thousand_terms_in_one_output():
+    field = FieldConfig(2**31 - 1)
+    rng = random.Random(20000)
+    terms = [(rng.randrange(1, field.p), (i // 200, i % 200)) for i in range(20000)]
+    g = PolyMap.from_terms(field, 2, [terms, [(1, (1, 0))]])
+    assert len(g.outputs[0]) == 20000
+    for x in _points(rng, field, 2, 1):
+        assert g.eval(x) == dense_eval(g, x)
+
+
+def test_eval_monomial_over_three_thousand_variables():
+    field = FieldConfig(2**31 - 1)
+    rng = random.Random(3000)
+    exps = tuple(rng.choice([1, 2, 5, field.p - 1]) for _ in range(3000))
+    g = PolyMap.from_terms(field, 3000, [[(7, exps), (1, (0,) * 3000)]])
+    assert g.total_degree() == sum(exps)
+    for x in _points(rng, field, 3000, 2) + [field.vector([1] * 3000)]:
+        assert g.eval(x) == dense_eval(g, x)
+    assert g.eval(field.vector([1] * 3000)).values() == (8,)
+
+
+def test_monomial_refuses_non_integer_exponents():
+    with pytest.raises(TypeError):
+        Monomial(F5.element(2), (1.5,))
+    with pytest.raises(TypeError):
+        Monomial(F5.element(2), (1, 2.0))
+    with pytest.raises(TypeError):
+        PolyMap.from_terms(F5, 1, [[(1, (1.5,))]])
+
+
+def test_monomial_int_exponents_behave_as_before():
+    mono = Monomial(F5.element(2), (True, 2, False))
+    assert mono.exps == (1, 2, 0)
+    assert all(type(e) is int for e in mono.exps)
+    assert mono.degree == 3
+    flagged = PolyMap(F5, 3, [[mono]])
+    plain = PolyMap.from_terms(F5, 3, [[(2, (1, 2, 0))]])
+    assert flagged == plain
+    assert flagged.total_degree() == 3
+    for x in itertools.product(range(5), repeat=3):
+        x = F5.vector(x)
+        assert flagged.eval(x) == plain.eval(x) == dense_eval(plain, x)
+
+
+class _Sneaky(int):
+    """An int that formats as code which would change a generated evaluator."""
+
+    def __str__(self):
+        return "len('injected')"
+
+    __repr__ = __str__
+
+    def __format__(self, spec):
+        return str(self)
+
+
+def test_generated_source_uses_exact_ints_only():
+    field = FieldConfig(_Sneaky(7))
+    sneaky = PolyMap(field, 2, [[
+        Monomial(FieldElement(_Sneaky(3), field), (_Sneaky(2), 1)),
+        Monomial(FieldElement(_Sneaky(5), field), (0, _Sneaky(3))),
+    ]])
+    plain = PolyMap.from_terms(F7, 2, [[(3, (2, 1)), (5, (0, 3))]])
+    for a, b in itertools.product(range(7), repeat=2):
+        assert sneaky.eval(field.vector([a, b])).values() == plain.eval(F7.vector([a, b])).values()
+        assert plain.eval(F7.vector([a, b])).values() == ((3 * a * a * b + 5 * b ** 3) % 7,)
+
+
+def test_polymap_pickles_and_copies():
+    g = random_poly(random.Random(8), F7, 3, 2, 3)
+    x = F7.vector([1, 5, 6])
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert clone == g
+        assert clone.eval(x) == g.eval(x)
+
+
+def test_dropped_map_frees_its_evaluator_without_the_cycle_collector():
+    g = random_poly(random.Random(9), F7, 2, 2, 2)
+    evaluator = weakref.ref(g._evaluate)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del g
+        assert evaluator() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_eval_dimension_checks():
     g = uni(F5, [0, 1])
     with pytest.raises(DimensionMismatchError):
@@ -148,6 +291,33 @@ def test_direct_gradient_sum_examples():
     d2 = Dataset([f3.vector([1]), f3.vector([2])])
     assert direct_gradient_sum(frob, d2).values() == (0,)
     assert (pow(1, 3, 3) + pow(2, 3, 3)) % 3 == 0
+
+
+def test_direct_gradient_sum_refuses_foreign_data():
+    g = random_poly(random.Random(3), F5, 2, 2, 2)
+    with pytest.raises(FieldMismatchError):
+        direct_gradient_sum(g, Dataset([F7.vector([1, 2]), F7.vector([3, 4])]))
+    with pytest.raises(DimensionMismatchError):
+        direct_gradient_sum(g, Dataset([F5.vector([1, 2, 3]), F5.vector([3, 4, 0])]))
+    with pytest.raises(DimensionMismatchError):
+        direct_gradient_sum(g, Dataset([F5.vector([1])]))
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_direct_gradient_sum_is_the_coordinatewise_sum_of_evals(p):
+    field = FieldConfig(p)
+    rng = random.Random(p)
+    for K in range(1, 7):
+        for m, n, d in [(1, 1, 1), (2, 3, 2), (4, 2, 3)]:
+            if d > m * (p - 1):
+                continue
+            g = random_poly(rng, field, m, n, d)
+            data = random_dataset(rng, field, K, m)
+            evals = [g.eval(x).values() for x in data]
+            expect = tuple(sum(v[t] for v in evals) % p for t in range(n))
+            got = direct_gradient_sum(g, data)
+            assert got.field == field
+            assert got.values() == expect
 
 
 def test_direct_gradient_sum_permutation_invariant():
