@@ -25,7 +25,6 @@ from .errors import (
 )
 from .field import (
     FieldConfig,
-    FieldElement,
     FieldVector,
     sample_uniform_vector,
 )

@@ -79,7 +79,7 @@ class ShamirParams:
     def __init__(self, field: FieldConfig, K: int, d: int, thetas: Sequence[int]):
         if K < 1 or d < 1:
             raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
-        thetas = tuple([t % field.p for t in thetas])
+        thetas = field.residues(thetas)
         if len(thetas) != d + 1:
             raise InvalidParamsError(
                 [f"need exactly d+1={d + 1} share points, got {len(thetas)}"])
@@ -165,8 +165,8 @@ class LCCParams:
                  alphas: Sequence[int], gammas: Sequence[int]):
         if K < 1 or d < 1:
             raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
-        alphas = tuple([a % field.p for a in alphas])
-        gammas = tuple([g % field.p for g in gammas])
+        alphas = field.residues(alphas)
+        gammas = field.residues(gammas)
         if len(alphas) != K + 1:
             raise InvalidParamsError(
                 [f"need K+1={K + 1} anchors, got {len(alphas)}"])
@@ -269,7 +269,7 @@ class FreshmanParams:
             raise InvalidParamsError([f"K must be >= 1, got {K}"])
         if m < 1 or n < 1:
             raise InvalidParamsError([f"need m >= 1 and n >= 1, got m={m}, n={n}"])
-        matrix = tuple(tuple([e % field.p for e in row]) for row in matrix)
+        matrix = tuple(field.residues(row) for row in matrix)
         if len(matrix) != n or any(len(row) != m for row in matrix):
             raise InvalidParamsError([f"matrix must be {n}x{m}"])
         if not any(map(any, matrix)):

@@ -5,14 +5,14 @@ moduli raises :class:`FieldMismatchError`. The supported moduli are the
 primes up to 2**31; Python integers are unbounded, so the cap is the range
 this package is built and tested for, not an overflow guard.
 
-Storage: a :class:`FieldVector` is one field plus a tuple of plain ints in
-[0, p). Every vector operation here reduces its results mod p and builds
-that tuple directly; :class:`FieldElement` appears only at the API edge --
-monomial coefficients, the scalar of :meth:`FieldVector.scale`, and the
-coordinates ``elements``, iteration and indexing hand out. Scheme
-parameters are plain int residues, like the vectors' coordinates.
-File input is range-checked before it becomes a vector (see
-:mod:`harmcode.fileio`).
+Scalars: the package has one scalar type, the exact int residue in
+[0, p). Vector coordinates, monomial coefficients, scheme parameters,
+encoding-matrix entries and decode weights are all plain ints, and every
+integer a caller supplies becomes a residue through one function,
+:meth:`FieldConfig.residues`. A :class:`FieldVector` is one field plus a
+tuple of residues; every vector operation here reduces its results mod p
+and builds that tuple directly. File input is range-checked before it
+becomes a vector (see :mod:`harmcode.fileio`).
 
 Randomness: callers pass a seeded ``random.Random`` (Mersenne Twister).
 :func:`sample_uniform_vector` draws one ``randrange(p)`` per coordinate,
@@ -24,14 +24,14 @@ randrange's own draws (``getrandbits(p.bit_length())``, redrawn while
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     NotPrimeError,
-    ZeroInversionError,
 )
 
 MAX_MODULUS = 2**31
@@ -72,7 +72,8 @@ class FieldConfig:
     """The prime field F_p for a fixed prime p <= 2**31.
 
     Primality is checked eagerly (Miller-Rabin); everything downstream
-    assumes a field and never re-checks.
+    assumes a field and never re-checks. :meth:`residues` is the one place
+    where integers become residues of this field.
     """
 
     __slots__ = ("p",)
@@ -93,20 +94,19 @@ class FieldConfig:
     def __repr__(self):
         return f"FieldConfig({self.p})"
 
-    def element(self, value: int) -> "FieldElement":
-        """Reduce an integer into the field."""
-        return FieldElement(value % self.p, self)
+    def residues(self, values: Iterable[int]) -> tuple[int, ...]:
+        """Each value reduced to its residue in [0, p), as an exact int.
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
+        Values go through ``operator.index``: a bool or an int subclass
+        becomes a plain int, and anything that is not an integer -- a float,
+        a Fraction, a Decimal -- raises TypeError.
+        """
+        p = self.p
+        return tuple([v % p for v in map(operator.index, values)])
 
     def vector(self, values: Iterable[int]) -> "FieldVector":
-        """Build a vector, reducing each integer mod p."""
-        p = self.p
-        values = tuple([v % p for v in values])
+        """Build a vector from integers, each reduced by :meth:`residues`."""
+        values = self.residues(values)
         if not values:
             raise DimensionMismatchError("vectors need at least one coordinate")
         return FieldVector._of(self, values)
@@ -117,95 +117,16 @@ class FieldConfig:
         return FieldVector._of(self, (0,) * dim)
 
 
-class FieldElement:
-    """A residue 0 <= value < p. Immutable by convention: never reassign."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: FieldConfig):
-        if not 0 <= value < field.p:
-            raise ValueError(f"residue {value} outside [0, {field.p})")
-        self.value = value
-        self.field = field
-
-    def _coerce(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise FieldMismatchError(
-                f"mixed moduli: {self.field.p} vs {other.field.p}"
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value + other.value) % self.field.p, self.field)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value - other.value) % self.field.p, self.field)
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value * other.value) % self.field.p, self.field)
-
-    def __pow__(self, exponent: int):
-        """Square-and-multiply power; 0**0 is 1 by convention."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative; use inv() for reciprocals")
-        return FieldElement(pow(self.value, exponent, self.field.p), self.field)
-
-    def inv(self) -> "FieldElement":
-        """Multiplicative inverse via Fermat: a**(p-2)."""
-        if self.value == 0:
-            raise ZeroInversionError(f"0 has no inverse mod {self.field.p}")
-        return FieldElement(pow(self.value, self.field.p - 2, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inv()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.value == other.value
-            and self.field.p == other.field.p
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.field.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}%{self.field.p}"
-
-
 class FieldVector:
     """Fixed-length vector over one field: the field once, plus a tuple of
-    ints in [0, p).
+    residues, exact ints in [0, p), that :meth:`values` hands out.
 
-    ``FieldVector(elements)`` builds one from :class:`FieldElement` values and
-    checks that they share a field. ``elements``, iteration and indexing
-    hand coordinates back as elements, built on demand.
+    Build one with :meth:`FieldConfig.vector`, which reduces its integers
+    through :meth:`FieldConfig.residues`, with :meth:`FieldConfig.zero_vector`
+    or with :func:`sample_uniform_vector`.
     """
 
     __slots__ = ("field", "_values")
-
-    def __init__(self, elements: Sequence[FieldElement]):
-        elements = tuple(elements)
-        if not elements:
-            raise DimensionMismatchError("vectors need at least one coordinate")
-        first = elements[0].field
-        for e in elements[1:]:
-            if e.field.p != first.p:
-                raise FieldMismatchError("vector coordinates from different fields")
-        self.field = first
-        self._values = tuple(e.value for e in elements)
 
     @classmethod
     def _of(cls, field: FieldConfig, values: tuple[int, ...]) -> "FieldVector":
@@ -218,11 +139,6 @@ class FieldVector:
     @property
     def dim(self) -> int:
         return len(self._values)
-
-    @property
-    def elements(self) -> tuple[FieldElement, ...]:
-        f = self.field
-        return tuple(FieldElement(v, f) for v in self._values)
 
     def values(self) -> tuple[int, ...]:
         return self._values
@@ -250,12 +166,6 @@ class FieldVector:
         return FieldVector._of(self.field, tuple(
             [(a - b) % p for a, b in zip(self._values, other._values)]))
 
-    def scale(self, s: FieldElement) -> "FieldVector":
-        if s.field.p != self.field.p:
-            raise FieldMismatchError("scalar from a different field")
-        p, sv = self.field.p, s.value
-        return FieldVector._of(self.field, tuple([sv * a % p for a in self._values]))
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldVector)
@@ -266,18 +176,8 @@ class FieldVector:
     def __hash__(self):
         return hash((self.field.p, self._values))
 
-    def __iter__(self):
-        f = self.field
-        return (FieldElement(v, f) for v in self._values)
-
     def __len__(self):
         return len(self._values)
-
-    def __getitem__(self, idx):
-        f = self.field
-        if isinstance(idx, slice):
-            return tuple(FieldElement(v, f) for v in self._values[idx])
-        return FieldElement(self._values[idx], f)
 
     def __repr__(self):
         return f"FieldVector{self._values}%{self.field.p}"

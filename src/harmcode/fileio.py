@@ -141,7 +141,7 @@ def write_task(path, g: PolyMap) -> None:
         "p": g.field.p,
         "m": g.m,
         "n": g.n,
-        "g": [[{"coeff": mono.coeff.value, "exps": list(mono.exps)}
+        "g": [[{"coeff": mono.coeff, "exps": list(mono.exps)}
                for mono in coord] for coord in g.outputs],
     }
     _dump_json(path, doc)
@@ -155,7 +155,7 @@ def load_dataset(path, field: FieldConfig) -> Dataset:
     rows = _as_matrix(_get(doc, "data", "dataset"), field.p, "data")
     if len(rows) != K:
         raise CountMismatchError(f"dataset: declared K={K} but data has {len(rows)} rows")
-    return Dataset([field.vector(row) for row in rows])
+    return Dataset([FieldVector._of(field, tuple(row)) for row in rows])
 
 
 def write_dataset(path, data: Dataset) -> None:
@@ -225,7 +225,7 @@ def load_shares(path):
     if len(rows) != N:
         raise CountMismatchError(f"shares: scheme needs {N} shares, file has {len(rows)}")
     params = scheme.params(field, K, d, len(rows[0]), **points)
-    return params, [field.vector(row) for row in rows]
+    return params, [FieldVector._of(field, tuple(row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def write_outputs(path, outputs: Sequence[FieldVector]) -> None:
 def load_outputs(path, field: FieldConfig) -> list[FieldVector]:
     doc = _load_json(path)
     rows = _as_matrix(_get(doc, "outputs", "outputs"), field.p, "outputs")
-    return [field.vector(row) for row in rows]
+    return [FieldVector._of(field, tuple(row)) for row in rows]
 
 
 def write_decoded(path, value: FieldVector) -> None:
@@ -251,7 +251,8 @@ def load_decoded(path, field: FieldConfig) -> FieldVector:
     row = _get(doc, "f", "decoded")
     if not isinstance(row, list) or not row:
         raise SchemaViolationError("decoded: f must be a non-empty list")
-    return field.vector([_as_residue(v, field.p, f"f[{i}]") for i, v in enumerate(row)])
+    return FieldVector._of(field, tuple([_as_residue(v, field.p, f"f[{i}]")
+                                         for i, v in enumerate(row)]))
 
 
 __all__ = [

@@ -118,7 +118,8 @@ class WorkerLayout:
 class HarmonicParams:
     """Scheme parameters: field, K, d, the chain anchor c, and blend points betas.
 
-    c and the betas are ints, stored reduced to residues in [0, p).
+    c and the betas are ints, stored as residues in [0, p) made by
+    :meth:`~harmcode.field.FieldConfig.residues`.
     Construction only checks shape (d-1 betas); the arithmetic constraints
     live in :func:`validate_params` so that deliberately broken parameter
     sets can still be built and probed.
@@ -132,15 +133,15 @@ class HarmonicParams:
             raise InvalidParamsError([f"K must be >= 1, got {K}"])
         if d < 1:
             raise InvalidParamsError([f"d must be >= 1, got {d}"])
-        betas = tuple([b % field.p for b in betas])
+        c, *betas = field.residues([c, *betas])
         if len(betas) != d - 1:
             raise InvalidParamsError(
                 [f"need exactly d-1={d - 1} betas, got {len(betas)}"])
         self.field = field
         self.K = K
         self.d = d
-        self.c = c % field.p
-        self.betas = betas
+        self.c = c
+        self.betas = tuple(betas)
 
     @property
     def N(self) -> int:
@@ -204,7 +205,9 @@ def select_params(field: FieldConfig, K: int, d: int,
     if K < 1 or d < 1:
         raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
     p = field.p
-    if c is None:
+    if c is not None:
+        [c] = field.residues([c])
+    else:
         forbidden_c = {i % p for i in range(K + 1)}
         c = next((cand for cand in range(K + 1, p) if cand not in forbidden_c), None)
         if c is None:

@@ -7,7 +7,8 @@ A scheme with K inputs and ``num_keys`` uniform keys hands worker w
 and recovers f = g(X_1)+...+g(X_K) from the worker outputs as
 sum_w v_w g(share_w). :class:`EncodingMatrix` holds E and
 :class:`DecodeVector` holds v, both as int residues in [0, p), reduced once
-when they are built. :class:`LinearCode` binds one parameter set to its
+by :meth:`~harmcode.field.FieldConfig.residues` when they are built.
+:class:`LinearCode` binds one parameter set to its
 :class:`~harmcode.sim.Scheme` entry and builds each on first use. The
 scheme modules only supply the coefficients.
 
@@ -110,8 +111,8 @@ class EncodingMatrix:
 
     def __init__(self, field: FieldConfig, K: int, rows: Sequence[Sequence[int]],
                  num_keys: int = 1):
-        width, p = K + num_keys, field.p
-        rows = tuple(tuple([c % p for c in row]) for row in rows)
+        width = K + num_keys
+        rows = tuple(field.residues(row) for row in rows)
         for w, row in enumerate(rows, start=1):
             if len(row) != width:
                 raise DimensionMismatchError(
@@ -169,7 +170,7 @@ class DecodeVector:
 
     def __init__(self, field: FieldConfig, weights: Sequence[int]):
         self.field = field
-        self.weights = tuple([w % field.p for w in weights])
+        self.weights = field.residues(weights)
         self._plan = _compile((self.weights,))
 
     @property

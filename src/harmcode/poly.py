@@ -2,8 +2,9 @@
 
 A map is stored per output coordinate as a tuple of monomials
 (coefficient, exponent vector). Representations are canonical: within one
-output coordinate the exponent vectors are distinct, no zero coefficients
-are stored, and every individual exponent is an int of at most p-1.
+output coordinate the exponent vectors are distinct, every coefficient is
+an int residue in [1, p), and every individual exponent is an int of at
+most p-1.
 Construction also generates one straight-line Python function for the whole
 map, which ``eval`` calls on the input's residues.
 
@@ -24,25 +25,29 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
 )
-from .field import FieldConfig, FieldElement, FieldVector, sample_uniform_vector
+from .field import FieldConfig, FieldVector, sample_uniform_vector
 
 
 class Monomial:
-    """coeff * prod_k x_k**exps[k], with coeff != 0 and int exponents >= 0.
+    """coeff * prod_k x_k**exps[k], with an int coeff != 0 and int exponents >= 0.
 
-    Exponents are stored as exact ints (``operator.index``), so a bool
-    becomes 0 or 1 and a float or an int subclass's overrides never reach
-    the evaluator.
+    The coefficient and the exponents are stored as exact ints
+    (``operator.index``), so a bool becomes 0 or 1 and a float raises
+    TypeError, and an int subclass's overrides never reach the evaluator.
+    The monomial knows no field: :class:`PolyMap` refuses a coefficient
+    outside [1, p), as it refuses an exponent above p-1.
     """
 
     __slots__ = ("coeff", "exps")
 
-    def __init__(self, coeff: FieldElement, exps: Sequence[int]):
+    def __init__(self, coeff: int, exps: Sequence[int]):
         try:
+            coeff = operator.index(coeff)
             exps = tuple(map(operator.index, exps))
         except TypeError:
-            raise TypeError(f"exponents must be ints, got {exps!r}") from None
-        if coeff.value == 0:
+            raise TypeError(
+                f"coefficient and exponents must be ints, got {coeff!r}, {exps!r}") from None
+        if coeff == 0:
             raise ValueError("zero terms are not stored")
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
@@ -89,18 +94,17 @@ def _evaluator(p: int, outputs: tuple) -> Callable[[tuple], tuple]:
     Each monomial is its coefficient times ``x[k]`` for exponent 1 and
     ``pow(x[k], e, p)`` for a larger one, zero exponents dropped; each output
     is its terms summed and reduced once mod p, or 0 when it has none. The
-    source holds only exact ints -- p and coefficients through
-    ``operator.index``, exponents as ``Monomial`` stores them, variable
+    source holds only exact ints -- p through ``operator.index``,
+    coefficients and exponents as ``Monomial`` stores them, variable
     indices from ``enumerate`` -- so no ``__str__`` or ``__format__``
     override can put code into it.
     """
-    index = operator.index
-    p = index(p)
+    p = operator.index(p)
     sums = []
     for coord in outputs:
         terms = []
         for mono in coord:
-            factors = [str(index(mono.coeff.value))]
+            factors = [str(mono.coeff)]
             factors += [f"x[{k}]" if e == 1 else f"pow(x[{k}], {e}, {p})"
                         for k, e in enumerate(mono.exps) if e]
             terms.append(_chained("*", factors))
@@ -142,8 +146,10 @@ class PolyMap:
                 if len(mono.exps) != m:
                     raise DimensionMismatchError(
                         f"exponent vector length {len(mono.exps)} != m={m}")
-                if mono.coeff.field != field:
-                    raise FieldMismatchError("monomial coefficient from another field")
+                if not 0 < mono.coeff <= cap:
+                    raise ValueError(
+                        f"coefficient {mono.coeff} outside [1, p-1={cap}]; "
+                        "not a canonical representation")
                 if any(e > cap for e in mono.exps):
                     raise ValueError(
                         f"exponent above p-1={cap}; not a canonical representation")
@@ -169,8 +175,7 @@ class PolyMap:
             for coeff, exps in raw:
                 exps = tuple(exps)
                 acc[exps] = (acc.get(exps, 0) + coeff) % field.p
-            coord = [Monomial(FieldElement(c, field), e)
-                     for e, c in acc.items() if c != 0]
+            coord = [Monomial(c, e) for e, c in acc.items() if c != 0]
             coord.sort(key=lambda mono: mono.exps)
             outputs.append(coord)
         return cls(field, m, outputs)

@@ -2,11 +2,14 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmcode.baselines import FreshmanParams, LCCParams, ShamirParams
 from harmcode.errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -15,11 +18,13 @@ from harmcode.errors import (
 )
 from harmcode.field import (
     FieldConfig,
-    FieldElement,
     FieldVector,
     _is_prime,
     sample_uniform_vector,
 )
+from harmcode.harmonic import HarmonicParams, select_params
+from harmcode.linear import DecodeVector, EncodingMatrix
+from reference_field import FieldElement, element
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 65537, 2147483647]
 
@@ -67,41 +72,41 @@ def test_config_equality_is_by_modulus():
 
 def test_add_examples():
     f5, f7 = FieldConfig(5), FieldConfig(7)
-    assert (f5.element(3) + f5.element(4)).value == 2
-    assert (f5.element(0) + f5.element(4)).value == 4
-    assert (f7.element(6) + f7.element(6)).value == 5
+    assert (element(f5, 3) + element(f5, 4)).value == 2
+    assert (element(f5, 0) + element(f5, 4)).value == 4
+    assert (element(f7, 6) + element(f7, 6)).value == 5
 
 
 def test_mul_examples():
     f5, f7 = FieldConfig(5), FieldConfig(7)
-    assert (f5.element(4) * f5.element(3)).value == 2
+    assert (element(f5, 4) * element(f5, 3)).value == 2
     for x in range(5):
-        assert (f5.one() * f5.element(x)).value == x
-    assert (f7.element(3) * f7.element(5)).value == 1
+        assert (element(f5, 1) * element(f5, x)).value == x
+    assert (element(f7, 3) * element(f7, 5)).value == 1
 
 
 def test_inv_examples():
     f5, f11 = FieldConfig(5), FieldConfig(11)
-    assert f5.element(3).inv().value == 2
-    assert f5.element(4).inv().value == 4
-    assert f11.element(7).inv().value == 8  # 7*8 = 56 = 1 mod 11
+    assert element(f5, 3).inv().value == 2
+    assert element(f5, 4).inv().value == 4
+    assert element(f11, 7).inv().value == 8  # 7*8 = 56 = 1 mod 11
     with pytest.raises(ZeroInversionError):
-        f5.zero().inv()
+        element(f5, 0).inv()
 
 
 def test_pow_examples():
     f5, f3 = FieldConfig(5), FieldConfig(3)
-    assert (f5.element(2) ** 3).value == 3
+    assert (element(f5, 2) ** 3).value == 3
     for x in range(5):
-        assert (f5.element(x) ** 0).value == 1  # 0**0 == 1 by convention
-    assert (f3.element(2) ** 3).value == 2
+        assert (element(f5, x) ** 0).value == 1  # 0**0 == 1 by convention
+    assert (element(f3, 2) ** 3).value == 2
     with pytest.raises(ValueError):
-        f5.element(2) ** -1
+        element(f5, 2) ** -1
 
 
 def test_mismatched_fields_rejected():
-    a = FieldConfig(5).element(1)
-    b = FieldConfig(7).element(1)
+    a = element(FieldConfig(5), 1)
+    b = element(FieldConfig(7), 1)
     for op in [lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b]:
         with pytest.raises(FieldMismatchError):
             op()
@@ -113,6 +118,8 @@ def test_element_range_enforced():
         FieldElement(5, f5)
     with pytest.raises(ValueError):
         FieldElement(-1, f5)
+    with pytest.raises(TypeError):
+        FieldElement(2.5, f5)
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,24 +131,24 @@ def test_element_range_enforced():
 )
 def test_field_axioms(p, xs):
     field = FieldConfig(p)
-    a, b, c = (field.element(x) for x in xs)
+    a, b, c = (element(field, x) for x in xs)
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    assert a + (-a) == field.zero()
+    assert a + (-a) == element(field, 0)
     if a.value != 0:
-        assert a * a.inv() == field.one()
+        assert a * a.inv() == element(field, 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from(PRIMES), x=st.integers(min_value=1, max_value=2**40))
 def test_fermat(p, x):
     field = FieldConfig(p)
-    a = field.element(x)
+    a = element(field, x)
     if a.value != 0:
-        assert (a ** (p - 1)) == field.one()
+        assert (a ** (p - 1)) == element(field, 1)
 
 
 def test_vector_ops_and_errors():
@@ -150,13 +157,14 @@ def test_vector_ops_and_errors():
     v = f5.vector([4, 4, 4])
     assert (u + v).values() == (0, 1, 2)
     assert (u - v).values() == (2, 3, 4)
-    assert u.scale(f5.element(2)).values() == (2, 4, 1)
     with pytest.raises(DimensionMismatchError):
         u + f5.vector([1, 2])
     with pytest.raises(FieldMismatchError):
         u + FieldConfig(7).vector([1, 2, 3])
     with pytest.raises(DimensionMismatchError):
-        FieldVector(())
+        f5.vector(())
+    with pytest.raises(TypeError):
+        FieldVector([1, 2, 3])  # vectors are built by FieldConfig.vector
 
 
 def test_sampling_range_and_determinism():
@@ -216,9 +224,8 @@ def test_vector_kernels_match_elementwise_arithmetic(p):
         xs, ys = _random_ints(rng, p, dim), _random_ints(rng, p, dim)
         ex = [FieldElement(x, field) for x in xs]
         ey = [FieldElement(y, field) for y in ys]
-        u, v = FieldVector(ex), FieldVector(ey)
-        assert u == field.vector(xs) and v == field.vector(ys)
-        a = field.element(rng.randrange(p))
+        u, v = field.vector(xs), field.vector(ys)
+        a = element(field, rng.randrange(p))
         want = {
             "add": [x + y for x, y in zip(ex, ey)],
             "sub": [x - y for x, y in zip(ex, ey)],
@@ -227,31 +234,15 @@ def test_vector_kernels_match_elementwise_arithmetic(p):
         got = {
             "add": u + v,
             "sub": u - v,
-            "scale": u.scale(a),
+            "scale": field.vector([a.value * x for x in xs]),
         }
         for op, vec in got.items():
             assert vec.values() == tuple(e.value for e in want[op]), op
-            assert vec == FieldVector(want[op]), op
             assert vec.field == field
 
 
-def test_vector_coordinates_are_field_elements():
+def test_vector_reduces_coordinates_and_refuses_empty():
     f13 = FieldConfig(13)
-    built = [
-        f13.vector([3, 25, -1]),
-        FieldVector([f13.element(3), f13.element(12), f13.element(12)]) - f13.vector([0, 0, 1]),
-        sample_uniform_vector(random.Random(5), f13, 3),
-        f13.zero_vector(3),
-    ]
-    for v in built:
-        for coords in (v.elements, tuple(v), tuple(v[i] for i in range(v.dim))):
-            assert len(coords) == v.dim
-            assert all(isinstance(e, FieldElement) and e.field == f13 for e in coords)
-            assert tuple(e.value for e in coords) == v.values()
-        assert v[-1] == v.elements[-1]
-        assert v[1:] == v.elements[1:]
-        with pytest.raises(IndexError):
-            v[v.dim]
     assert f13.vector([3, 25, -1]).values() == (3, 12, 12)
     assert f13.zero_vector(3).values() == (0, 0, 0)
     with pytest.raises(DimensionMismatchError):
@@ -260,12 +251,52 @@ def test_vector_coordinates_are_field_elements():
         f13.zero_vector(0)
 
 
-def test_indexing_does_not_build_every_element(monkeypatch):
-    v = FieldConfig(7).vector(range(1000))
+F11 = FieldConfig(11)
 
-    def boom(self):
-        raise AssertionError("indexing built the whole element tuple")
 
-    monkeypatch.setattr(FieldVector, "elements", property(boom))
-    assert v[500].value == 500 % 7
-    assert v[-1].value == 999 % 7
+class _Int(int):
+    """An int subclass, which every residue site must store as a plain int."""
+
+
+# Every constructor that takes caller-supplied integers, each reducing them
+# through FieldConfig.residues: (build with value v in one slot, read that slot).
+RESIDUE_SITES = {
+    "residues": (lambda v: F11.residues([3, v]), lambda r: r[1]),
+    "vector": (lambda v: F11.vector([3, v]), lambda x: x.values()[1]),
+    "EncodingMatrix": (lambda v: EncodingMatrix(F11, 1, [[v, 1]]), lambda e: e.rows[0][0]),
+    "DecodeVector": (lambda v: DecodeVector(F11, [2, v]), lambda dv: dv.weights[1]),
+    "HarmonicParams.c": (lambda v: HarmonicParams(F11, 2, 2, v, [2]), lambda h: h.c),
+    "HarmonicParams.betas": (lambda v: HarmonicParams(F11, 2, 2, 4, [v]),
+                             lambda h: h.betas[0]),
+    "select_params.c": (lambda v: select_params(F11, 2, 2, c=v), lambda h: h.c),
+    "ShamirParams.thetas": (lambda v: ShamirParams(F11, 1, 1, [3, v]),
+                            lambda sp: sp.thetas[1]),
+    "LCCParams.alphas": (lambda v: LCCParams(F11, 1, 1, [3, v], [5, 6]),
+                         lambda lp: lp.alphas[1]),
+    "LCCParams.gammas": (lambda v: LCCParams(F11, 1, 1, [3, 4], [5, v]),
+                         lambda lp: lp.gammas[1]),
+    "FreshmanParams.matrix": (lambda v: FreshmanParams(F11, 1, 1, 1, [[v]]),
+                              lambda fp: fp.matrix[0][0]),
+}
+
+
+@pytest.mark.parametrize("bad", [4.0, 1.5, Fraction(4), Decimal(4)], ids=repr)
+@pytest.mark.parametrize("site", RESIDUE_SITES)
+def test_residue_sites_refuse_non_integers(site, bad):
+    build, _ = RESIDUE_SITES[site]
+    with pytest.raises(TypeError):
+        build(bad)
+
+
+@pytest.mark.parametrize("site", RESIDUE_SITES)
+def test_residue_sites_store_exact_ints(site):
+    build, read = RESIDUE_SITES[site]
+    # c = 1 collides with 0..K for every K, so select_params refuses c=True
+    # as a parameter; the other sites take True as the residue 1
+    values = [(_Int(15), 15), (_Int(-7), -7)]
+    if site != "select_params.c":
+        values.append((True, 1))
+    for value, plain in values:
+        got = read(build(value))
+        assert type(got) is int
+        assert got == read(build(plain)) == plain % 11

@@ -46,9 +46,15 @@ def test_task_roundtrip(tmp_path):
     g = PolyMap.from_terms(F5, 2, [[(2, (1, 1)), (1, (0, 1))], [(3, (2, 0))]])
     path = tmp_path / "task.json"
     write_task(path, g)
+    assert json.loads(path.read_text())["g"] == [
+        [{"coeff": 1, "exps": [0, 1]}, {"coeff": 2, "exps": [1, 1]}],
+        [{"coeff": 3, "exps": [2, 0]}]]
     field, loaded = load_task(path)
     assert field == F5
     assert loaded == g
+    again = tmp_path / "again.json"
+    write_task(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_dataset_roundtrip(tmp_path):

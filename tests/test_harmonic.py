@@ -42,6 +42,7 @@ from harmcode.poly import (
     random_dataset,
     random_poly,
 )
+from reference_field import element, scale
 
 F5 = FieldConfig(5)
 
@@ -381,16 +382,16 @@ def reference_group_coeffs(params, j):
     """group_coeffs' formulas in FieldElement arithmetic, one guarded
     inversion at a time: (weights, A_j, B_j) as residues."""
     field = params.field
-    c = field.element(params.c)
-    betas = [field.element(b) for b in params.betas]
+    c = element(field, params.c)
+    betas = [element(field, b) for b in params.betas]
 
     def inv(x):
         if x.value == 0:
             raise ParameterCorruptionError("zero denominator")
         return x.inv()
 
-    cj1 = field.element(c.value - j + 1)
-    cj = field.element(c.value - j)
+    cj1 = element(field, c.value - j + 1)
+    cj = element(field, c.value - j)
     a, b = cj1, cj
     for beta in betas:
         a = a * (beta * cj1) * inv(beta * cj1 - c)
@@ -399,7 +400,7 @@ def reference_group_coeffs(params, j):
     weights = []
     for i, beta in enumerate(betas):
         q = beta * cj1 * inv(c)
-        w = r * inv((field.one() - q) * (r - q))
+        w = r * inv((element(field, 1) - q) * (r - q))
         for i2, other in enumerate(betas):
             if i2 != i:
                 w = w * other * inv(other - beta)
@@ -470,9 +471,8 @@ def test_decode_linearity():
     assert decode(params, zeros) == field.zero_vector(2)
     rng = random.Random(8)
     outputs = [sample_uniform_vector(rng, field, 2) for _ in range(params.N)]
-    s = field.element(3)
-    scaled = [o.scale(s) for o in outputs]
-    assert decode(params, scaled) == decode(params, outputs).scale(s)
+    scaled = [field.vector([3 * v for v in o.values()]) for o in outputs]
+    assert decode(params, scaled) == scale(decode(params, outputs), element(field, 3))
 
 
 def test_decode_wrong_count_or_dim():

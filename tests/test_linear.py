@@ -13,6 +13,7 @@ from harmcode.harmonic import select_params
 from harmcode.linear import DecodeVector, EncodingMatrix, LinearCode, _layout, _residues
 from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
 from harmcode.sim import SCHEMES, ClearStorageScheme, make_handle
+from reference_field import FieldElement, element, vector
 
 # scheme -> (params builder, module encode taking the key list, module decode)
 MODULE = {
@@ -198,11 +199,11 @@ def reference_apply(field, rows, columns):
     for row in rows:
         coords = []
         for i in range(columns[0].dim):
-            acc = field.zero()
+            acc = element(field, 0)
             for e, column in zip(row, columns):
-                acc = acc + field.element(e) * column[i]
+                acc = acc + element(field, e) * FieldElement(column.values()[i], field)
             coords.append(acc)
-        out.append(FieldVector(coords))
+        out.append(vector(field, coords))
     return out
 
 

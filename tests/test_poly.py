@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from harmcode.errors import (
     DimensionMismatchError,
     FieldMismatchError,
 )
-from harmcode.field import FieldConfig, FieldElement, FieldVector, sample_uniform_vector
+from harmcode.field import FieldConfig, sample_uniform_vector
 from harmcode.poly import (
     Dataset,
     Monomial,
@@ -25,6 +26,7 @@ from harmcode.poly import (
     random_dataset,
     random_poly,
 )
+from reference_field import FieldElement, element, elements, scale, vector
 
 F5 = FieldConfig(5)
 F7 = FieldConfig(7)
@@ -46,16 +48,17 @@ def test_eval_examples():
 def dense_eval(g, x):
     """Reference evaluator: FieldElement arithmetic over every exponent of
     every monomial, zero exponents included (x**0 == 1, also for x = 0)."""
+    xs = elements(x)
     out = []
     for coord in g.outputs:
-        acc = g.field.zero()
+        acc = element(g.field, 0)
         for mono in coord:
-            term = mono.coeff
-            for xe, e in zip(x.elements, mono.exps):
+            term = FieldElement(mono.coeff, g.field)
+            for xe, e in zip(xs, mono.exps):
                 term = term * xe ** e
             acc = acc + term
         out.append(acc)
-    return FieldVector(out)
+    return vector(g.field, out)
 
 
 def _sparse_map(rng, field, m, n):
@@ -161,15 +164,15 @@ def test_eval_monomial_over_three_thousand_variables():
 
 def test_monomial_refuses_non_integer_exponents():
     with pytest.raises(TypeError):
-        Monomial(F5.element(2), (1.5,))
+        Monomial(2, (1.5,))
     with pytest.raises(TypeError):
-        Monomial(F5.element(2), (1, 2.0))
+        Monomial(2, (1, 2.0))
     with pytest.raises(TypeError):
         PolyMap.from_terms(F5, 1, [[(1, (1.5,))]])
 
 
 def test_monomial_int_exponents_behave_as_before():
-    mono = Monomial(F5.element(2), (True, 2, False))
+    mono = Monomial(2, (True, 2, False))
     assert mono.exps == (1, 2, 0)
     assert all(type(e) is int for e in mono.exps)
     assert mono.degree == 3
@@ -180,6 +183,23 @@ def test_monomial_int_exponents_behave_as_before():
     for x in itertools.product(range(5), repeat=3):
         x = F5.vector(x)
         assert flagged.eval(x) == plain.eval(x) == dense_eval(plain, x)
+
+
+def test_monomial_coefficients_are_exact_int_residues():
+    for coeff, want in [(3, 3), (True, 1), (_Sneaky(4), 4)]:
+        mono = Monomial(coeff, (1,))
+        assert type(mono.coeff) is int and mono.coeff == want
+        assert PolyMap(F5, 1, [[mono]]) == PolyMap.from_terms(F5, 1, [[(want, (1,))]])
+    with pytest.raises(ValueError):
+        Monomial(0, (1,))
+    for coeff in (5, 7, -1, -4):  # outside [1, p) for p = 5
+        with pytest.raises(ValueError):
+            PolyMap(F5, 1, [[Monomial(coeff, (1,))]])
+    for coeff in (2.0, 2.5, Fraction(2)):
+        with pytest.raises(TypeError):
+            Monomial(coeff, (1,))
+        with pytest.raises(TypeError):
+            PolyMap.from_terms(F5, 1, [[(coeff, (1,))]])
 
 
 class _Sneaky(int):
@@ -197,8 +217,8 @@ class _Sneaky(int):
 def test_generated_source_uses_exact_ints_only():
     field = FieldConfig(_Sneaky(7))
     sneaky = PolyMap(field, 2, [[
-        Monomial(FieldElement(_Sneaky(3), field), (_Sneaky(2), 1)),
-        Monomial(FieldElement(_Sneaky(5), field), (0, _Sneaky(3))),
+        Monomial(_Sneaky(3), (_Sneaky(2), 1)),
+        Monomial(_Sneaky(5), (0, _Sneaky(3))),
     ]])
     plain = PolyMap.from_terms(F7, 2, [[(3, (2, 1)), (5, (0, 3))]])
     for a, b in itertools.product(range(7), repeat=2):
@@ -261,12 +281,12 @@ def test_total_degree_matrix_quadratic_form():
 
 def test_canonical_form_enforced():
     with pytest.raises(ValueError):
-        PolyMap(F5, 1, [[Monomial(F5.element(1), (5,))]])  # exponent > p-1
+        PolyMap(F5, 1, [[Monomial(1, (5,))]])  # exponent > p-1
     with pytest.raises(ValueError):
-        Monomial(F5.element(0), (1,))  # zero term
+        Monomial(0, (1,))  # zero term
     with pytest.raises(ValueError):
-        PolyMap(F5, 1, [[Monomial(F5.element(1), (1,)),
-                         Monomial(F5.element(2), (1,))]])  # unmerged duplicates
+        PolyMap(F5, 1, [[Monomial(1, (1,)),
+                         Monomial(2, (1,))]])  # unmerged duplicates
 
 
 def test_from_terms_merges_and_drops():
@@ -334,8 +354,8 @@ def test_eval_linear_in_coefficients():
     for _ in range(20):
         g1 = random_poly(rng, F7, 2, 1, 3)
         g2 = random_poly(rng, F7, 2, 1, 2)
-        terms1 = [(m.coeff.value, m.exps) for m in g1.outputs[0]]
-        terms2 = [(m.coeff.value, m.exps) for m in g2.outputs[0]]
+        terms1 = [(m.coeff, m.exps) for m in g1.outputs[0]]
+        terms2 = [(m.coeff, m.exps) for m in g2.outputs[0]]
         g_sum = PolyMap.from_terms(F7, 2, [terms1 + terms2])
         x = sample_uniform_vector(rng, F7, 2)
         assert g_sum.eval(x) == g1.eval(x) + g2.eval(x)
@@ -399,16 +419,16 @@ def test_multilinearize_block_linearity_every_slot():
         blocks = [sample_uniform_vector(rng, F7, 2) for _ in range(3)]
         u = sample_uniform_vector(rng, F7, 2)
         v = sample_uniform_vector(rng, F7, 2)
-        a = F7.element(rng.randrange(7))
-        b = F7.element(rng.randrange(7))
+        a = element(F7, rng.randrange(7))
+        b = element(F7, rng.randrange(7))
         for slot in range(3):
             left = list(blocks)
-            left[slot] = u.scale(a) + v.scale(b)
+            left[slot] = scale(u, a) + scale(v, b)
             with_u = list(blocks)
             with_u[slot] = u
             with_v = list(blocks)
             with_v[slot] = v
-            assert ml(left) == ml(with_u).scale(a) + ml(with_v).scale(b)
+            assert ml(left) == scale(ml(with_u), a) + scale(ml(with_v), b)
 
 
 def test_multilinearize_nonzero_when_char_exceeds_degree():
