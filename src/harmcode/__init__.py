@@ -44,7 +44,6 @@ from .harmonic import (
     GroupCoeffs,
     HarmonicParams,
     WorkerLayout,
-    decode,
     decode_vector,
     encode,
     encoding_matrix,
@@ -58,11 +57,8 @@ from .baselines import (
     LCCParams,
     ShamirParams,
     freshman_apply,
-    freshman_decode,
     freshman_decode_vector,
-    freshman_encode,
     freshman_encoding_matrix,
-    freshman_oracle,
     lcc_decode,
     lcc_decode_vector,
     lcc_encode,

@@ -2,7 +2,12 @@
 
 Each is a linear code (see :mod:`harmcode.linear`); this module holds
 their parameters and the builders of their encoding matrices and decode
-vectors, and the encode/decode functions delegate to those.
+vectors. Shamir and LCC take their weights from the shared Lagrange
+routine, :func:`harmcode.linear._lagrange_rows`, and their module
+encode/decode functions delegate to the builders. The freshman scheme has
+no module encode or decode: a handle (:func:`harmcode.sim.make_handle`)
+encodes and decodes it, and :func:`freshman_apply`, its worker function,
+checks the data width.
 
 * Shamir-style MPC: every input is masked separately (X_k + Z_k * theta),
   each of the d+1 share points gets one worker per input, and each
@@ -26,41 +31,8 @@ from .errors import (
     InvalidParamsError,
 )
 from .field import FieldConfig, FieldVector
-from .linear import DecodeVector, EncodingMatrix
+from .linear import DecodeVector, EncodingMatrix, _lagrange_rows
 from .poly import Dataset
-
-
-def _lagrange_rows(points: Sequence[int], ats: Sequence[int], p: int) -> list[list[int]]:
-    """Row r is [L_k(ats[r]) for every node k] as residues, L_k the Lagrange
-    basis over the distinct `points`.
-
-    Barycentric form (Berrut & Trefethen, SIAM Rev. 2004): with the weights
-    w_k = 1 / prod_{j != k} (x_k - x_j), computed once,
-
-        L_k(at) = prod_j (at - x_j) * w_k / (at - x_k),
-
-    so the rows cost O(n (n + len(ats))) for n points. At a node the row is
-    that node's unit vector.
-    """
-    weights = []
-    for k, xk in enumerate(points):
-        den = 1
-        for j, xj in enumerate(points):
-            if j != k:
-                den = den * (xk - xj) % p
-        weights.append(pow(den, -1, p))
-    rows = []
-    for at in ats:
-        diffs = [(at - x) % p for x in points]
-        if 0 in diffs:
-            hit = diffs.index(0)
-            rows.append([int(k == hit) for k in range(len(points))])
-            continue
-        ell = 1
-        for dx in diffs:
-            ell = ell * dx % p
-        rows.append([ell * w * pow(dx, -1, p) % p for w, dx in zip(weights, diffs)])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +275,6 @@ def freshman_decode_vector(params: FreshmanParams) -> DecodeVector:
     return DecodeVector(params.field, [-1, 1])
 
 
-def freshman_encode(params: FreshmanParams, data: Dataset,
-                    z: FieldVector) -> list[FieldVector]:
-    """Two shares: Z and Z + X_1 + ... + X_K."""
-    if data.m != params.m or z.dim != params.m:
-        raise DimensionMismatchError(
-            f"expected dimension {params.m}, got data {data.m} / key {z.dim}")
-    return freshman_encoding_matrix(params).apply(data, z)
-
-
 def freshman_apply(params: FreshmanParams, x: FieldVector) -> FieldVector:
     """The scheme's own worker function: A applied to coordinatewise d-th powers."""
     if x.dim != params.m:
@@ -322,17 +285,3 @@ def freshman_apply(params: FreshmanParams, x: FieldVector) -> FieldVector:
     for row in params.matrix:
         out.append(sum(e * v for e, v in zip(row, powers)) % p)
     return params.field.vector(out)
-
-
-def freshman_oracle(params: FreshmanParams, data: Dataset) -> FieldVector:
-    """Brute-force sum of freshman_apply over the dataset items."""
-    acc = freshman_apply(params, data.items[0])
-    for item in data.items[1:]:
-        acc = acc + freshman_apply(params, item)
-    return acc
-
-
-def freshman_decode(params: FreshmanParams,
-                    outputs: Sequence[FieldVector]) -> FieldVector:
-    """g(Z + sum X_k) - g(Z), exact because d-th powers add in characteristic d."""
-    return freshman_decode_vector(params).apply(outputs)

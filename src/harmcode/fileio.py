@@ -195,16 +195,6 @@ def _read_header(doc: dict):
     return scheme, field, K, d, points
 
 
-def params_from_json(doc: dict, m: int = 1):
-    """Rebuild scheme parameters from a shares-file header.
-
-    ``m``, the share width, only sizes the freshman scheme's placeholder
-    output matrix: its header stores no matrix, which coding never reads.
-    """
-    scheme, field, K, d, points = _read_header(doc)
-    return scheme.params(field, K, d, m, **points)
-
-
 def write_shares(path, params, shares: Sequence[FieldVector]) -> None:
     doc = params_to_json(params)
     doc["shares"] = [list(s.values()) for s in shares]
@@ -257,6 +247,6 @@ def load_decoded(path, field: FieldConfig) -> FieldVector:
 
 __all__ = [
     "load_task", "write_task", "load_dataset", "write_dataset",
-    "params_to_json", "params_from_json", "write_shares", "load_shares",
+    "params_to_json", "write_shares", "load_shares",
     "write_outputs", "load_outputs", "write_decoded", "load_decoded",
 ]

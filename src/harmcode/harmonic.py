@@ -25,9 +25,12 @@ at 0 yields
 
     Q_j = sum_i w_ij g(share(i,j)) = g(X_j) - A_j g(P_{j-1}) + B_j g(P_j)
 
-and the progression forces A_{j+1} = B_j, so summing the Q_j telescopes:
-everything cancels except sum_j g(X_j), A_1 g(P_0), and B_K g(P_K), and
-the head and tail workers supply those last two directly.
+where w_ij, A_j and -B_j are the Lagrange weights at 0 over those d+1
+points, made by the routine that makes Shamir's and LCC's weights,
+:func:`harmcode.linear._lagrange_rows`. The progression forces
+A_{j+1} = B_j, so summing the Q_j telescopes: everything cancels except
+sum_j g(X_j), A_1 g(P_0), and B_K g(P_K), and the head and tail workers
+supply those last two directly.
 
 The recursive encoder (:func:`encoder`) turns a_j, b_j and q_ij into int
 residues once per parameter set -- once per handle, for a
@@ -53,7 +56,7 @@ from .errors import (
     ZeroInversionError,
 )
 from .field import FieldConfig, FieldVector
-from .linear import DecodeVector, EncodingMatrix, _layout, _pack, _residues
+from .linear import DecodeVector, EncodingMatrix, _lagrange_rows, _layout, _pack, _residues
 from .poly import Dataset
 
 
@@ -146,10 +149,6 @@ class HarmonicParams:
     @property
     def N(self) -> int:
         return self.K * (self.d - 1) + 2
-
-    @property
-    def layout(self) -> WorkerLayout:
-        return WorkerLayout(self.K, self.d)
 
     def __eq__(self, other):
         return (
@@ -349,13 +348,6 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
     return encoder(params)(data, z, stats)
 
 
-def _guarded_inv(x: int, p: int) -> int:
-    if x % p == 0:
-        raise ParameterCorruptionError(
-            "zero denominator in decode coefficients; parameters fail validate_params")
-    return pow(x, -1, p)
-
-
 @dataclass(frozen=True)
 class GroupCoeffs:
     """Combining a group's outputs with `weights` yields
@@ -366,39 +358,38 @@ class GroupCoeffs:
     b: int
 
 
-def group_coeffs(params: HarmonicParams, j: int) -> GroupCoeffs:
-    """Interpolation weights for group j and the chain coefficients A_j, B_j.
+def _group_row(params: HarmonicParams, j: int) -> list[int]:
+    """Group j's Lagrange weights at 0 over its d+1 points on the line
+    t -> (1-t) X_j + t P_{j-1}: q_1j..q_(d-1)j, 1 and r = (c-j+1)/(c-j).
 
-        A_j = (c-j+1) prod_i beta_i (c-j+1) / (beta_i (c-j+1) - c)
-        B_j = (c-j)   prod_i beta_i (c-j)   / (beta_i (c-j)   - c)
-        w_ij = [r / ((1 - q_ij)(r - q_ij))] * prod_{i' != i} beta_i' / (beta_i' - beta_i)
-
-    with q_ij = beta_i (c-j+1)/c and r = (c-j+1)/(c-j). For d = 1 the
-    group is empty and both products collapse to 1. Every inversion is
-    guarded: valid parameters can never hit a zero denominator, so one
-    signals corruption.
+    The weights at 0 do not change when every point is multiplied by the
+    same nonzero factor, so the points are taken times c(c-j) --
+    beta_i (c-j+1)(c-j), c(c-j) and c(c-j+1) -- and placing them needs no
+    inversion. ParameterCorruptionError when that factor is zero (c is 0
+    or j, so a c among 0..K hits some group) or two points coincide (a beta
+    of c/(c-j+1) or c/(c-j), or two equal betas), which validate_params
+    rules out.
     """
+    p, c = params.field.p, params.c
+    if c * (c - j) % p == 0:
+        raise ParameterCorruptionError(
+            f"c={c} puts a zero among c and c-{j} mod {p}; parameters fail validate_params")
+    s = (c - j + 1) * (c - j)
+    points = [beta * s % p for beta in params.betas]
+    points += (c * (c - j) % p, c * (c - j + 1) % p)
+    [row] = _lagrange_rows(points, (0,), p)
+    return row
+
+
+def group_coeffs(params: HarmonicParams, j: int) -> GroupCoeffs:
+    """Interpolation weights for group j and the chain coefficients A_j, B_j:
+    group j's Lagrange row (:func:`_group_row`) is (weights, A_j, -B_j), as
+    g(X_j) = sum_i w_ij g(share(i,j)) + A_j g(P_{j-1}) - B_j g(P_j). For
+    d = 1 the group is empty."""
     if not 1 <= j <= params.K:
         raise IndexError(f"group index j={j} outside [1, {params.K}]")
-    p, c, betas = params.field.p, params.c, params.betas
-    cj1, cj = (c - j + 1) % p, (c - j) % p
-
-    a, b = cj1, cj
-    for beta in betas:
-        a = a * beta * cj1 * _guarded_inv(beta * cj1 - c, p) % p
-        b = b * beta * cj * _guarded_inv(beta * cj - c, p) % p
-
-    c_inv = _guarded_inv(c, p)
-    r = cj1 * _guarded_inv(cj, p) % p
-    weights = []
-    for i, beta in enumerate(betas):
-        q = beta * cj1 * c_inv % p
-        w = r * _guarded_inv((1 - q) * (r - q), p) % p
-        for i2, other in enumerate(betas):
-            if i2 != i:
-                w = w * other * _guarded_inv(other - beta, p) % p
-        weights.append(w)
-    return GroupCoeffs(tuple(weights), a, b)
+    row = _group_row(params, j)
+    return GroupCoeffs(tuple(row[:-2]), row[-2], -row[-1] % params.field.p)
 
 
 def decode_vector(params: HarmonicParams) -> DecodeVector:
@@ -409,14 +400,9 @@ def decode_vector(params: HarmonicParams) -> DecodeVector:
     output and -B_K times the tail output leaves exactly the gradient sum.
     For d = 1 this degenerates to (c, -(c-K)).
     """
-    groups = [group_coeffs(params, j) for j in range(1, params.K + 1)]
-    weights = [groups[0].a]
-    for group in groups:
-        weights.extend(group.weights)
-    weights.append(-groups[-1].b)
+    rows = [_group_row(params, j) for j in range(1, params.K + 1)]
+    weights = [rows[0][-2]]
+    for row in rows:
+        weights += row[:-2]
+    weights.append(rows[-1][-1])
     return DecodeVector(params.field, weights)
-
-
-def decode(params: HarmonicParams, outputs: Sequence[FieldVector]) -> FieldVector:
-    """Recover g(X_1)+...+g(X_K) from the N worker outputs."""
-    return decode_vector(params).apply(outputs)

@@ -24,15 +24,25 @@ sum times mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow
 crosses a slot at any row length or modulus. The decode vector is the
 one-row case, with the worker outputs as its columns. The harmonic chain
 encoder runs on the same layout.
+
+Every scheme's coefficients that come from interpolation -- LCC's matrix
+and decode vector, Shamir's decode weights and harmonic's group weights --
+come from one routine, :func:`_lagrange_rows`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatchError, FieldMismatchError, InvalidParamsError
+from .errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    InvalidParamsError,
+    ParameterCorruptionError,
+)
 from .field import FieldConfig, FieldVector
 from .poly import Dataset
 
@@ -50,15 +60,17 @@ def _layout(m: int, p: int, terms: int) -> tuple:
       v * mu >> s leaves each slot's quotient; ones holds 1 and bias
       2^bit - p in every slot;
     - the Struct ``slots`` packs a residue into each slot's low 8 bytes,
-      zeros above it.
+      zeros above it; 8-byte slots are spelled as one count code, because
+      CPython keeps about 32 bytes per code of a format.
     """
     s = (terms * (p - 1) ** 2).bit_length()
     mu = (1 << s) // p
     bit = p.bit_length()
     width = max(8, -(-max((mu << s).bit_length(), bit + 1) // 8))
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * m, "little")
+    fmt = f"<{m}Q" if width == 8 else "<" + ("Q" + "x" * (width - 8)) * m
     return (s, mu, ones * ((1 << (8 * width - s)) - 1), ones, ones * ((1 << bit) - p), bit,
-            struct.Struct("<" + ("Q" + "x" * (width - 8)) * m))
+            struct.Struct(fmt))
 
 
 def _pack(layout: tuple, values: Sequence[int]) -> int:
@@ -97,6 +109,39 @@ def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tup
     layout = _layout(m, p, most)
     packed = {k: _pack(layout, cols[k]) for k in columns}
     return _residues([sum([c * packed[k] for k, c in row]) for row in terms], layout, p)
+
+
+def _lagrange_rows(points: Sequence[int], ats: Sequence[int], p: int) -> list[list[int]]:
+    """Row r is [L_k(ats[r]) for every node k] as residues, L_k the Lagrange
+    basis over ``points``; points and ats are residues.
+    ParameterCorruptionError when two points coincide, which every scheme's
+    valid parameters rule out.
+
+    Barycentric form (Berrut & Trefethen, SIAM Rev. 2004): with
+    den_k = prod_{j != k} (x_k - x_j) and ell = prod_j (at - x_j),
+
+        L_k(at) = (ell / (at - x_k)) / den_k,
+
+    where ell / (at - x_k) is an exact integer division. The 1 / den_k are
+    (D / den_k) / D with D = prod_k den_k, so a call makes one modular
+    inversion. At a node the row is that node's unit vector.
+    """
+    if len(set(points)) != len(points):
+        raise ParameterCorruptionError(
+            f"interpolation points {list(points)} coincide; the parameters are invalid")
+    dens = [math.prod([xk - xj for xj in points if xj != xk]) % p for xk in points]
+    total = math.prod(dens)
+    inv = pow(total, -1, p)
+    weights = [total // den * inv % p for den in dens]
+    rows = []
+    for at in ats:
+        diffs = [at - x for x in points]
+        if 0 in diffs:
+            rows.append([int(dx == 0) for dx in diffs])
+            continue
+        ell = math.prod(diffs)
+        rows.append([ell // dx * w % p for w, dx in zip(weights, diffs)])
+    return rows
 
 
 class EncodingMatrix:

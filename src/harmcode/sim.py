@@ -188,56 +188,27 @@ def make_handle(params) -> LinearCode:
     return LinearCode(scheme_of(params), params)
 
 
-class ClearStorageScheme:
-    """Fault-injection wrapper: one worker stores X_1 in the clear.
+class ClearStorageScheme(LinearCode):
+    """Fault-injection handle: ``inner``'s linear code, except that worker
+    ``leak_worker`` stores X_1 in the clear.
 
     Exists to prove the auditor rejects leaky schemes; never use outside
-    tests and the audit tooling. It wraps a LinearCode instead of being
-    one because its leaking row has no key coefficient, which
-    EncodingMatrix refuses.
+    tests and the audit tooling. Only ``encode`` differs from ``inner``:
+    the leaking row has no key coefficient, which EncodingMatrix refuses,
+    so ``matrix`` is still the inner code's.
     """
 
-    def __init__(self, inner, leak_worker: int = 0):
+    def __init__(self, inner: LinearCode, leak_worker: int = 0):
         if not 0 <= leak_worker < inner.worker_count:
             raise IndexError(f"leak worker {leak_worker} outside [0, {inner.worker_count})")
-        self.inner = inner
+        super().__init__(inner.scheme, inner.params)
+        self.kind = f"leaky-{inner.kind}"
         self.leak_worker = leak_worker
 
-    @property
-    def kind(self) -> str:
-        return f"leaky-{self.inner.kind}"
-
-    @property
-    def num_keys(self) -> int:
-        return self.inner.num_keys
-
-    @property
-    def field(self) -> FieldConfig:
-        return self.inner.field
-
-    @property
-    def K(self) -> int:
-        return self.inner.K
-
-    @property
-    def d(self) -> int:
-        return self.inner.d
-
-    @property
-    def worker_count(self) -> int:
-        return self.inner.worker_count
-
-    @property
-    def worker_fn(self):
-        return self.inner.worker_fn
-
     def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        shares = self.inner.encode(data, keys)
+        shares = super().encode(data, keys)
         shares[self.leak_worker] = data.items[0]
         return shares
-
-    def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:
-        return self.inner.decode(outputs)
 
 
 # ---------------------------------------------------------------------------

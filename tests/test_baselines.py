@@ -1,6 +1,8 @@
 """Shamir-MPC, LCC, and freshman schemes: construction, validity, counts."""
 
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -16,9 +18,6 @@ from harmcode.baselines import (
     LCCParams,
     ShamirParams,
     freshman_apply,
-    freshman_decode,
-    freshman_encode,
-    freshman_oracle,
     lcc_decode,
     lcc_decode_vector,
     lcc_encode,
@@ -30,6 +29,7 @@ from harmcode.baselines import (
 )
 from harmcode.field import FieldConfig, sample_uniform_vector
 from harmcode.poly import Dataset, PolyMap, direct_gradient_sum, random_dataset, random_poly
+from harmcode.sim import make_handle, run_trial
 from reference_field import element
 
 
@@ -288,16 +288,22 @@ def test_lcc_decode_matches_oracle():
 # freshman
 
 
+def freshman_sum(params, data):
+    """The freshman oracle: freshman_apply summed over the dataset items."""
+    return functools.reduce(operator.add, [freshman_apply(params, x) for x in data.items])
+
+
 def test_freshman_hand_example_p3():
     field = FieldConfig(3)
     params = FreshmanParams(field, 2, 1, 1, [[1]])
     data = Dataset([field.vector([1]), field.vector([2])])
     z = field.vector([1])
-    shares = freshman_encode(params, data, z)
+    handle = make_handle(params)
+    shares = handle.encode(data, [z])
     assert [s.values()[0] for s in shares] == [1, 1]  # 1, 1+1+2 = 4 = 1
     outputs = [freshman_apply(params, s) for s in shares]
     assert [o.values()[0] for o in outputs] == [1, 1]
-    assert freshman_decode(params, outputs).values() == (0,)
+    assert handle.decode(outputs).values() == (0,)
     assert (pow(1, 3, 3) + pow(2, 3, 3)) % 3 == 0  # the target value
 
 
@@ -305,10 +311,11 @@ def test_freshman_hand_example_p2():
     field = FieldConfig(2)
     params = FreshmanParams(field, 2, 1, 1, [[1]])
     data = Dataset([field.vector([1]), field.vector([1])])
+    handle = make_handle(params)
     for z in range(2):
-        shares = freshman_encode(params, data, field.vector([z]))
+        shares = handle.encode(data, [field.vector([z])])
         outputs = [freshman_apply(params, s) for s in shares]
-        assert freshman_decode(params, outputs).values() == (0,)  # 1 + 1 = 0 mod 2
+        assert handle.decode(outputs).values() == (0,)  # 1 + 1 = 0 mod 2
 
 
 def test_freshman_zero_data_shares_coincide():
@@ -316,7 +323,7 @@ def test_freshman_zero_data_shares_coincide():
     params = FreshmanParams(field, 3, 2, 1, [[1, 2]])
     data = Dataset([field.zero_vector(2)] * 3)
     z = field.vector([4, 2])
-    shares = freshman_encode(params, data, z)
+    shares = make_handle(params).encode(data, [z])
     assert shares[0] == shares[1] == z
 
 
@@ -326,7 +333,7 @@ def test_freshman_share_distribution_uniform_exhaustive():
     data = Dataset([field.vector([2]), field.vector([1])])
     hist = [Counter(), Counter()]
     for z in range(3):
-        for w, share in enumerate(freshman_encode(params, data, field.vector([z]))):
+        for w, share in enumerate(make_handle(params).encode(data, [field.vector([z])])):
             hist[w][share.values()] += 1
     for h in hist:
         assert sorted(h.values()) == [1, 1, 1]
@@ -347,9 +354,9 @@ def test_freshman_matches_oracle_randomized():
             params = FreshmanParams(field, K, m, n, matrix)
             data = random_dataset(rng, field, K, m)
             z = sample_uniform_vector(rng, field, m)
-            outputs = [freshman_apply(params, s)
-                       for s in freshman_encode(params, data, z)]
-            assert freshman_decode(params, outputs) == freshman_oracle(params, data)
+            handle = make_handle(params)
+            outputs = [freshman_apply(params, s) for s in handle.encode(data, [z])]
+            assert handle.decode(outputs) == freshman_sum(params, data)
 
 
 def test_freshman_two_workers_always():
@@ -369,11 +376,33 @@ def test_freshman_rejects_zero_matrix():
         FreshmanParams(FieldConfig(5), 1, 1, 1, [[5]])  # 5 is 0 in F_5
 
 
+def test_freshman_handle_encodes_data_of_any_width():
+    # the batched auditor encodes this code at width 9, not m = 1, so the
+    # handle's encode takes any width; freshman_apply checks m
+    field = FieldConfig(3)
+    handle = make_handle(FreshmanParams(field, 2, 1, 1, [[1]]))
+    for width in (1, 2, 9):
+        data = Dataset([field.vector([1] * width), field.vector([2] * width)])
+        z = field.vector([1] * width)
+        shares = handle.encode(data, [z])
+        assert [s.values() for s in shares] == [(1,) * width, (1,) * width]
+    with pytest.raises(DimensionMismatchError):
+        freshman_apply(handle.params, field.vector([1, 2]))
+
+
+def test_freshman_trial_with_wrong_width_raises():
+    field = FieldConfig(5)
+    handle = make_handle(FreshmanParams(field, 2, 1, 1, [[1]]))
+    data = Dataset([field.vector([1, 2]), field.vector([3, 4])])
+    with pytest.raises(DimensionMismatchError):
+        run_trial(handle, None, data, seed=0)
+
+
 def test_freshman_wrong_output_count():
     field = FieldConfig(3)
     params = FreshmanParams(field, 1, 1, 1, [[1]])
     with pytest.raises(DimensionMismatchError):
-        freshman_decode(params, [field.vector([1])])
+        make_handle(params).decode([field.vector([1])])
 
 
 # ---------------------------------------------------------------------------

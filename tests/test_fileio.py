@@ -12,7 +12,6 @@ from harmcode.errors import (
 )
 from harmcode.baselines import (
     FreshmanParams,
-    freshman_encode,
     lcc_encode,
     lcc_params,
     shamir_encode,
@@ -24,7 +23,6 @@ from harmcode.fileio import (
     load_outputs,
     load_shares,
     load_task,
-    params_from_json,
     params_to_json,
     write_dataset,
     write_outputs,
@@ -33,6 +31,7 @@ from harmcode.fileio import (
 )
 from harmcode.harmonic import encode, select_params
 from harmcode.poly import Dataset, PolyMap
+from harmcode.sim import make_handle
 
 F5 = FieldConfig(5)
 
@@ -84,7 +83,7 @@ def test_shares_roundtrip_all_schemes(tmp_path):
         (short, lambda p: lcc_encode(
             p, Dataset([F7.vector([6]), F7.vector([5])]), F7.vector([4]))),
         (FreshmanParams(F5, 2, 1, 1, [[1]]),
-         lambda p: freshman_encode(p, data, z)),
+         lambda p: make_handle(p).encode(data, [z])),
     ]
     for idx, (params, encoder) in enumerate(cases):
         shares = encoder(params)
@@ -111,23 +110,30 @@ def test_schema_violationerrors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaViolationError):
         load_dataset(bad, F5)
+    # shares-file headers, read by load_shares with a share count that
+    # matches the header wherever the header names a scheme
     with pytest.raises(SchemaViolationError):
-        params_from_json({"scheme": "mystery", "p": 5, "K": 1, "d": 1})
+        load_header(tmp_path, {"scheme": "mystery", "p": 5, "K": 1, "d": 1}, 2)
     with pytest.raises(SchemaViolationError):
-        params_from_json({"scheme": "freshman", "p": 5, "K": 1, "d": 4})
+        load_header(tmp_path, {"scheme": "freshman", "p": 5, "K": 1, "d": 4}, 2)
     # the scheme name is looked up in a table: unhashable or non-string names
     # must still be schema violations, not TypeErrors
     for name in (["lcc"], 3, None, {"lcc": 1}):
         with pytest.raises(SchemaViolationError):
-            params_from_json({"scheme": name, "p": 5, "K": 1, "d": 1})
+            load_header(tmp_path, {"scheme": name, "p": 5, "K": 1, "d": 1}, 2)
     harmonic_doc = params_to_json(select_params(F5, 2, 2, c=4, betas=[4]))
     shamir_doc = params_to_json(shamir_params(F5, 2, 2))
-    for doc, key, value in ((harmonic_doc, "c", [1]), (harmonic_doc, "betas", 3),
-                            (harmonic_doc, "c", None), (shamir_doc, "thetas", "x")):
+    for doc, key, value, n in ((harmonic_doc, "c", [1], 4), (harmonic_doc, "betas", 3, 4),
+                               (harmonic_doc, "c", None, 4), (shamir_doc, "thetas", "x", 6)):
         with pytest.raises(SchemaViolationError):
-            params_from_json({**doc, key: value})
+            load_header(tmp_path, {**doc, key: value}, n)
     with pytest.raises(SchemaViolationError):
-        params_from_json({key: v for key, v in harmonic_doc.items() if key != "betas"})
+        load_header(tmp_path, {key: v for key, v in harmonic_doc.items() if key != "betas"}, 4)
+
+
+def load_header(tmp_path, doc, n):
+    """load_shares on a file of the header ``doc`` and n one-coordinate shares."""
+    return load_shares(_write(tmp_path / "header.json", {**doc, "shares": [[1]] * n}))
 
 
 def test_residue_range_errors(tmp_path):

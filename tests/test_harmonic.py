@@ -24,7 +24,6 @@ from harmcode.harmonic import (
     EncodeStats,
     HarmonicParams,
     WorkerLayout,
-    decode,
     decode_vector,
     encode,
     encoding_matrix,
@@ -379,8 +378,16 @@ def test_group_coeffs_telescoping_random():
 
 
 def reference_group_coeffs(params, j):
-    """group_coeffs' formulas in FieldElement arithmetic, one guarded
-    inversion at a time: (weights, A_j, B_j) as residues."""
+    """Group j's (weights, A_j, B_j) as residues from the closed-form
+    products, in FieldElement arithmetic with one guarded inversion at a
+    time -- an independent check of group_coeffs' Lagrange path:
+
+        A_j = (c-j+1) prod_i beta_i (c-j+1) / (beta_i (c-j+1) - c)
+        B_j = (c-j)   prod_i beta_i (c-j)   / (beta_i (c-j)   - c)
+        w_ij = [r / ((1 - q_ij)(r - q_ij))] * prod_{i' != i} beta_i' / (beta_i' - beta_i)
+
+    with q_ij = beta_i (c-j+1)/c and r = (c-j+1)/(c-j).
+    """
     field = params.field
     c = element(field, params.c)
     betas = [element(field, b) for b in params.betas]
@@ -409,20 +416,21 @@ def reference_group_coeffs(params, j):
 
 
 def test_group_coeffs_match_field_element_reference():
+    cases = [(p, K, d) for p in (7, 11, 13) for K in (1, 2, 3) for d in (1, 2, 3)]
+    # the benchmark's (K, d) at its prime
+    cases += [(2**31 - 1, 8, 3), (2**31 - 1, 16, 2), (2**31 - 1, 8, 2)]
     checked = 0
-    for p in (7, 11, 13):
-        field = FieldConfig(p)
-        for K in (1, 2, 3):
-            for d in (1, 2, 3):
-                try:
-                    params = select_params(field, K, d)
-                except FieldTooSmallError:
-                    continue
-                for j in range(1, K + 1):
-                    got = group_coeffs(params, j)
-                    assert (got.weights, got.a, got.b) == reference_group_coeffs(params, j)
-                    checked += 1
-    assert checked == 3 * 3 * (1 + 2 + 3)  # all 27 (p, K, d) have default params
+    for p, K, d in cases:
+        try:
+            params = select_params(FieldConfig(p), K, d)
+        except FieldTooSmallError:
+            continue
+        for j in range(1, K + 1):
+            got = group_coeffs(params, j)
+            assert (got.weights, got.a, got.b) == reference_group_coeffs(params, j)
+            checked += 1
+    # all 27 small (p, K, d) have default params, and so do the benchmark's
+    assert checked == 3 * 3 * (1 + 2 + 3) + 8 + 16 + 8
 
 
 def test_decode_vector_fixture():
@@ -466,13 +474,13 @@ def test_decode_exhaustive_p11_k2_d3():
 
 def test_decode_linearity():
     params = worked_example_params()
-    field = params.field
+    field, decode = params.field, make_handle(params).decode
     zeros = [field.zero_vector(2) for _ in range(params.N)]
-    assert decode(params, zeros) == field.zero_vector(2)
+    assert decode(zeros) == field.zero_vector(2)
     rng = random.Random(8)
     outputs = [sample_uniform_vector(rng, field, 2) for _ in range(params.N)]
     scaled = [field.vector([3 * v for v in o.values()]) for o in outputs]
-    assert decode(params, scaled) == scale(decode(params, outputs), element(field, 3))
+    assert decode(scaled) == scale(decode(outputs), element(field, 3))
 
 
 def test_decode_wrong_count_or_dim():
@@ -480,10 +488,10 @@ def test_decode_wrong_count_or_dim():
     field = params.field
     outputs = [field.vector([1]) for _ in range(params.N - 1)]
     with pytest.raises(DimensionMismatchError):
-        decode(params, outputs)
+        make_handle(params).decode(outputs)
     ragged = [field.vector([1])] * (params.N - 1) + [field.vector([1, 2])]
     with pytest.raises(DimensionMismatchError):
-        decode(params, ragged)
+        make_handle(params).decode(ragged)
 
 
 def test_degree_robustness():
@@ -497,7 +505,7 @@ def test_degree_robustness():
             data = random_dataset(rng, field, 2, 2)
             z = sample_uniform_vector(rng, field, 2)
             outputs = [g.eval(s) for s in encode(params, data, z)]
-            assert decode(params, outputs) == direct_gradient_sum(g, data)
+            assert make_handle(params).decode(outputs) == direct_gradient_sum(g, data)
 
 
 def test_universality_matrix_independent_of_g():

@@ -1,7 +1,10 @@
 """Every scheme as one linear code: the handle, the module functions and the
 encoding matrix / decode vector must agree share for share."""
 
+import functools
+import operator
 import random
+import struct
 
 import pytest
 
@@ -18,7 +21,8 @@ from reference_field import FieldElement, element, vector
 # scheme -> (params builder, module encode taking the key list, module decode)
 MODULE = {
     "harmonic": (select_params,
-                 lambda pr, data, keys: harmonic.encode(pr, data, *keys), harmonic.decode),
+                 lambda pr, data, keys: harmonic.encode(pr, data, *keys),
+                 lambda pr, outputs: harmonic.decode_vector(pr).apply(outputs)),
     "shamir": (shamir_params, baselines.shamir_encode, baselines.shamir_decode),
     "lcc": (lcc_params,
             lambda pr, data, keys: baselines.lcc_encode(pr, data, *keys), baselines.lcc_decode),
@@ -48,9 +52,15 @@ GRID = list(grid())
 
 def module_paths(scheme):
     if scheme == "freshman":
-        return (lambda pr, data, keys: baselines.freshman_encode(pr, data, *keys),
-                baselines.freshman_decode)
+        return (lambda pr, data, keys: baselines.freshman_encoding_matrix(pr).apply(data, *keys),
+                lambda pr, outputs: baselines.freshman_decode_vector(pr).apply(outputs))
     return MODULE[scheme][1:]
+
+
+def freshman_sum(params, data):
+    """The freshman oracle: freshman_apply summed over the dataset items."""
+    return functools.reduce(operator.add,
+                            [baselines.freshman_apply(params, x) for x in data.items])
 
 
 def test_grid_covers_every_scheme():
@@ -78,7 +88,7 @@ def test_handle_module_and_matrix_agree(scheme, params):
             oracle = direct_gradient_sum(g, data)
         else:
             outputs = [handle.worker_fn(s) for s in shares]
-            oracle = baselines.freshman_oracle(params, data)
+            oracle = freshman_sum(params, data)
         decoded = handle.decode(outputs)
         assert decoded == oracle
         assert decoded == module_decode(params, outputs)
@@ -136,10 +146,21 @@ def test_harmonic_handle_encodes_without_the_matrix():
 
 
 def test_clear_storage_forwards_the_worker_function():
-    field = FieldConfig(3)
-    inner = make_handle(FreshmanParams(field, 2, 1, 1, [[1]]))
-    assert ClearStorageScheme(inner).worker_fn is inner.worker_fn
-    assert ClearStorageScheme(make_handle(select_params(FieldConfig(5), 2, 2))).worker_fn is None
+    x = FieldConfig(3).vector([2])
+    inner = make_handle(FreshmanParams(FieldConfig(3), 2, 1, 1, [[1]]))
+    leaky = ClearStorageScheme(inner)
+    assert isinstance(leaky, LinearCode)
+    assert leaky.worker_fn(x) == inner.worker_fn(x)
+    assert (leaky.matrix, leaky.vector, leaky.num_keys) == (inner.matrix, inner.vector,
+                                                             inner.num_keys)
+    for params in (select_params(FieldConfig(5), 2, 2), shamir_params(FieldConfig(5), 2, 1)):
+        inner = make_handle(params)
+        leaky = ClearStorageScheme(inner, leak_worker=1)
+        assert isinstance(leaky, LinearCode)
+        assert leaky.worker_fn is None
+        assert (leaky.matrix, leaky.vector, leaky.num_keys) == (inner.matrix, inner.vector,
+                                                                 inner.num_keys)
+        assert leaky.kind == f"leaky-{inner.kind}"
 
 
 def foreign_field_cases():
@@ -284,6 +305,21 @@ def test_layout_bounds_every_slot(p, terms):
     for i in range(m):
         assert [v >> (i * bits) & (2**bits - 1) for v in (ones, mask, bias)] == [
             1, 2**(bits - s) - 1, 2**bit - p]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101])
+def test_eight_byte_slots_are_one_count_code(p):
+    # 10,201 slots: the p = 101 harmonic audit's encode width
+    rng = random.Random(p)
+    for m in (1, 25, 10_201):
+        slots = _layout(m, p, 4)[-1]
+        assert slots.size == 8 * m
+        assert slots.format == f"<{m}Q"  # one code however many slots
+        values = [rng.randrange(p) for _ in range(m)]
+        per_slot = struct.Struct("<" + "Q" * m)
+        packed = slots.pack(*values)
+        assert packed == per_slot.pack(*values)
+        assert slots.unpack(packed) == per_slot.unpack(packed) == tuple(values)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
