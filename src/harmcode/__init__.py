@@ -43,7 +43,6 @@ from .harmonic import (
     EncodeStats,
     GroupCoeffs,
     HarmonicParams,
-    WorkerLayout,
     decode_vector,
     encode,
     encoding_matrix,

@@ -67,57 +67,6 @@ class EncodeStats:
     two_term_combos: int = 0
 
 
-class WorkerLayout:
-    """Flat 1-based worker indices: head=1, group-major blocks, tail=N.
-
-    Worker (i, j) -- blend i in group j -- sits at 1 + (j-1)(d-1) + i.
-    """
-
-    __slots__ = ("K", "d")
-
-    def __init__(self, K: int, d: int):
-        if K < 1 or d < 1:
-            raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
-        self.K = K
-        self.d = d
-
-    @property
-    def N(self) -> int:
-        return self.K * (self.d - 1) + 2
-
-    @property
-    def head(self) -> int:
-        return 1
-
-    @property
-    def tail(self) -> int:
-        return self.N
-
-    def group_flat(self, i: int, j: int) -> int:
-        if not 1 <= i <= self.d - 1:
-            raise IndexError(f"blend index i={i} outside [1, {self.d - 1}]")
-        if not 1 <= j <= self.K:
-            raise IndexError(f"group index j={j} outside [1, {self.K}]")
-        return 1 + (j - 1) * (self.d - 1) + i
-
-    def label_of(self, w: int):
-        """'head', 'tail', or the (i, j) pair for a flat index."""
-        if not 1 <= w <= self.N:
-            raise IndexError(f"worker {w} outside [1, {self.N}]")
-        if w == 1:
-            return "head"
-        if w == self.N:
-            return "tail"
-        idx = w - 2
-        return (idx % (self.d - 1) + 1, idx // (self.d - 1) + 1)
-
-    def __eq__(self, other):
-        return isinstance(other, WorkerLayout) and (self.K, self.d) == (other.K, other.d)
-
-    def __repr__(self):
-        return f"WorkerLayout(K={self.K}, d={self.d}, N={self.N})"
-
-
 class HarmonicParams:
     """Scheme parameters: field, K, d, the chain anchor c, and blend points betas.
 

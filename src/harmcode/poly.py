@@ -251,12 +251,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.items)
 
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, idx):
-        return self.items[idx]
-
     def __eq__(self, other):
         return isinstance(other, Dataset) and self.items == other.items
 
@@ -287,14 +281,6 @@ class MultilinearMap:
     def __init__(self, g: PolyMap, d: int):
         self.g = g
         self.d = d
-
-    @property
-    def block_dim(self) -> int:
-        return self.g.m
-
-    @property
-    def out_dim(self) -> int:
-        return self.g.n
 
     @property
     def field(self) -> FieldConfig:

@@ -27,7 +27,7 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import baselines, harmonic
@@ -46,8 +46,17 @@ from .poly import Dataset, PolyMap, direct_gradient_sum
 DEFAULT_AUDIT_BUDGET = 10_000_000
 
 
+class _Report:
+    """A report dataclass whose JSON is its fields in declaration order,
+    tuples as lists."""
+
+    def to_json(self) -> dict:
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class TrialReport:
+class TrialReport(_Report):
     """Outcome of one encode/compute/decode round against the oracle."""
 
     scheme: str
@@ -63,25 +72,9 @@ class TrialReport:
     worker_evals: int
     num_keys: int
 
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "p": self.p,
-            "K": self.K,
-            "d": self.d,
-            "m": self.m,
-            "n": self.n,
-            "seed": self.seed,
-            "decoded": list(self.decoded),
-            "oracle": list(self.oracle),
-            "exact_match": self.exact_match,
-            "worker_evals": self.worker_evals,
-            "num_keys": self.num_keys,
-        }
-
 
 @dataclass(frozen=True)
-class PrivacyReport:
+class PrivacyReport(_Report):
     """Per-worker result of an exhaustive share-distribution audit."""
 
     scheme: str
@@ -97,19 +90,6 @@ class PrivacyReport:
     @property
     def all_private(self) -> bool:
         return all(self.conditional_equal_per_worker)
-
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "p": self.p,
-            "K": self.K,
-            "d": self.d,
-            "m": self.m,
-            "mi_bits_per_worker": list(self.mi_bits_per_worker),
-            "conditional_equal_per_worker": list(self.conditional_equal_per_worker),
-            "dataset_states": self.dataset_states,
-            "key_states": self.key_states,
-        }
 
 
 # ---------------------------------------------------------------------------

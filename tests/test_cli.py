@@ -13,8 +13,10 @@ import pytest
 import harmcode
 from harmcode import cli
 from harmcode.cli import main
+from harmcode.errors import FieldTooSmallError
 from harmcode.field import FieldConfig
 from harmcode.fileio import load_decoded, load_shares, write_outputs
+from harmcode.harmonic import select_params
 from harmcode.poly import Dataset, PolyMap, direct_gradient_sum
 
 DEMO_GOLDEN = """\
@@ -86,9 +88,19 @@ def test_validate_with_task_file(tmp_path, capsys):
     }))
     assert main(["validate", "--scheme", "harmonic", "--p", "11", "--K", "2",
                  "--d", "2", "--trials", "5", "--task", str(task)]) == 0
-    # degree above --d is refused
-    assert main(["validate", "--scheme", "harmonic", "--p", "11", "--K", "2",
-                 "--d", "1", "--trials", "5", "--task", str(task)]) == 2
+    capsys.readouterr()
+    # run_trial refuses a task of degree above --d and a constant task
+    # before the first trial line is printed
+    const = tmp_path / "const.json"
+    const.write_text(json.dumps({
+        "p": 11, "m": 1, "n": 1, "g": [[{"coeff": 3, "exps": [0]}]],
+    }))
+    for task_file, d, message in ((task, "1", "degree 2"), (const, "2", "constant")):
+        assert main(["validate", "--scheme", "harmonic", "--p", "11", "--K", "2",
+                     "--d", d, "--trials", "5", "--task", str(task_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_validate_n_defaults_to_the_task_and_must_match_it(tmp_path, capsys):
@@ -112,6 +124,70 @@ def test_validate_n_defaults_to_the_task_and_must_match_it(tmp_path, capsys):
     assert main(base) == 0
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(docs) == 3 and all(doc["n"] == 1 for doc in docs)
+
+
+@pytest.mark.parametrize("argv, func, expected", [
+    (["demo"], cli.cmd_demo, {"command": "demo", "c": None, "betas": None}),
+    (["validate", "--scheme", "lcc", "--p", "7", "--d", "2"], cli.cmd_validate,
+     {"command": "validate", "scheme": "lcc", "p": 7, "K": 2, "d": 2, "m": 1, "n": None,
+      "trials": 100, "seed": 0, "task": None, "c": None, "betas": None}),
+    (["privacy-audit", "--scheme", "shamir", "--p", "5", "--d", "1"], cli.cmd_privacy_audit,
+     {"command": "privacy-audit", "scheme": "shamir", "p": 5, "K": 2, "d": 1, "m": 1,
+      "c": None, "betas": None, "inject_leak": False}),
+    (["encode", "--scheme", "harmonic", "--p", "11", "--d", "3", "--data", "x.json",
+      "--out", "y.json"], cli.cmd_encode,
+     {"command": "encode", "scheme": "harmonic", "p": 11, "d": 3, "data": "x.json",
+      "out": "y.json", "seed": 0, "c": None, "betas": None}),
+    (["validate", "--scheme", "harmonic", "--p", "11", "--K", "3", "--d", "3", "--m", "2",
+      "--n", "4", "--trials", "9", "--seed", "8", "--task", "t.json", "--c", "7",
+      "--betas", "2,5"], cli.cmd_validate,
+     {"command": "validate", "scheme": "harmonic", "p": 11, "K": 3, "d": 3, "m": 2, "n": 4,
+      "trials": 9, "seed": 8, "task": "t.json", "c": 7, "betas": "2,5"}),
+])
+def test_parser_flags_and_defaults_are_pinned(argv, func, expected):
+    args = vars(cli._build_parser().parse_args(argv))
+    assert args.pop("func") is func
+    assert args == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--p", "7", "--d", "2"],
+    ["validate", "--scheme", "lcc", "--d", "2"],
+    ["validate", "--scheme", "lcc", "--p", "7"],
+    ["validate", "--scheme", "nope", "--p", "7", "--d", "2"],
+    ["privacy-audit", "--scheme", "lcc", "--p", "7"],
+    ["encode", "--scheme", "lcc", "--p", "7", "--d", "2", "--out", "y.json"],
+    ["compare", "--d", "2"],
+    ["compare", "--K", "2"],
+    ["decode", "--shares", "s.json", "--outputs", "o.json"],
+    ["demo", "--K", "2"],
+])
+def test_parser_refuses_missing_or_foreign_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 2**31 - 1])
+def test_probe_chain_rows_match_the_closed_form(p):
+    # P_j = c/(c-j) Z - 1/(c-j) (X_1 + ... + X_j), over (X_1..X_K, Z)
+    field = FieldConfig(p)
+    checked = 0
+    for K in range(1, 7):
+        for d in (2, 3):
+            try:
+                params = select_params(field, K, d)
+            except FieldTooSmallError:
+                continue
+            c = params.c
+            expected = []
+            for j in range(K + 1):
+                inv = pow(c - j, -1, p)
+                expected.append(tuple([-inv % p] * j + [0] * (K - j) + [c * inv % p]))
+            assert cli._probe_chain_rows(params) == expected
+            checked += 1
+    # any prime >= K + d + 2 hosts the defaults
+    assert checked == 12 if p >= 11 else checked > 0
 
 
 def test_validate_config_errors():

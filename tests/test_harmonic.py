@@ -23,7 +23,6 @@ from harmcode.field import FieldConfig, sample_uniform_vector
 from harmcode.harmonic import (
     EncodeStats,
     HarmonicParams,
-    WorkerLayout,
     decode_vector,
     encode,
     encoding_matrix,
@@ -107,22 +106,6 @@ def test_params_structural_checks():
     # points are reduced mod p before anything else looks at them
     F11 = FieldConfig(11)
     assert HarmonicParams(F11, 2, 2, 15, (13,)) == HarmonicParams(F11, 2, 2, 4, (2,))
-
-
-def test_worker_layout_group_major():
-    layout = WorkerLayout(3, 4)
-    assert layout.N == 11
-    assert layout.head == 1
-    assert layout.tail == 11
-    for j in range(1, 4):
-        for i in range(1, 4):
-            assert layout.group_flat(i, j) == 1 + (j - 1) * 3 + i
-    assert layout.label_of(1) == "head"
-    assert layout.label_of(11) == "tail"
-    assert layout.label_of(2) == (1, 1)
-    assert layout.label_of(5) == (1, 2)
-    with pytest.raises(IndexError):
-        layout.group_flat(4, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,25 @@ def test_run_trial_rejections():
         run_trial(handle, quadratic_g(), Dataset([F5.vector([1])]), seed=0)
 
 
+def assert_json_is_fields_in_order(report, keys):
+    # validate and privacy-audit print to_json unsorted, so the key order is
+    # part of their output; every tuple field comes out as a list
+    doc = report.to_json()
+    assert list(doc) == keys
+    for key in keys:
+        value = getattr(report, key)
+        expected = list(value) if isinstance(value, tuple) else value
+        assert type(doc[key]) is type(expected) and doc[key] == expected
+
+
 def test_trial_report_json_keys():
     report = run_trial(fixture_handle(), quadratic_g(),
                        Dataset([F5.vector([0]), F5.vector([1])]), seed=7)
+    assert isinstance(report.decoded, tuple) and isinstance(report.oracle, tuple)
+    assert_json_is_fields_in_order(report, [
+        "scheme", "p", "K", "d", "m", "n", "seed", "decoded", "oracle",
+        "exact_match", "worker_evals", "num_keys"])
     doc = json.loads(json.dumps(report.to_json()))
-    for key in ["scheme", "p", "K", "d", "m", "n", "seed", "exact_match",
-                "decoded", "oracle", "worker_evals", "num_keys"]:
-        assert key in doc
     assert doc["exact_match"] is True
 
 
@@ -212,11 +224,14 @@ def test_audit_budget():
 
 
 def test_privacy_report_json_keys():
-    report = privacy_audit_exhaustive(fixture_handle())
-    doc = json.loads(json.dumps(report.to_json()))
-    for key in ["scheme", "p", "K", "d", "m", "mi_bits_per_worker",
-                "conditional_equal_per_worker", "dataset_states", "key_states"]:
-        assert key in doc
+    for handle in (fixture_handle(), ClearStorageScheme(fixture_handle())):
+        report = privacy_audit_exhaustive(handle)
+        assert isinstance(report.mi_bits_per_worker, tuple)
+        assert isinstance(report.conditional_equal_per_worker, tuple)
+        assert_json_is_fields_in_order(report, [
+            "scheme", "p", "K", "d", "m", "mi_bits_per_worker",
+            "conditional_equal_per_worker", "dataset_states", "key_states"])
+        json.dumps(report.to_json())
 
 
 def reference_audit(scheme, m=1):
