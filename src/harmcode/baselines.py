@@ -106,10 +106,6 @@ def shamir_decode_vector(params: ShamirParams) -> DecodeVector:
 def shamir_encode(params: ShamirParams, data: Dataset,
                   keys: Sequence[FieldVector]) -> list[FieldVector]:
     """Share for worker (k, r) is X_k + Z_k * theta_r, k-major order."""
-    keys = list(keys)
-    if len(keys) != params.K:
-        raise DimensionMismatchError(
-            f"need one key per input ({params.K}), got {len(keys)}")
     return shamir_encoding_matrix(params).apply(data, *keys)
 
 

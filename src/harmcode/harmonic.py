@@ -44,27 +44,25 @@ then reduces the blends and P_K to [0, p) together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
-    DimensionMismatchError,
-    FieldMismatchError,
     FieldTooSmallError,
     InvalidParamsError,
     ParameterCorruptionError,
     ZeroInversionError,
 )
 from .field import FieldConfig, FieldVector
-from .linear import DecodeVector, EncodingMatrix, _lagrange_rows, _layout, _pack, _residues
+from .linear import (DecodeVector, EncodingMatrix, _columns, _lagrange_rows, _layout, _pack,
+                     _residues)
 from .poly import Dataset
 
 
-@dataclass
 class EncodeStats:
     """Operation counter for the recursive encoder."""
 
-    two_term_combos: int = 0
+    def __init__(self):
+        self.two_term_combos = 0
 
 
 class HarmonicParams:
@@ -208,22 +206,17 @@ def _steps(params: HarmonicParams) -> tuple[tuple[int, int, tuple[tuple[int, int
 _CHAIN_TERMS = 4
 
 
-def _chain(field: FieldConfig, K: int, steps, data: Dataset, z: FieldVector,
+def _chain(field: FieldConfig, K: int, steps, data: Dataset, keys: Sequence[FieldVector],
            stats: EncodeStats | None) -> tuple[tuple, list[int], list[int]]:
-    """P_0..P_K and X_1..X_K packed on m slots, and their layout. Each step
-    P_j = a_j P_{j-1} + b_j X_j is one multiply-add and one Barrett step, so
-    every slot of P_1..P_K lies in [0, 2p), not yet [0, p)."""
-    if data.K != K:
-        raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={K}")
-    if z.dim != data.m:
-        raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
+    """P_0 = Z, the one key, to P_K and X_1..X_K packed on m slots, and their
+    layout. Each step P_j = a_j P_{j-1} + b_j X_j is one multiply-add and one
+    Barrett step, so every slot of P_1..P_K lies in [0, 2p), not yet [0, p)."""
     p = field.p
-    if data.field.p != p or z.field.p != p:
-        raise FieldMismatchError(f"data or key from another field than F_{p}")
+    *cols, z = _columns(field, K, 1, data, keys)
     layout = _layout(data.m, p, _CHAIN_TERMS)
     shift, mu, mask = layout[:3]
-    xs = [_pack(layout, x.values()) for x in data.items]
-    prev = _pack(layout, z.values())
+    xs = [_pack(layout, x) for x in cols]
+    prev = _pack(layout, z)
     chain = [prev]
     for (a, b, _), x in zip(steps, xs):
         v = a * prev + b * x
@@ -235,7 +228,8 @@ def _chain(field: FieldConfig, K: int, steps, data: Dataset, z: FieldVector,
 
 
 def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
-    """The recursive encoder of one parameter set, as ``encode(data, z, stats=None)``.
+    """The recursive encoder of one parameter set, as ``encode(data, *keys,
+    stats=None)`` like ``EncodingMatrix.apply``; the one key is z = P_0.
 
     Its scalars are residues computed here, once; each call then costs
     K + K(d-1) two-term combinations, each one multiply-add on packed ints.
@@ -246,15 +240,15 @@ def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
     blends = K * (params.d - 1)
     of = FieldVector._of
 
-    def encode(data: Dataset, z: FieldVector,
+    def encode(data: Dataset, *keys: FieldVector,
                stats: EncodeStats | None = None) -> list[FieldVector]:
-        layout, chain, xs = _chain(field, K, steps, data, z, stats)
+        layout, chain, xs = _chain(field, K, steps, data, keys, stats)
         sums = [r * x + q * prev
                 for (_, _, qs), x, prev in zip(steps, xs, chain) for r, q in qs]
         sums.append(chain[-1])
         if stats is not None:
             stats.two_term_combos += blends
-        return [z] + [of(field, v) for v in _residues(sums, layout, p)]
+        return [keys[0]] + [of(field, v) for v in _residues(sums, layout, p)]
 
     return encode
 
@@ -264,7 +258,7 @@ def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector,
     """The masking chain P_0..P_K as residues in [0, p), one two-term
     combination per step."""
     field = params.field
-    layout, chain, _ = _chain(field, params.K, _steps(params), data, z, stats)
+    layout, chain, _ = _chain(field, params.K, _steps(params), data, (z,), stats)
     return [FieldVector._of(field, v) for v in _residues(chain, layout, field.p)]
 
 
@@ -294,11 +288,10 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
     The result is coordinate-identical to
     ``encoding_matrix(params).apply(data, z)``.
     """
-    return encoder(params)(data, z, stats)
+    return encoder(params)(data, z, stats=stats)
 
 
-@dataclass(frozen=True)
-class GroupCoeffs:
+class GroupCoeffs(NamedTuple):
     """Combining a group's outputs with `weights` yields
     g(X_j) - a * g(P_{j-1}) + b * g(P_j); every value a residue."""
 

@@ -111,6 +111,25 @@ def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tup
     return _residues([sum([c * packed[k] for k, c in row]) for row in terms], layout, p)
 
 
+def _columns(field: FieldConfig, K: int, num_keys: int, data: Dataset,
+             keys: Sequence[FieldVector]) -> list[tuple[int, ...]]:
+    """X_1..X_K, Z_1..Z_num_keys as residue columns, once the dataset's K and
+    field, the key count and each key's field and width match the code's."""
+    if data.K != K:
+        raise DimensionMismatchError(f"dataset has K={data.K}, code has K={K}")
+    if len(keys) != num_keys:
+        raise DimensionMismatchError(f"need {num_keys} keys, got {len(keys)}")
+    p = field.p
+    if data.field.p != p:
+        raise FieldMismatchError(f"dataset over F_{data.field.p}, code over F_{p}")
+    for z in keys:
+        if z.field.p != p:
+            raise FieldMismatchError(f"key over F_{z.field.p}, code over F_{p}")
+        if z.dim != data.m:
+            raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
+    return [item.values() for item in data.items] + [z.values() for z in keys]
+
+
 def _lagrange_rows(points: Sequence[int], ats: Sequence[int], p: int) -> list[list[int]]:
     """Row r is [L_k(ats[r]) for every node k] as residues, L_k the Lagrange
     basis over ``points``; points and ats are residues.
@@ -177,22 +196,10 @@ class EncodingMatrix:
 
     def apply(self, data: Dataset, *keys: FieldVector) -> list[FieldVector]:
         """Shares in worker order: share_w = sum_k row[w][k] X_k + sum_t row[w][K+t] Z_t."""
-        if data.K != self.K:
-            raise DimensionMismatchError(f"dataset has K={data.K}, matrix has K={self.K}")
-        if len(keys) != self.num_keys:
-            raise DimensionMismatchError(f"need {self.num_keys} keys, got {len(keys)}")
-        p = self.field.p
-        if data.field.p != p:
-            raise FieldMismatchError(f"dataset over F_{data.field.p}, matrix over F_{p}")
-        for z in keys:
-            if z.field.p != p:
-                raise FieldMismatchError(f"key over F_{z.field.p}, matrix over F_{p}")
-            if z.dim != data.m:
-                raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
-        cols = [item.values() for item in data.items] + [z.values() for z in keys]
         field, of = self.field, FieldVector._of
+        cols = _columns(field, self.K, self.num_keys, data, keys)
         return [of(field, values) for values in
-                _apply_rows(self._plan, cols, data.m, p)]
+                _apply_rows(self._plan, cols, data.m, field.p)]
 
     def __eq__(self, other):
         return (
@@ -302,8 +309,6 @@ class LinearCode:
         return self.scheme.fast_encode(self.params)
 
     def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        if len(keys) != self.num_keys:
-            raise DimensionMismatchError(f"need {self.num_keys} keys, got {len(keys)}")
         return self.encoder(data, *keys)
 
     def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:

@@ -27,7 +27,6 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import baselines, harmonic
@@ -46,17 +45,12 @@ from .poly import Dataset, PolyMap, direct_gradient_sum
 DEFAULT_AUDIT_BUDGET = 10_000_000
 
 
-class _Report:
-    """A report dataclass whose JSON is its fields in declaration order,
-    tuples as lists."""
-
-    def to_json(self) -> dict:
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
-                for f in fields(self)}
+def _to_json(report) -> dict:
+    """A report's fields in declaration order, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in zip(report._fields, report)}
 
 
-@dataclass(frozen=True)
-class TrialReport(_Report):
+class TrialReport(NamedTuple):
     """Outcome of one encode/compute/decode round against the oracle."""
 
     scheme: str
@@ -72,9 +66,10 @@ class TrialReport(_Report):
     worker_evals: int
     num_keys: int
 
+    to_json = _to_json
 
-@dataclass(frozen=True)
-class PrivacyReport(_Report):
+
+class PrivacyReport(NamedTuple):
     """Per-worker result of an exhaustive share-distribution audit."""
 
     scheme: str
@@ -86,6 +81,8 @@ class PrivacyReport(_Report):
     conditional_equal_per_worker: tuple[bool, ...]
     dataset_states: int
     key_states: int
+
+    to_json = _to_json
 
     @property
     def all_private(self) -> bool:
@@ -203,8 +200,6 @@ def run_trial(scheme, g: Optional[PolyMap], data: Dataset, seed: int) -> TrialRe
     <= scheme.d. Keys are drawn from random.Random(seed), one vector per
     key in key order.
     """
-    if data.K != scheme.K:
-        raise DimensionMismatchError(f"dataset has K={data.K}, scheme has K={scheme.K}")
     worker_fn = scheme.worker_fn
     if worker_fn is not None:
         if g is not None:
@@ -355,8 +350,7 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
 # Worker-count comparison
 
 
-@dataclass(frozen=True)
-class WorkerCountRow:
+class WorkerCountRow(NamedTuple):
     scheme: str
     workers: int
     special_case_only: bool = False

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -436,3 +437,29 @@ def test_worker_count_ordering():
             assert harmonic_n <= lcc_n <= shamir_n
             if K >= 2:
                 assert harmonic_n < lcc_n
+
+
+F3, F11 = FieldConfig(3), FieldConfig(11)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ShamirParams(F11, 0, 1, (1, 2)), "need K >= 1 and d >= 1, got K=0, d=1"),
+    (lambda: ShamirParams(F11, 2, 0, (1,)), "need K >= 1 and d >= 1, got K=2, d=0"),
+    (lambda: ShamirParams(F11, 2, 2, (1, 2)), "need exactly d+1=3 share points, got 2"),
+    (lambda: LCCParams(F11, 0, 2, (0,), (1,)), "need K >= 1 and d >= 1, got K=0, d=2"),
+    (lambda: LCCParams(F11, 2, 0, (0, 1, 2), (3,)), "need K >= 1 and d >= 1, got K=2, d=0"),
+    (lambda: LCCParams(F11, 2, 2, (0, 1), range(3, 8)), "need K+1=3 anchors, got 2"),
+    (lambda: LCCParams(F11, 2, 2, (0, 1, 2), range(3, 7)),
+     "need Kd+1=5 evaluation points, got 4"),
+    (lambda: LCCParams(F11, 2, 2, (0, 1, 12), range(3, 8)), "anchors [0, 1, 1] are not distinct"),
+    (lambda: LCCParams(F11, 2, 2, (0, 1, 2), (3, 4, 5, 6, 14)),
+     "evaluation points [3, 4, 5, 6, 3] are not distinct"),
+    (lambda: FreshmanParams(F3, 0, 1, 1, [[1]]), "K must be >= 1, got 0"),
+    (lambda: FreshmanParams(F3, 1, 0, 1, [[]]), "need m >= 1 and n >= 1, got m=0, n=1"),
+    (lambda: FreshmanParams(F3, 1, 1, 0, []), "need m >= 1 and n >= 1, got m=1, n=0"),
+    (lambda: FreshmanParams(F3, 1, 2, 1, [[1]]), "matrix must be 1x2"),
+    (lambda: FreshmanParams(F3, 1, 1, 2, [[1]]), "matrix must be 2x1"),
+])
+def test_baseline_params_refuse_malformed_shapes(build, message):
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        build()

@@ -5,6 +5,7 @@ import json
 import operator
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -198,6 +199,35 @@ def test_validate_config_errors():
                  "--d", "2"]) == 2  # no room for 5 evaluation points
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["validate", "--scheme", "harmonic", "--p", "11", "--d", "2", "--betas", "1,x"],
+     "--betas must be comma-separated integers, got '1,x'"),
+    (["validate", "--scheme", "harmonic", "--p", "11", "--d", "2", "--trials", "0"],
+     "--trials must be >= 1"),
+    (["validate", "--scheme", "harmonic", "--p", "11", "--d", "2", "--m", "0"],
+     "--m and --n must be >= 1"),
+    (["validate", "--scheme", "harmonic", "--p", "11", "--d", "2", "--n", "0"],
+     "--m and --n must be >= 1"),
+    (["validate", "--scheme", "freshman", "--p", "11", "--d", "11", "--task", "TASK"],
+     "freshman fixes its own g; --task is not accepted"),
+    (["validate", "--scheme", "harmonic", "--p", "13", "--d", "2", "--task", "TASK"],
+     "task file is over F_11, flags say F_13"),
+    (["privacy-audit", "--scheme", "harmonic", "--p", "5", "--d", "2", "--m", "0"],
+     "--m must be >= 1"),
+])
+def test_flag_refusals_are_usage_errors(tmp_path, capsys, argv, message):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"p": 11, "m": 1, "n": 1, "g": [[{"coeff": 1, "exps": [2]}]]}))
+    argv = [str(task) if flag == "TASK" else flag for flag in argv]
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(cli.UsageError, match=re.escape(message)):
+        args.func(args)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_privacy_audit_clean_and_leaky(capsys):
     assert main(["privacy-audit", "--scheme", "harmonic", "--p", "5", "--K", "2",
                  "--d", "2"]) == 0
@@ -381,3 +411,17 @@ def test_point_flags_accepted_by_harmonic(tmp_path, capsys):
     # freshman's degree is the characteristic, from flags as from files
     assert main(["encode", "--scheme", "freshman", "--p", "11", "--d", "2",
                  "--data", str(data_path), "--out", str(shares_path)]) == 2
+
+
+def test_cli_imports_pull_in_neither_dataclasses_nor_inspect():
+    # every harmcode command is a cold start; dataclasses and what it imports
+    # (inspect, ast, dis, tokenize) took over half of `import harmcode`
+    src = str(pathlib.Path(harmcode.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import harmcode, harmcode.cli, harmcode.fileio; "
+            "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, src],
+                            check=True, capture_output=True, text=True)
+    added = set(result.stdout.split())
+    assert "harmcode.cli" in added
+    assert not {"dataclasses", "inspect"} & added

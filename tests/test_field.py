@@ -1,6 +1,7 @@
 """Prime-field arithmetic: exactness, axioms, sampling discipline."""
 
 import math
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -46,6 +47,9 @@ def is_prime_trial_division(n):
 def test_config_rejects_composites_and_out_of_range():
     for bad in [0, 1, 4, 6, 9, 15, 2**31 + 11, -7]:
         with pytest.raises(NotPrimeError):
+            FieldConfig(bad)
+    for bad in [5.0, "5", True]:
+        with pytest.raises(NotPrimeError, match="modulus must be an int"):
             FieldConfig(bad)
     for good in PRIMES:
         assert FieldConfig(good).p == good
@@ -161,6 +165,9 @@ def test_vector_ops_and_errors():
         u + f5.vector([1, 2])
     with pytest.raises(FieldMismatchError):
         u + FieldConfig(7).vector([1, 2, 3])
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError, match="expected FieldVector, got list"):
+            op(u, [1, 2, 3])
     with pytest.raises(DimensionMismatchError):
         f5.vector(())
     with pytest.raises(TypeError):

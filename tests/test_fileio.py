@@ -20,6 +20,7 @@ from harmcode.baselines import (
 from harmcode.field import FieldConfig
 from harmcode.fileio import (
     load_dataset,
+    load_decoded,
     load_outputs,
     load_shares,
     load_task,
@@ -129,6 +130,36 @@ def test_schema_violationerrors(tmp_path):
             load_header(tmp_path, {**doc, key: value}, n)
     with pytest.raises(SchemaViolationError):
         load_header(tmp_path, {key: v for key, v in harmonic_doc.items() if key != "betas"}, 4)
+
+
+TERM = {"coeff": 1, "exps": [1]}
+LOADERS = {"task": load_task, "dataset": lambda path: load_dataset(path, F5),
+           "decoded": lambda path: load_decoded(path, F5)}
+
+
+@pytest.mark.parametrize("kind,doc,error,message", [
+    ("dataset", [[1], [2]], SchemaViolationError, "top level must be a JSON object"),
+    ("dataset", {"K": 2, "data": [[1], []]}, SchemaViolationError,
+     "data[1] must be a non-empty list"),
+    ("dataset", {"K": 0, "data": [[1]]}, SchemaViolationError, "K must be >= 1, got 0"),
+    ("task", {"p": 5, "m": 0, "n": 1, "g": [[]]}, SchemaViolationError,
+     "need m >= 1 and n >= 1, got m=0, n=1"),
+    ("task", {"p": 5, "m": 1, "n": 0, "g": []}, SchemaViolationError,
+     "need m >= 1 and n >= 1, got m=1, n=0"),
+    ("task", {"p": 5, "m": 1, "n": 2, "g": [[TERM]]}, CountMismatchError,
+     "g must list 2 output coordinates"),
+    ("task", {"p": 5, "m": 1, "n": 1, "g": [TERM]}, SchemaViolationError,
+     "g[0] must be a list of terms"),
+    ("task", {"p": 5, "m": 1, "n": 1, "g": [[TERM, 3]]}, SchemaViolationError,
+     "g[0][1] must be an object"),
+    ("task", {"p": 5, "m": 2, "n": 1, "g": [[TERM]]}, CountMismatchError,
+     "g[0][0].exps must list 2 exponents"),
+    ("decoded", {"f": []}, SchemaViolationError, "f must be a non-empty list"),
+])
+def test_malformed_files_are_refused(tmp_path, kind, doc, error, message):
+    with pytest.raises(error) as info:
+        LOADERS[kind](_write(tmp_path / "f.json", doc))
+    assert message in str(info.value)
 
 
 def load_header(tmp_path, doc, n):

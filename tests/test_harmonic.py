@@ -103,6 +103,11 @@ def test_params_structural_checks():
         HarmonicParams(F5, 2, 2, 4, ())  # needs d-1 = 1 beta
     with pytest.raises(InvalidParamsError):
         HarmonicParams(F5, 0, 2, 4, (4,))
+    with pytest.raises(InvalidParamsError, match="d must be >= 1"):
+        HarmonicParams(F5, 2, 0, 4, ())
+    for K, d in ((0, 2), (2, 0)):
+        with pytest.raises(InvalidParamsError, match="need K >= 1 and d >= 1"):
+            select_params(F5, K, d)
     # points are reduced mod p before anything else looks at them
     F11 = FieldConfig(11)
     assert HarmonicParams(F11, 2, 2, 15, (13,)) == HarmonicParams(F11, 2, 2, 4, (2,))
@@ -180,7 +185,7 @@ def test_intermediate_vars_are_residues_though_the_chain_runs_below_2p():
             params = select_params(field, K, 2)
             data = random_dataset(rng, field, K, 64)
             z = sample_uniform_vector(rng, field, 64)
-            layout, chain, _ = harmonic._chain(field, K, harmonic._steps(params), data, z, None)
+            layout, chain, _ = harmonic._chain(field, K, harmonic._steps(params), data, (z,), None)
             bits = 8 * layout[-1].size // 64
             slots = [v >> (i * bits) & (2**bits - 1) for v in chain for i in range(64)]
             assert max(slots) < 2 * p
@@ -313,7 +318,7 @@ def test_encoder_operation_count():
                 data = random_dataset(rng, field, K, 2)
                 z = sample_uniform_vector(rng, field, 2)
                 for run in (lambda st: encode(params, data, z, st),
-                            lambda st: harmonic.encoder(params)(data, z, st)):
+                            lambda st: harmonic.encoder(params)(data, z, stats=st)):
                     stats = EncodeStats()
                     run(stats)
                     assert stats.two_term_combos == K * d

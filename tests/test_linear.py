@@ -10,7 +10,12 @@ import pytest
 
 from harmcode import baselines, harmonic
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
-from harmcode.errors import FieldMismatchError, FieldTooSmallError, InvalidParamsError
+from harmcode.errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    FieldTooSmallError,
+    InvalidParamsError,
+)
 from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
 from harmcode.harmonic import select_params
 from harmcode.linear import DecodeVector, EncodingMatrix, LinearCode, _layout, _residues
@@ -110,6 +115,9 @@ def test_zeroed_shamir_key_column_is_refused():
     rows[0][2] = 0
     with pytest.raises(InvalidParamsError):
         EncodingMatrix(field, 2, rows, num_keys=2)
+    rows[0] = rows[0][:3]  # a row one entry short of K + num_keys
+    with pytest.raises(DimensionMismatchError, match="row 1 has 3 entries, expected 4"):
+        EncodingMatrix(field, 2, rows, num_keys=2)
 
 
 def test_matrix_and_vector_are_built_once_and_only_on_demand():
@@ -198,6 +206,26 @@ def test_encoders_refuse_data_and_keys_from_another_field(label, encode, decode,
         foreign_keys[t] = other.vector([t + 1])
         with pytest.raises(FieldMismatchError):
             encode(data, foreign_keys)
+
+
+@pytest.mark.parametrize("label,encode,decode,num_keys,field,foreign", FOREIGN,
+                         ids=[c[0] for c in FOREIGN])
+def test_encoders_refuse_datasets_and_keys_of_another_shape(label, encode, decode, num_keys,
+                                                            field, foreign):
+    # one check, linear._columns, behind every handle and EncodingMatrix.apply
+    data = Dataset([field.vector([1, 2]), field.vector([2, 0])])
+    keys = [field.vector([t, 1]) for t in range(num_keys)]
+    assert len(encode(data, keys)) > 0
+    with pytest.raises(DimensionMismatchError, match="dataset has K=3"):
+        encode(Dataset([*data.items, field.vector([0, 1])]), keys)
+    for count in (num_keys - 1, num_keys + 1):
+        with pytest.raises(DimensionMismatchError, match=f"need {num_keys} keys, got {count}"):
+            encode(data, (keys + keys)[:count])
+    for t in range(num_keys):
+        narrow = list(keys)
+        narrow[t] = field.vector([1])
+        with pytest.raises(DimensionMismatchError, match="key dim 1 != data dim 2"):
+            encode(data, narrow)
 
 
 @pytest.mark.parametrize("label,encode,decode,num_keys,field,foreign", FOREIGN,

@@ -251,6 +251,8 @@ def test_eval_dimension_checks():
     g = uni(F5, [0, 1])
     with pytest.raises(DimensionMismatchError):
         g.eval(F5.vector([1, 2]))
+    with pytest.raises(TypeError, match="expected FieldVector, got list"):
+        g.eval([1])
 
 
 def test_total_degree_examples():
@@ -287,6 +289,14 @@ def test_canonical_form_enforced():
     with pytest.raises(ValueError):
         PolyMap(F5, 1, [[Monomial(1, (1,)),
                          Monomial(2, (1,))]])  # unmerged duplicates
+    with pytest.raises(ValueError, match="nonnegative"):
+        Monomial(1, (1, -1))
+    with pytest.raises(DimensionMismatchError, match="m must be >= 1"):
+        PolyMap(F5, 0, [[Monomial(1, ())]])
+    with pytest.raises(DimensionMismatchError, match="at least one output"):
+        PolyMap(F5, 1, [])
+    with pytest.raises(DimensionMismatchError, match="exponent vector length 1 != m=2"):
+        PolyMap(F5, 2, [[Monomial(1, (1,))]])
 
 
 def test_from_terms_merges_and_drops():
@@ -371,6 +381,10 @@ def test_multilinearize_square_example():
     ml = multilinearize(g, 2)
     got = ml([F5.vector([2]), F5.vector([3])])
     assert got.values() == (2,)  # 2*2*3 = 12 = 2 mod 5
+    with pytest.raises(DimensionMismatchError, match="expected 2 blocks, got 1"):
+        ml([F5.vector([2])])
+    with pytest.raises(DimensionMismatchError, match="block dim 2 != m=1"):
+        ml([F5.vector([2]), F5.vector([3, 1])])
     for x1 in range(5):
         for x2 in range(5):
             expect = 2 * x1 * x2 % 5
@@ -506,6 +520,8 @@ def test_random_poly_deterministic():
 def test_random_poly_impossible_degree():
     with pytest.raises(ValueError):
         random_poly(random.Random(0), FieldConfig(3), 1, 1, 3)  # d > m(p-1) = 2
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        random_poly(random.Random(0), F5, 1, 1, 0)
 
 
 def test_dataset_validation():
@@ -513,6 +529,8 @@ def test_dataset_validation():
         Dataset([])
     with pytest.raises(DimensionMismatchError):
         Dataset([F5.vector([1]), F5.vector([1, 2])])
+    with pytest.raises(FieldMismatchError):
+        Dataset([F5.vector([1]), F7.vector([1])])
     d = random_dataset(random.Random(1), F5, 3, 2)
     assert d.K == 3 and d.m == 2
     assert d == random_dataset(random.Random(1), F5, 3, 2)

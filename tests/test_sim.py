@@ -110,6 +110,9 @@ def test_run_trial_rejections():
         run_trial(handle, None, data, seed=0)
     with pytest.raises(DimensionMismatchError):
         run_trial(handle, quadratic_g(), Dataset([F5.vector([1])]), seed=0)
+    g2 = PolyMap.from_terms(F5, 2, [[(1, (1, 1))]])
+    with pytest.raises(DimensionMismatchError, match="g expects m=2, data has m=1"):
+        run_trial(handle, g2, data, seed=0)
 
 
 def assert_json_is_fields_in_order(report, keys):
@@ -166,6 +169,9 @@ def test_audit_clear_storage_leak_detected():
     # leaking X_1 under a uniform prior carries exactly log2(p) bits
     assert math.isclose(report.mi_bits_per_worker[0], math.log2(5),rel_tol=1e-12)
     assert report.mi_bits_per_worker[1:] == (0.0, 0.0, 0.0)
+    for worker in (-1, 4):
+        with pytest.raises(IndexError, match=r"outside \[0, 4\)"):
+            ClearStorageScheme(fixture_handle(), leak_worker=worker)
 
 
 class RawMatrixScheme:
