@@ -122,13 +122,13 @@ def _forbidden_betas(field: FieldConfig, K: int, c: int) -> set[int]:
 def validate_params(params: HarmonicParams) -> list[str]:
     """All constraint violations (empty list means the parameters are valid).
 
-    Checks: c avoids the residues 0..K (so every chain denominator c-j is
-    nonzero), and the betas are pairwise distinct, nonzero, and avoid every
-    ratio c/(c-i) for i = 0..K (so all interpolation points stay distinct).
+    Checks: c > K (for a residue c, exactly when every chain denominator c-j
+    is nonzero), and the betas are pairwise distinct, nonzero, and avoid
+    every ratio c/(c-i) for i = 0..K (so all interpolation points stay distinct).
     """
     p, K, c, betas = params.field.p, params.K, params.c, params.betas
     violations = []
-    if c in {i % p for i in range(K + 1)}:
+    if c <= K:
         violations.append(f"c={c} collides with a residue of 0..{K} mod {p}")
     if len(set(betas)) != len(betas):
         violations.append(f"betas {list(betas)} are not pairwise distinct")
@@ -143,22 +143,21 @@ def select_params(field: FieldConfig, K: int, d: int,
                   c=None, betas=None) -> HarmonicParams:
     """Deterministic parameter choice, with optional explicit overrides.
 
-    Default scan: c is the smallest residue above K, then betas are taken
-    in ascending order from 2 upward, skipping the forbidden set. Any
-    prime p >= K + d + 2 is guaranteed to have room. Overrides (ints,
-    reduced mod p) are validated and rejected with the full violation list.
+    Default scan: c is K+1, then betas are taken in ascending order from 2
+    upward, skipping the forbidden set. Any prime p >= K + d + 2 is
+    guaranteed to have room. Overrides (ints, reduced mod p) are validated
+    and rejected with the full violation list.
     """
     if K < 1 or d < 1:
         raise InvalidParamsError([f"need K >= 1 and d >= 1, got K={K}, d={d}"])
     p = field.p
     if c is not None:
         [c] = field.residues([c])
+    elif K + 1 < p:
+        c = K + 1
     else:
-        forbidden_c = {i % p for i in range(K + 1)}
-        c = next((cand for cand in range(K + 1, p) if cand not in forbidden_c), None)
-        if c is None:
-            raise FieldTooSmallError(
-                f"F_{p} has no anchor c outside 0..{K}; any prime >= {K + d + 2} works")
+        raise FieldTooSmallError(
+            f"F_{p} has no anchor c outside 0..{K}; any prime >= {K + d + 2} works")
     if betas is None:
         bad = _forbidden_betas(field, K, c)
         betas = []
@@ -178,36 +177,30 @@ def select_params(field: FieldConfig, K: int, d: int,
     return params
 
 
-def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
+def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple]]]:
     """The encoders' scalars as residues: 1/c and, per chain step j = 1..K,
-    a_j = (c-j+1)/(c-j) and b_j = -1/(c-j) (P_j = a_j P_{j-1} + b_j X_j) with
-    group j's blend points q_ij = beta_i (c-j+1)/c. ZeroInversionError when
-    a denominator is zero, which validate_params rules out."""
+    (a_j, b_j, ((1 - q_ij, q_ij), ...)) with a_j = (c-j+1)/(c-j), b_j = -1/(c-j)
+    (P_j = a_j P_{j-1} + b_j X_j) and group j's blend points q_ij = beta_i (c-j+1)/c.
+    ZeroInversionError when c <= K, which validate_params rules out."""
     p, c = params.field.p, params.c
-    if any((c - j) % p == 0 for j in range(params.K + 1)):
+    if c <= params.K:
         raise ZeroInversionError(f"c={c} puts a zero among c, c-1, ..., c-{params.K} mod {p}")
     c_inv = pow(c, -1, p)
     steps = []
     for j in range(1, params.K + 1):
         inv_cj = pow(c - j, -1, p)
-        steps.append(((c - j + 1) * inv_cj % p, -inv_cj % p,
-                      tuple([b * (c - j + 1) * c_inv % p for b in params.betas])))
+        qs = [b * (c - j + 1) * c_inv % p for b in params.betas]
+        pairs = tuple([((1 - q) % p, q) for q in qs])
+        steps.append(((c - j + 1) * inv_cj % p, -inv_cj % p, pairs))
     return c_inv, steps
-
-
-def _steps(params: HarmonicParams) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    """Per chain step j: (a_j, b_j, ((1 - q_ij, q_ij) for each blend i)), as residues."""
-    p = params.field.p
-    return tuple((a, b, tuple([((1 - q) % p, q) for q in qs]))
-                 for a, b, qs in _scalars(params)[1])
 
 
 # a * P + b * X with P in [0, 2p) stays below 4 (p-1)^2: four products' worth
 _CHAIN_TERMS = 4
 
 
-def _chain(field: FieldConfig, K: int, steps, data: Dataset, keys: Sequence[FieldVector],
-           stats: EncodeStats | None) -> tuple[tuple, list[int], list[int]]:
+def _chain(field: FieldConfig, K: int, steps, data: Dataset,
+           keys: Sequence[FieldVector]) -> tuple[tuple, list[int], list[int]]:
     """P_0 = Z, the one key, to P_K and X_1..X_K packed on m slots, and their
     layout. Each step P_j = a_j P_{j-1} + b_j X_j is one multiply-add and one
     Barrett step, so every slot of P_1..P_K lies in [0, 2p), not yet [0, p)."""
@@ -222,43 +215,36 @@ def _chain(field: FieldConfig, K: int, steps, data: Dataset, keys: Sequence[Fiel
         v = a * prev + b * x
         prev = v - (v * mu >> shift & mask) * p
         chain.append(prev)
-    if stats is not None:
-        stats.two_term_combos += K
     return layout, chain, xs
 
 
 def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
-    """The recursive encoder of one parameter set, as ``encode(data, *keys,
-    stats=None)`` like ``EncodingMatrix.apply``; the one key is z = P_0.
+    """The recursive encoder of one parameter set, as ``encode(data, *keys)``
+    like ``EncodingMatrix.apply``; the one key is z = P_0.
 
-    Its scalars are residues computed here, once; each call then costs
-    K + K(d-1) two-term combinations, each one multiply-add on packed ints.
-    ZeroInversionError here when a chain denominator is zero.
+    Its scalars come from :func:`_scalars`, once; each call then makes K*d
+    two-term combinations (K chain steps, K(d-1) blends), each one
+    multiply-add on packed ints. ZeroInversionError here when c <= K.
     """
     field, K = params.field, params.K
-    p, steps = field.p, _steps(params)
-    blends = K * (params.d - 1)
+    p, steps = field.p, _scalars(params)[1]
     of = FieldVector._of
 
-    def encode(data: Dataset, *keys: FieldVector,
-               stats: EncodeStats | None = None) -> list[FieldVector]:
-        layout, chain, xs = _chain(field, K, steps, data, keys, stats)
+    def encode(data: Dataset, *keys: FieldVector) -> list[FieldVector]:
+        layout, chain, xs = _chain(field, K, steps, data, keys)
         sums = [r * x + q * prev
-                for (_, _, qs), x, prev in zip(steps, xs, chain) for r, q in qs]
+                for (_, _, pairs), x, prev in zip(steps, xs, chain) for r, q in pairs]
         sums.append(chain[-1])
-        if stats is not None:
-            stats.two_term_combos += blends
         return [keys[0]] + [of(field, v) for v in _residues(sums, layout, p)]
 
     return encode
 
 
-def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector,
-                      stats: EncodeStats | None = None) -> list[FieldVector]:
+def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector) -> list[FieldVector]:
     """The masking chain P_0..P_K as residues in [0, p), one two-term
     combination per step."""
     field = params.field
-    layout, chain, _ = _chain(field, params.K, _steps(params), data, (z,), stats)
+    layout, chain, _ = _chain(field, params.K, _scalars(params)[1], data, (z,))
     return [FieldVector._of(field, v) for v in _residues(chain, layout, field.p)]
 
 
@@ -273,9 +259,9 @@ def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
     field, K = params.field, params.K
     c_inv, steps = _scalars(params)
     rows = [[0] * K + [1]]
-    for j, (_, _, qs) in enumerate(steps, start=1):
-        for beta, q in zip(params.betas, qs):
-            rows.append([-beta * c_inv] * (j - 1) + [1 - q] + [0] * (K - j) + [beta])
+    for j, (_, _, pairs) in enumerate(steps, start=1):
+        for beta, (r, _) in zip(params.betas, pairs):
+            rows.append([-beta * c_inv] * (j - 1) + [r] + [0] * (K - j) + [beta])
     b_K = steps[-1][1]
     rows.append([b_K] * K + [-params.c * b_K])
     return EncodingMatrix(field, K, rows)
@@ -285,10 +271,14 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
            stats: EncodeStats | None = None) -> list[FieldVector]:
     """Shares in worker order via the recursive chain; see :func:`encoder`.
 
-    The result is coordinate-identical to
-    ``encoding_matrix(params).apply(data, z)``.
+    The result is coordinate-identical to ``encoding_matrix(params).apply(data, z)``.
+    ``stats`` gains K*d, K chain steps plus K(d-1) blends; it is kept only
+    for perfbench, until ROADMAP item 3a.
     """
-    return encoder(params)(data, z, stats=stats)
+    shares = encoder(params)(data, z)
+    if stats is not None:
+        stats.two_term_combos += params.K * params.d
+    return shares
 
 
 class GroupCoeffs(NamedTuple):

@@ -223,6 +223,8 @@ class DecodeVector:
     def __init__(self, field: FieldConfig, weights: Sequence[int]):
         self.field = field
         self.weights = field.residues(weights)
+        if not self.weights:
+            raise DimensionMismatchError("decode vectors need at least one weight")
         self._plan = _compile((self.weights,))
 
     @property
@@ -275,24 +277,12 @@ class LinearCode:
         self.scheme = scheme
         self.params = params
         self.kind = scheme.name
+        self.field = params.field
+        self.K = params.K
+        self.d = params.d
+        self.worker_count = params.N
         self.num_keys = params.K if scheme.keys_per_input else 1
         self.worker_fn = None if scheme.worker_fn is None else partial(scheme.worker_fn, params)
-
-    @property
-    def field(self) -> FieldConfig:
-        return self.params.field
-
-    @property
-    def K(self) -> int:
-        return self.params.K
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    @property
-    def worker_count(self) -> int:
-        return self.params.N
 
     @cached_property
     def matrix(self) -> EncodingMatrix:

@@ -89,6 +89,55 @@ def test_select_params_field_too_small():
         select_params(F5, 2, 4)  # needs 3 betas, only one candidate survives
 
 
+PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200 + [2**31 - 1])
+def test_select_params_default_anchor_is_k_plus_one(p):
+    # c must exceed K and be a residue, so the one default anchor is K + 1,
+    # and a field with K + 1 >= p has none
+    field = FieldConfig(p)
+    for K in range(1, 45):
+        for d in range(1, 7):
+            if K + 1 >= p:
+                with pytest.raises(FieldTooSmallError) as err:
+                    select_params(field, K, d)
+                assert str(err.value) == (f"F_{p} has no anchor c outside 0..{K}; "
+                                          f"any prime >= {K + d + 2} works")
+                continue
+            try:
+                params = select_params(field, K, d)
+            except FieldTooSmallError as err:
+                assert f"usable betas, need {d - 1}" in str(err)
+                continue
+            assert params.c == K + 1
+
+
+def test_anchor_rule_is_c_above_k_at_every_small_prime():
+    # d = 1 has no betas, so the anchor is the only thing that can fail:
+    # validate_params names it, and every encoder refuses it, exactly when
+    # c <= K, including K >= p where the residues 0..K cover the field
+    for p in [p for p in PRIMES_BELOW_200 if p <= 31]:
+        field = FieldConfig(p)
+        for K in range(1, 2 * p + 1):
+            data = Dataset([field.vector([k]) for k in range(1, K + 1)])
+            z = field.vector([1])
+            for c in range(p):
+                params = HarmonicParams(field, K, 1, c, ())
+                anchor = f"c={c} collides with a residue of 0..{K} mod {p}"
+                assert (anchor in validate_params(params)) == (c <= K)
+                builds = (lambda: encode(params, data, z),
+                          lambda: encoding_matrix(params),
+                          lambda: intermediate_vars(params, data, z),
+                          lambda: make_handle(params).encode(data, [z]))
+                for build in builds:
+                    if c <= K:
+                        with pytest.raises(ZeroInversionError):
+                            build()
+                    else:
+                        build()
+
+
 def test_validate_params_reports_violations():
     bad_c = HarmonicParams(F5, 2, 2, 2, (4,))
     assert any("c=2" in v for v in validate_params(bad_c))
@@ -185,7 +234,7 @@ def test_intermediate_vars_are_residues_though_the_chain_runs_below_2p():
             params = select_params(field, K, 2)
             data = random_dataset(rng, field, K, 64)
             z = sample_uniform_vector(rng, field, 64)
-            layout, chain, _ = harmonic._chain(field, K, harmonic._steps(params), data, (z,), None)
+            layout, chain, _ = harmonic._chain(field, K, harmonic._scalars(params)[1], data, (z,))
             bits = 8 * layout[-1].size // 64
             slots = [v >> (i * bits) & (2**bits - 1) for v in chain for i in range(64)]
             assert max(slots) < 2 * p
@@ -304,8 +353,7 @@ def test_encode_identical_to_matrix_apply():
 
 
 def test_encoder_operation_count():
-    # K chain steps plus one blend per group worker: K*d combos, <= 2N here;
-    # the chain alone is K.
+    # K chain steps plus one blend per group worker: K*d combos, <= 2N here
     rng = random.Random(5)
     for p in (13, 7, 11):
         field = FieldConfig(p)
@@ -317,15 +365,10 @@ def test_encoder_operation_count():
                     continue
                 data = random_dataset(rng, field, K, 2)
                 z = sample_uniform_vector(rng, field, 2)
-                for run in (lambda st: encode(params, data, z, st),
-                            lambda st: harmonic.encoder(params)(data, z, stats=st)):
-                    stats = EncodeStats()
-                    run(stats)
-                    assert stats.two_term_combos == K * d
-                    assert stats.two_term_combos <= 2 * params.N
                 stats = EncodeStats()
-                intermediate_vars(params, data, z, stats)
-                assert stats.two_term_combos == K
+                encode(params, data, z, stats)
+                assert stats.two_term_combos == K * d
+                assert stats.two_term_combos <= 2 * params.N
 
 
 # ---------------------------------------------------------------------------

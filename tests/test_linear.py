@@ -301,6 +301,9 @@ def test_empty_matrix_applies_to_no_shares():
     field = FieldConfig(7)
     data = Dataset([field.vector([1, 2]), field.vector([3, 4])])
     assert EncodingMatrix(field, 2, []).apply(data, field.vector([5, 6])) == []
+    # a decode vector has no such case: its apply would read outputs[0]
+    with pytest.raises(DimensionMismatchError, match="at least one weight"):
+        DecodeVector(field, [])
 
 
 LAYOUT_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1]
