@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     FieldTooSmallError,
     InvalidParamsError,
 )
@@ -273,6 +274,8 @@ def freshman_decode_vector(params: FreshmanParams) -> DecodeVector:
 
 def freshman_apply(params: FreshmanParams, x: FieldVector) -> FieldVector:
     """The scheme's own worker function: A applied to coordinatewise d-th powers."""
+    if x.field != params.field:
+        raise FieldMismatchError(f"input over F_{x.field.p}, params over F_{params.field.p}")
     if x.dim != params.m:
         raise DimensionMismatchError(f"input dim {x.dim} != m={params.m}")
     p = params.field.p

@@ -13,17 +13,30 @@ by :meth:`~harmcode.field.FieldConfig.residues` when they are built.
 scheme modules only supply the coefficients.
 
 Both maps are applied by one kernel, :func:`_apply_rows`: rows of int
-coefficients over columns of residues. Each column a row uses is packed
-once per call into one Python int with a slot per coordinate, and each row
-sums c * packed over its terms in C. One call of :func:`_residues` then
-reduces every row with a slot-wise Barrett step and one conditional
-subtraction of p over all of its slots at once, and unpacks each row's
-residues with one Struct. :func:`_layout` sizes the slots from the densest
-row: its slot sums stay below terms * (p-1)^2 < 2^s, and a slot holds each
-sum times mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow
-crosses a slot at any row length or modulus. The decode vector is the
-one-row case, with the worker outputs as its columns. The harmonic chain
-encoder runs on the same layout.
+coefficients over columns of residues, in one of two packings, whichever
+makes fewer big-int products. A map with ``width`` columns read and ``nnz``
+nonzero coefficients, applied m coordinates wide, packs
+
+- *wide* (``m * width >= nnz``): each column it reads, once per call, into
+  one Python int with a slot per coordinate; each row sums c * packed over
+  its terms in C, nnz products of m slots;
+- *narrow* (``m * width < nnz``): each coefficient column, once per map,
+  into one int with a slot per row; each coordinate i sums
+  cols[k][i] * packed_k over the columns in C, m * width products of N
+  slots.
+
+One call of :func:`_residues` then reduces every packed sum with a
+slot-wise Barrett step and one conditional subtraction of p over all of
+its slots at once, and unpacks each with one Struct. :func:`_layout` sizes
+the slots from the densest row: a slot sums one row's terms -- over a
+coordinate when wide, over the columns when narrow, where a zero
+coefficient adds nothing -- so it stays below most * (p-1)^2 < 2^s either
+way, and a slot holds each sum times mu = floor(2^s / p) and bit
+p.bit_length(), so no carry or borrow crosses a slot at any row length or
+modulus. The decode vector is the one-row case, with the worker outputs as
+its columns; each column it reads is one nonzero, so m * width < nnz never
+holds and it always packs wide. The harmonic chain encoder runs on the
+wide layout.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -35,6 +48,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import cached_property, lru_cache, partial
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -95,20 +109,46 @@ def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...
     return out
 
 
-def _compile(rows: tuple[tuple[int, ...], ...]):
-    """Per row, its (column, coefficient) nonzero terms; the columns the rows
-    read; and the most terms in a row."""
+def _compile(rows: tuple[tuple[int, ...], ...]) -> tuple:
+    """A map's plan: its rows; per row, its (column, coefficient) nonzero
+    terms; the columns the rows read, ascending; the most terms in a row;
+    the nonzero count; and a list that the first narrow apply fills with the
+    row-packed layout and coefficient columns, so a map only ever applied
+    wide never builds them."""
     terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
-    return (terms, frozenset(k for row in terms for k, _ in row),
-            max(map(len, terms), default=0))
+    columns = tuple(sorted({k for row in terms for k, _ in row}))
+    return rows, terms, columns, max(map(len, terms), default=0), sum(map(len, terms)), []
 
 
 def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
-    """sum_k c * cols[k] mod p for each row's (k, c) terms, m coordinates wide."""
-    terms, columns, most = plan
+    """sum_k c * cols[k] mod p for each row's (k, c) terms, m coordinates wide,
+    packed narrow when ``m * width < nnz`` -- fewer products -- and wide
+    otherwise."""
+    _, _, columns, _, nnz, _ = plan
+    if m * len(columns) < nnz:
+        return _apply_narrow(plan, cols, m, p)
+    return _apply_wide(plan, cols, m, p)
+
+
+def _apply_wide(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
+    """Each column read packed over the m coordinates, one product per term."""
+    _, terms, columns, most, _, _ = plan
     layout = _layout(m, p, most)
     packed = {k: _pack(layout, cols[k]) for k in columns}
     return _residues([sum([c * packed[k] for k, c in row]) for row in terms], layout, p)
+
+
+def _apply_narrow(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
+    """Each coefficient column packed over the N rows, once per map, and one
+    product per column read at each coordinate. Rows that read no column
+    would get no coordinates here; nnz = 0 keeps the rule from sending them."""
+    rows, _, columns, most, _, narrow = plan
+    if not narrow:
+        layout = _layout(len(rows), p, most)
+        narrow[:] = layout, [_pack(layout, [row[k] for row in rows]) for k in columns]
+    layout, coeffs = narrow
+    sums = [sum(map(mul, values, coeffs)) for values in zip(*[cols[k] for k in columns])]
+    return list(zip(*_residues(sums, layout, p)))
 
 
 def _columns(field: FieldConfig, K: int, num_keys: int, data: Dataset,

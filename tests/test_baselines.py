@@ -11,6 +11,7 @@ import pytest
 
 from harmcode.errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     FieldTooSmallError,
     InvalidParamsError,
 )
@@ -390,6 +391,16 @@ def test_freshman_handle_encodes_data_of_any_width():
     with pytest.raises(DimensionMismatchError):
         freshman_apply(handle.params, field.vector([1, 2]))
 
+
+
+def test_freshman_worker_function_refuses_another_field():
+    # the same check PolyMap.eval, the other worker function, makes
+    params = FreshmanParams(FieldConfig(5), 2, 2, 1, [[1, 1]])
+    x = FieldConfig(7).vector([6, 3])
+    for worker in (functools.partial(freshman_apply, params), make_handle(params).worker_fn):
+        with pytest.raises(FieldMismatchError, match="F_7"):
+            worker(x)
+        assert worker(FieldConfig(5).vector([1, 3])) == FieldConfig(5).vector([4])  # 1^5 + 3^5
 
 def test_freshman_trial_with_wrong_width_raises():
     field = FieldConfig(5)

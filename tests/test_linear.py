@@ -8,7 +8,7 @@ import struct
 
 import pytest
 
-from harmcode import baselines, harmonic
+from harmcode import baselines, harmonic, linear
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
 from harmcode.errors import (
     DimensionMismatchError,
@@ -18,7 +18,8 @@ from harmcode.errors import (
 )
 from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
 from harmcode.harmonic import select_params
-from harmcode.linear import DecodeVector, EncodingMatrix, LinearCode, _layout, _residues
+from harmcode.linear import (DecodeVector, EncodingMatrix, LinearCode, _apply_narrow,
+                             _apply_wide, _layout, _residues)
 from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
 from harmcode.sim import SCHEMES, ClearStorageScheme, make_handle
 from reference_field import FieldElement, element, vector
@@ -304,6 +305,123 @@ def test_empty_matrix_applies_to_no_shares():
     # a decode vector has no such case: its apply would read outputs[0]
     with pytest.raises(DimensionMismatchError, match="at least one weight"):
         DecodeVector(field, [])
+
+
+TOP = 2**31 - 1
+
+# (label, K, rows over F_TOP, key count): maps on both sides of m * width < nnz
+PACKING_MAPS = [
+    *[(f"lcc-{K}-2", K, baselines.lcc_encoding_matrix(lcc_params(FieldConfig(TOP), K, 2)).rows, 1)
+      for K in (2, 8, 16)],
+    *[(f"shamir-{K}-2", K,
+       baselines.shamir_encoding_matrix(shamir_params(FieldConfig(TOP), K, 2)).rows, K)
+      for K in (2, 8)],
+    ("harmonic-8-3", 8, harmonic.encoding_matrix(select_params(FieldConfig(TOP), 8, 3)).rows, 1),
+]
+
+
+def on_pattern(rows, p, top):
+    """The rows' nonzero pattern over F_p: each nonzero e becomes p - 1 when
+    ``top``, else e mod (p - 1) + 1, so width, nnz and the densest row stay."""
+    return [[(p - 1 if top else e % (p - 1) + 1) if e else 0 for e in row] for row in rows]
+
+
+def rule_is_narrow(matrix, m):
+    _, _, columns, _, nnz, _ = matrix._plan
+    return m * len(columns) < nnz
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, TOP])
+@pytest.mark.parametrize("label,K,rows,num_keys", PACKING_MAPS, ids=[m[0] for m in PACKING_MAPS])
+def test_both_packings_match_the_reference(p, label, K, rows, num_keys):
+    # every m from 1 to ceil(nnz / width) + 2, so the rule sends the map both
+    # ways; the map's own coefficients at F_TOP, its pattern elsewhere, and the
+    # pattern at p - 1, with random data and every datum p - 1: the worst slot
+    field = FieldConfig(p)
+    rng = random.Random(f"packings-{label}-{p}")
+    nnz, width = sum(map(bool, sum(rows, ()))), len(rows[0])
+    top_m = -(-nnz // width) + 2
+    for coeffs in ([rows] if p == TOP else []) + [on_pattern(rows, p, top) for top in (False, True)]:
+        matrix = EncodingMatrix(field, K, coeffs, num_keys=num_keys)
+        assert {rule_is_narrow(matrix, m) for m in range(1, top_m + 1)} == {True, False}
+        worst = field.vector([p - 1] * top_m)
+        for columns in ([sample_uniform_vector(rng, field, top_m) for _ in range(width)],
+                        [worst] * width):
+            want = [s.values() for s in reference_apply(field, matrix.rows, columns)]
+            for m in range(1, top_m + 1):
+                cols = [c.values()[:m] for c in columns]
+                data = Dataset([field.vector(c) for c in cols[:K]])
+                keys = [field.vector(c) for c in cols[K:]]
+                shares = [w[:m] for w in want]
+                assert [s.values() for s in matrix.apply(data, *keys)] == shares
+                assert _apply_narrow(matrix._plan, cols, m, p) == shares
+                assert _apply_wide(matrix._plan, cols, m, p) == shares
+
+
+@pytest.mark.parametrize("p", [2, 13, TOP])
+def test_narrow_packing_skips_a_zero_column_and_empty_maps(p):
+    field = FieldConfig(p)
+    rng = random.Random(f"narrow-edges-{p}")
+    # column 1 of 4 is all zero: three columns read, 15 nonzeros
+    rows = [[rng.randrange(1, p), 0, rng.randrange(1, p), rng.randrange(1, p)] for _ in range(5)]
+    rows[0] = [p - 1, 0, p - 1, p - 1]
+    matrix = EncodingMatrix(field, 3, rows)
+    for m in (1, 2, 4, 5):
+        data = random_dataset(rng, field, 3, m)
+        z = sample_uniform_vector(rng, field, m)
+        want = reference_apply(field, matrix.rows, list(data.items) + [z])
+        assert rule_is_narrow(matrix, m) == (m < 5)
+        assert matrix.apply(data, z) == want
+        cols = [x.values() for x in data.items] + [z.values()]
+        assert _apply_narrow(matrix._plan, cols, m, p) == [w.values() for w in want]
+    # no rows: no shares on either packing, and the rule packs it wide
+    empty = EncodingMatrix(field, 2, [])
+    cols = [(1, 2), (3, 4), (5, 6)]
+    assert not rule_is_narrow(empty, 2)
+    assert _apply_narrow(empty._plan, cols, 2, p) == _apply_wide(empty._plan, cols, 2, p) == []
+
+
+def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch):
+    packed = []
+    pack = linear._pack
+    monkeypatch.setattr(linear, "_pack", lambda layout, values: packed.append(len(values))
+                        or pack(layout, values))
+    field = FieldConfig(TOP)
+    params = lcc_params(field, 16, 2)
+    rng = random.Random(16)
+
+    def apply(matrix, m):
+        data = random_dataset(rng, field, 16, m)
+        z = sample_uniform_vector(rng, field, m)
+        assert matrix.apply(data, z) == reference_apply(field, matrix.rows, list(data.items) + [z])
+
+    # narrow at m = 4 (68 < 561): the 17 coefficient columns, 33 rows each, once
+    narrow = baselines.lcc_encoding_matrix(params)
+    assert narrow._plan[-1] == []
+    apply(narrow, 4)
+    assert packed == [33] * 17
+    for _ in range(9):
+        apply(narrow, 4)
+    assert packed == [33] * 17
+    # slots sized for the densest row's 17 terms, one slot per row
+    layout, columns = narrow._plan[-1]
+    assert layout == _layout(33, TOP, 17) and len(columns) == 17
+    # wide at m = 128 (2176 >= 561): every pack is a data column, every call
+    packed.clear()
+    wide = baselines.lcc_encoding_matrix(params)
+    for _ in range(3):
+        apply(wide, 128)
+    assert packed == [128] * 17 * 3
+    assert wide._plan[-1] == []
+    # a decode vector always packs wide: its worker outputs, never its weights
+    packed.clear()
+    vector = baselines.lcc_decode_vector(params)
+    for m in (1, 4, 128):
+        outputs = [sample_uniform_vector(rng, field, m) for _ in range(vector.N)]
+        vector.apply(outputs)
+        assert packed == [m] * vector.N
+        packed.clear()
+    assert vector._plan[-1] == []
 
 
 LAYOUT_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1]
