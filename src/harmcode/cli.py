@@ -37,7 +37,7 @@ from .errors import (
     ResidueRangeError,
     SchemaViolationError,
 )
-from .field import FieldConfig, sample_uniform_vector
+from .field import FieldConfig, sample_keys
 from .poly import Dataset, PolyMap, random_dataset, random_poly
 
 # Frozen reference values for the worked example (p=5, K=2, d=2, c=4, beta=4),
@@ -248,8 +248,7 @@ def cmd_encode(args) -> int:
     data = fileio.load_dataset(args.data, field)
     handle = _build_handle(field, data.K, data.m, args)
     rng = random.Random(args.seed)
-    keys = [sample_uniform_vector(rng, field, data.m)
-            for _ in range(handle.num_keys)]
+    keys = sample_keys(rng, field, handle.num_keys, data.m)
     shares = handle.encode(data, keys)
     fileio.write_shares(args.out, handle.params, shares)
     print(f"wrote {len(shares)} shares to {args.out}")

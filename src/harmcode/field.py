@@ -1,9 +1,9 @@
 """Exact arithmetic in prime fields F_p.
 
-Values are residues bound to a :class:`FieldConfig`; mixing different
-moduli raises :class:`FieldMismatchError`. The supported moduli are the
-primes up to 2**31; Python integers are unbounded, so the cap is the range
-this package is built and tested for, not an overflow guard.
+Values are residues bound to a :class:`FieldConfig`, one instance per prime;
+mixing different moduli raises :class:`FieldMismatchError`. The supported
+moduli are the primes up to 2**31; Python integers are unbounded, so the
+cap is the range this package is built and tested for, not an overflow guard.
 
 Scalars: the package has one scalar type, the exact int residue in
 [0, p). Vector coordinates, monomial coefficients, scheme parameters,
@@ -38,6 +38,7 @@ MAX_MODULUS = 2**31
 
 
 _WITNESSES = (2, 7, 61)
+_FIELDS: dict = {}  # p -> its one FieldConfig
 
 
 def _is_prime(n: int) -> bool:
@@ -69,27 +70,29 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldConfig:
-    """The prime field F_p for a fixed prime p <= 2**31.
-
-    Primality is checked eagerly (Miller-Rabin); everything downstream
-    assumes a field and never re-checks. :meth:`residues` is the one place
-    where integers become residues of this field.
+    """The prime field F_p for a fixed prime p <= 2**31, one instance per p:
+    primality is checked (Miller-Rabin) when p is first seen, and every later
+    ``FieldConfig(p)``, pickle, copy or deepcopy returns that instance, so
+    fields are equal iff identical. Nothing downstream re-checks a field.
+    :meth:`residues` is the one place where integers become residues of it.
     """
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
             raise NotPrimeError(f"modulus must be an int, got {type(p).__name__}")
-        if p < 2 or p > MAX_MODULUS or not _is_prime(p):
-            raise NotPrimeError(f"modulus must be a prime in [2, 2^31], got {p}")
-        self.p = p
+        field = _FIELDS.get(p)
+        if field is None:
+            if p < 2 or p > MAX_MODULUS or not _is_prime(p):
+                raise NotPrimeError(f"modulus must be a prime in [2, 2^31], got {p}")
+            field = object.__new__(cls)
+            field.p = operator.index(p)  # an exact int, even from an int subclass
+            field = _FIELDS.setdefault(field.p, field)
+        return field
 
-    def __eq__(self, other):
-        return isinstance(other, FieldConfig) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("FieldConfig", self.p))
+    def __reduce__(self):
+        return FieldConfig, (self.p,)
 
     def __repr__(self):
         return f"FieldConfig({self.p})"
@@ -146,7 +149,7 @@ class FieldVector:
     def _check(self, other) -> "FieldVector":
         if not isinstance(other, FieldVector):
             raise TypeError(f"expected FieldVector, got {type(other).__name__}")
-        if other.field.p != self.field.p:
+        if other.field is not self.field:
             raise FieldMismatchError(
                 f"mixed moduli: {self.field.p} vs {other.field.p}"
             )
@@ -169,7 +172,7 @@ class FieldVector:
     def __eq__(self, other):
         return (
             isinstance(other, FieldVector)
-            and self.field.p == other.field.p
+            and self.field is other.field
             and self._values == other._values
         )
 
@@ -199,3 +202,11 @@ def sample_uniform_vector(rng: random.Random, field: FieldConfig, dim: int) -> F
     while len(values) < dim:
         values += [r for _ in range(dim - len(values)) if (r := draw(k)) < p]
     return FieldVector._of(field, tuple(values))
+
+
+def sample_keys(rng: random.Random, field: FieldConfig, num_keys: int,
+                dim: int) -> list[FieldVector]:
+    """``num_keys`` keys in F_p^dim, split in order from one vector of num_keys * dim: the
+    stream of one :func:`sample_uniform_vector` per key, each stopping at its dim-th draw < p."""
+    values = sample_uniform_vector(rng, field, num_keys * dim).values()
+    return [FieldVector._of(field, values[i:i + dim]) for i in range(0, len(values), dim)]

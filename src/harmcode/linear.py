@@ -14,16 +14,15 @@ scheme modules only supply the coefficients.
 
 Both maps are applied by one kernel, :func:`_apply_rows`: rows of int
 coefficients over columns of residues, in one of two packings, whichever
-makes fewer big-int products. A map with ``width`` columns read and ``nnz``
-nonzero coefficients, applied m coordinates wide, packs
+makes fewer packed operations. A map with N rows, ``width`` columns read and
+``nnz`` nonzero coefficients, applied m coordinates wide, packs
 
-- *wide* (``m * width >= nnz``): each column it reads, once per call, into
-  one Python int with a slot per coordinate; each row sums c * packed over
-  its terms in C, nnz products of m slots;
-- *narrow* (``m * width < nnz``): each coefficient column, once per map,
-  into one int with a slot per row; each coordinate i sums
-  cols[k][i] * packed_k over the columns in C, m * width products of N
-  slots.
+- *wide*: each column it reads, once per call, into one Python int with a
+  slot per coordinate; each row sums c * packed over its terms in C: width
+  packs, nnz products of m slots and N row reductions in all;
+- *narrow*, when ``m * width < nnz + N + width``: each coefficient column,
+  once per map, into one int with a slot per row; each coordinate i sums
+  cols[k][i] * packed_k over the columns in C, m * width products in all.
 
 One call of :func:`_residues` then reduces every packed sum with a
 slot-wise Barrett step and one conditional subtraction of p over all of
@@ -33,10 +32,9 @@ coordinate when wide, over the columns when narrow, where a zero
 coefficient adds nothing -- so it stays below most * (p-1)^2 < 2^s either
 way, and a slot holds each sum times mu = floor(2^s / p) and bit
 p.bit_length(), so no carry or borrow crosses a slot at any row length or
-modulus. The decode vector is the one-row case, with the worker outputs as
-its columns; each column it reads is one nonzero, so m * width < nnz never
-holds and it always packs wide. The harmonic chain encoder runs on the
-wide layout.
+modulus. The decode vector is the one-row case, with its N worker outputs
+as columns: it packs narrow while m * N < 2N + 1, so at n <= 2 outputs, and
+wide above. The harmonic chain encoder runs on the wide layout.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -122,10 +120,10 @@ def _compile(rows: tuple[tuple[int, ...], ...]) -> tuple:
 
 def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """sum_k c * cols[k] mod p for each row's (k, c) terms, m coordinates wide,
-    packed narrow when ``m * width < nnz`` -- fewer products -- and wide
-    otherwise."""
-    _, _, columns, _, nnz, _ = plan
-    if m * len(columns) < nnz:
+    packed narrow when ``m * width < nnz + rows + width`` -- fewer packed
+    operations -- and wide otherwise."""
+    rows, _, columns, _, nnz, _ = plan
+    if nnz and m * len(columns) < nnz + len(rows) + len(columns):
         return _apply_narrow(plan, cols, m, p)
     return _apply_wide(plan, cols, m, p)
 
@@ -140,8 +138,8 @@ def _apply_wide(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tup
 
 def _apply_narrow(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """Each coefficient column packed over the N rows, once per map, and one
-    product per column read at each coordinate. Rows that read no column
-    would get no coordinates here; nnz = 0 keeps the rule from sending them."""
+    product per column read at each coordinate. A map that reads no column
+    would get no coordinates here; the rule never sends one (nnz = 0)."""
     rows, _, columns, most, _, narrow = plan
     if not narrow:
         layout = _layout(len(rows), p, most)
@@ -159,12 +157,11 @@ def _columns(field: FieldConfig, K: int, num_keys: int, data: Dataset,
         raise DimensionMismatchError(f"dataset has K={data.K}, code has K={K}")
     if len(keys) != num_keys:
         raise DimensionMismatchError(f"need {num_keys} keys, got {len(keys)}")
-    p = field.p
-    if data.field.p != p:
-        raise FieldMismatchError(f"dataset over F_{data.field.p}, code over F_{p}")
+    if data.field is not field:
+        raise FieldMismatchError(f"dataset over F_{data.field.p}, code over F_{field.p}")
     for z in keys:
-        if z.field.p != p:
-            raise FieldMismatchError(f"key over F_{z.field.p}, code over F_{p}")
+        if z.field is not field:
+            raise FieldMismatchError(f"key over F_{z.field.p}, code over F_{field.p}")
         if z.dim != data.m:
             raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
     return [item.values() for item in data.items] + [z.values() for z in keys]
@@ -282,7 +279,7 @@ class DecodeVector:
                 f"expected {self.N} worker outputs, got {len(outputs)}")
         dim = outputs[0].dim
         for out in outputs:
-            if out.field != self.field:
+            if out.field is not self.field:
                 raise FieldMismatchError(
                     f"output over F_{out.field.p}, decode vector over F_{self.field.p}")
             if out.dim != dim:

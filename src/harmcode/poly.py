@@ -91,8 +91,8 @@ def _chained(op: str, items: list[str]) -> str:
 def _evaluator(p: int, outputs: tuple) -> Callable[[tuple], tuple]:
     """One function, residues of x -> tuple of n residues, generated as source.
 
-    Each monomial is its coefficient times ``x[k]`` for exponent 1 and
-    ``pow(x[k], e, p)`` for a larger one, zero exponents dropped; each output
+    Each monomial is its coefficient times e factors ``x[k]`` for e <= 3,
+    cheaper than a call, and ``pow(x[k], e, p)`` for a larger e; each output
     is its terms summed and reduced once mod p, or 0 when it has none. The
     source holds only exact ints -- p through ``operator.index``,
     coefficients and exponents as ``Monomial`` stores them, variable
@@ -105,8 +105,8 @@ def _evaluator(p: int, outputs: tuple) -> Callable[[tuple], tuple]:
         terms = []
         for mono in coord:
             factors = [str(mono.coeff)]
-            factors += [f"x[{k}]" if e == 1 else f"pow(x[{k}], {e}, {p})"
-                        for k, e in enumerate(mono.exps) if e]
+            for k, e in enumerate(mono.exps):
+                factors += [f"x[{k}]"] * e if e <= 3 else [f"pow(x[{k}], {e}, {p})"]
             terms.append(_chained("*", factors))
         sums.append(f"({_chained(' + ', terms)}) % {p}" if terms else "0")
     src = "def evaluate(x):\n    return (\n" + "".join(f"        {t},\n" for t in sums) + "    )\n"

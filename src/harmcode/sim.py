@@ -38,7 +38,7 @@ from .errors import (
     InvalidParamsError,
     SchemaViolationError,
 )
-from .field import FieldConfig, FieldVector, sample_uniform_vector
+from .field import FieldConfig, FieldVector, sample_keys
 from .linear import LinearCode
 from .poly import Dataset, PolyMap, direct_gradient_sum
 
@@ -220,8 +220,7 @@ def run_trial(scheme, g: Optional[PolyMap], data: Dataset, seed: int) -> TrialRe
         oracle = direct_gradient_sum(g, data)
         n = g.n
     rng = random.Random(seed)
-    keys = [sample_uniform_vector(rng, scheme.field, data.m)
-            for _ in range(scheme.num_keys)]
+    keys = sample_keys(rng, scheme.field, scheme.num_keys, data.m)
     shares = scheme.encode(data, keys)
     outputs = [worker_fn(share) for share in shares]
     decoded = scheme.decode(outputs)

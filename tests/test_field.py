@@ -1,7 +1,9 @@
 """Prime-field arithmetic: exactness, axioms, sampling discipline."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -21,6 +23,7 @@ from harmcode.field import (
     FieldConfig,
     FieldVector,
     _is_prime,
+    sample_keys,
     sample_uniform_vector,
 )
 from harmcode.harmonic import HarmonicParams, select_params
@@ -72,6 +75,54 @@ def test_miller_rabin_matches_trial_division():
 def test_config_equality_is_by_modulus():
     assert FieldConfig(5) == FieldConfig(5)
     assert FieldConfig(5) != FieldConfig(7)
+
+
+def test_one_field_per_prime():
+    for p in PRIMES:
+        field = FieldConfig(p)
+        assert FieldConfig(p) is field
+        assert copy.copy(field) is field and copy.deepcopy(field) is field
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(field, protocol)) is field
+    assert FieldConfig(5) is not FieldConfig(7)
+    # an int subclass finds the same field, and a first one stores a plain int
+    class Index(int):
+        pass
+    assert FieldConfig(Index(5)) is FieldConfig(5)
+    field = FieldConfig(Index(7919))
+    assert type(field.p) is int and FieldConfig(7919) is field
+
+
+# each refusal of test_config_rejects_composites_and_out_of_range, with its text
+REFUSALS = [
+    *[(bad, f"modulus must be a prime in [2, 2^31], got {bad}")
+      for bad in [0, 1, 4, 6, 9, 15, 2**31 + 11, -7]],
+    (5.0, "modulus must be an int, got float"),
+    ("5", "modulus must be an int, got str"),
+    (True, "modulus must be an int, got bool"),
+    (False, "modulus must be an int, got bool"),
+    (Fraction(5), "modulus must be an int, got Fraction"),
+]
+
+
+@pytest.mark.parametrize("bad,text", REFUSALS)
+def test_refusals_keep_their_text_once_fields_exist(bad, text):
+    # 5 and 2 are fields by now, and 5.0, True and Fraction(5) hash as 5 or 1
+    FieldConfig(2), FieldConfig(5)
+    for _ in range(2):
+        with pytest.raises(NotPrimeError) as info:
+            FieldConfig(bad)
+        assert str(info.value) == text
+
+
+def test_unpickled_field_and_vectors_pass_the_field_checks():
+    field = pickle.loads(pickle.dumps(FieldConfig(13)))
+    vector = DecodeVector(FieldConfig(13), [1, 2])
+    outputs = [field.vector([3, 1]), pickle.loads(pickle.dumps(FieldConfig(13).vector([4, 12])))]
+    assert vector.apply(outputs).values() == (11, 12)
+    assert copy.deepcopy(outputs[0]).field is FieldConfig(13)
+    with pytest.raises(FieldMismatchError):
+        vector.apply([FieldConfig(11).vector([3, 1]), outputs[1]])
 
 
 def test_add_examples():
@@ -197,6 +248,23 @@ def test_sampling_draws_the_randrange_stream(p):
         drawn = [x for dim in dims for x in sample_uniform_vector(rng, field, dim).values()]
         assert drawn == expected
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_sample_keys_draws_the_per_key_stream(p):
+    # 1..16 keys of m = 1..9 coordinates, one generator per side and seed
+    # running through every shape: the keys, and the generator state after
+    # each draw, equal one sample_uniform_vector call per key
+    field = FieldConfig(p)
+    for seed in range(50):
+        ref, rng = random.Random(seed), random.Random(seed)
+        for num_keys in range(1, 17):
+            for m in range(1, 10):
+                want = [sample_uniform_vector(ref, field, m) for _ in range(num_keys)]
+                keys = sample_keys(rng, field, num_keys, m)
+                assert keys == want
+                assert all(z.field is field for z in keys)
+                assert rng.getstate() == ref.getstate()
 
 
 def test_sampling_uniformity_five_sigma():

@@ -5,6 +5,7 @@ import functools
 import operator
 import random
 import struct
+from unittest import mock
 
 import pytest
 
@@ -309,7 +310,7 @@ def test_empty_matrix_applies_to_no_shares():
 
 TOP = 2**31 - 1
 
-# (label, K, rows over F_TOP, key count): maps on both sides of m * width < nnz
+# (label, K, rows over F_TOP, key count): maps on both sides of the rule
 PACKING_MAPS = [
     *[(f"lcc-{K}-2", K, baselines.lcc_encoding_matrix(lcc_params(FieldConfig(TOP), K, 2)).rows, 1)
       for K in (2, 8, 16)],
@@ -326,21 +327,25 @@ def on_pattern(rows, p, top):
     return [[(p - 1 if top else e % (p - 1) + 1) if e else 0 for e in row] for row in rows]
 
 
-def rule_is_narrow(matrix, m):
-    _, _, columns, _, nnz, _ = matrix._plan
-    return m * len(columns) < nnz
+def rule_is_narrow(code, m):
+    """Whether ``_apply_rows`` sends a matrix's or vector's plan to the narrow
+    kernel at m coordinates, as observed through the dispatch itself."""
+    with mock.patch.object(linear, "_apply_narrow", lambda *args: "narrow"), \
+            mock.patch.object(linear, "_apply_wide", lambda *args: "wide"):
+        return linear._apply_rows(code._plan, None, m, 2) == "narrow"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, TOP])
 @pytest.mark.parametrize("label,K,rows,num_keys", PACKING_MAPS, ids=[m[0] for m in PACKING_MAPS])
 def test_both_packings_match_the_reference(p, label, K, rows, num_keys):
-    # every m from 1 to ceil(nnz / width) + 2, so the rule sends the map both
-    # ways; the map's own coefficients at F_TOP, its pattern elsewhere, and the
-    # pattern at p - 1, with random data and every datum p - 1: the worst slot
+    # every m from 1 to ceil((nnz + rows + width) / width) + 1, so the rule
+    # sends the map both ways; the map's own coefficients at F_TOP, its pattern
+    # elsewhere, and the pattern at p - 1, with random data and every datum
+    # p - 1: the worst slot
     field = FieldConfig(p)
     rng = random.Random(f"packings-{label}-{p}")
     nnz, width = sum(map(bool, sum(rows, ()))), len(rows[0])
-    top_m = -(-nnz // width) + 2
+    top_m = -(-(nnz + len(rows) + width) // width) + 1
     for coeffs in ([rows] if p == TOP else []) + [on_pattern(rows, p, top) for top in (False, True)]:
         matrix = EncodingMatrix(field, K, coeffs, num_keys=num_keys)
         assert {rule_is_narrow(matrix, m) for m in range(1, top_m + 1)} == {True, False}
@@ -362,15 +367,16 @@ def test_both_packings_match_the_reference(p, label, K, rows, num_keys):
 def test_narrow_packing_skips_a_zero_column_and_empty_maps(p):
     field = FieldConfig(p)
     rng = random.Random(f"narrow-edges-{p}")
-    # column 1 of 4 is all zero: three columns read, 15 nonzeros
+    # column 1 of 4 is all zero: three columns read, 15 nonzeros over 5 rows,
+    # so narrow while 3m < 15 + 5 + 3
     rows = [[rng.randrange(1, p), 0, rng.randrange(1, p), rng.randrange(1, p)] for _ in range(5)]
     rows[0] = [p - 1, 0, p - 1, p - 1]
     matrix = EncodingMatrix(field, 3, rows)
-    for m in (1, 2, 4, 5):
+    for m in (1, 2, 7, 8):
         data = random_dataset(rng, field, 3, m)
         z = sample_uniform_vector(rng, field, m)
         want = reference_apply(field, matrix.rows, list(data.items) + [z])
-        assert rule_is_narrow(matrix, m) == (m < 5)
+        assert rule_is_narrow(matrix, m) == (m < 8)
         assert matrix.apply(data, z) == want
         cols = [x.values() for x in data.items] + [z.values()]
         assert _apply_narrow(matrix._plan, cols, m, p) == [w.values() for w in want]
@@ -379,6 +385,73 @@ def test_narrow_packing_skips_a_zero_column_and_empty_maps(p):
     cols = [(1, 2), (3, 4), (5, 6)]
     assert not rule_is_narrow(empty, 2)
     assert _apply_narrow(empty._plan, cols, 2, p) == _apply_wide(empty._plan, cols, 2, p) == []
+    # all-zero weights read no column, which the narrow kernel cannot apply:
+    # the rule packs them wide at every m, and they decode to zeros
+    zeros = DecodeVector(field, [0, 0, 0])
+    for m in (1, 2, 5):
+        assert not rule_is_narrow(zeros, m)
+        outputs = [sample_uniform_vector(rng, field, m) for _ in range(3)]
+        assert zeros.apply(outputs) == field.zero_vector(m)
+
+
+def grid_maps(rng, p):
+    """Maps of 1, 2, 3 and 6 rows over 1, 2, 5 and 9 columns: random
+    coefficients with about a third zero, the same with every other row all
+    zero, every coefficient p - 1, and a single nonzero; each as (rows, plan)."""
+    for n_rows in (1, 2, 3, 6):
+        for width in (1, 2, 5, 9):
+            rand = [[rng.randrange(p) if rng.random() < 2 / 3 else 0 for _ in range(width)]
+                    for _ in range(n_rows)]
+            striped = [row if r % 2 else [0] * width for r, row in enumerate(rand)]
+            single = [[0] * width for _ in range(n_rows)]
+            single[-1][-1] = rng.randrange(1, p)
+            for rows in (rand, striped, [[p - 1] * width] * n_rows, single):
+                if any(map(any, rows)):
+                    yield rows, linear._compile(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, TOP])
+def test_both_kernels_agree_on_every_shape(p):
+    # one-row maps (decode vectors) and all-zero rows included; columns random,
+    # and every coordinate p - 1, the worst slot; every m in 1..9 and 128
+    field = FieldConfig(p)
+    rng = random.Random(f"kernel-grid-{p}")
+    for rows, plan in grid_maps(rng, p):
+        for m in list(range(1, 10)) + [128]:
+            for columns in ([sample_uniform_vector(rng, field, m) for _ in rows[0]],
+                            [field.vector([p - 1] * m)] * len(rows[0])):
+                want = [s.values() for s in reference_apply(field, rows, columns)]
+                cols = [c.values() for c in columns]
+                assert _apply_wide(plan, cols, m, p) == want
+                assert _apply_narrow(plan, cols, m, p) == want
+                assert linear._apply_rows(plan, cols, m, p) == want
+
+
+# (label, code, m): the largest m the rule packs narrow, one more is wide;
+# rows, width and nnz in the comments, narrow while m * width < nnz + rows + width
+F_TOP = FieldConfig(TOP)
+RULE_SHAPES = [
+    # 32 x 16, 64 nonzeros: narrow up to m = 6 (96 < 112)
+    ("shamir-8-3", baselines.shamir_encoding_matrix(shamir_params(F_TOP, 8, 3)), 6),
+    # 48 x 32, 96 nonzeros: narrow up to m = 5, which includes many-inputs' m = 4
+    ("shamir-16-2", baselines.shamir_encoding_matrix(shamir_params(F_TOP, 16, 2)), 5),
+    # 25 x 9, 225 nonzeros: narrow up to m = 28
+    ("lcc-8-3", baselines.lcc_encoding_matrix(lcc_params(F_TOP, 8, 3)), 28),
+    # 33 x 17, 561 nonzeros: narrow up to m = 35
+    ("lcc-16-2", baselines.lcc_encoding_matrix(lcc_params(F_TOP, 16, 2)), 35),
+    # 18 x 9, 98 nonzeros: narrow up to m = 13
+    ("harmonic-8-3", harmonic.encoding_matrix(select_params(F_TOP, 8, 3)), 13),
+    # one row of N weights: narrow while m * N < 2N + 1, so at n <= 2 outputs
+    ("harmonic-decode-16-2", harmonic.decode_vector(select_params(F_TOP, 16, 2)), 2),
+    ("lcc-decode-16-2", baselines.lcc_decode_vector(lcc_params(F_TOP, 16, 2)), 2),
+    ("shamir-decode-16-2", baselines.shamir_decode_vector(shamir_params(F_TOP, 16, 2)), 2),
+]
+
+
+@pytest.mark.parametrize("label,code,top", RULE_SHAPES, ids=[s[0] for s in RULE_SHAPES])
+def test_rule_packs_narrow_up_to_where_the_packings_meet(label, code, top):
+    assert [rule_is_narrow(code, m) for m in range(1, top + 3)] == [True] * top + [False] * 2
+    assert rule_is_narrow(code, 512) is False
 
 
 def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch):
@@ -413,15 +486,24 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
         apply(wide, 128)
     assert packed == [128] * 17 * 3
     assert wide._plan[-1] == []
-    # a decode vector always packs wide: its worker outputs, never its weights
+    # a decode vector at m <= 2 (m * 33 < 33 + 1 + 33) packs its 33 weights
+    # once, one slot each, and never its worker outputs
     packed.clear()
     vector = baselines.lcc_decode_vector(params)
-    for m in (1, 4, 128):
+
+    def decode(m):
         outputs = [sample_uniform_vector(rng, field, m) for _ in range(vector.N)]
-        vector.apply(outputs)
-        assert packed == [m] * vector.N
+        assert vector.apply(outputs) == reference_apply(field, [vector.weights], outputs)[0]
+
+    for m in (1, 2, 1, 2):
+        decode(m)
+    assert packed == [1] * vector.N
+    assert vector._plan[-1][0] == _layout(1, TOP, 33)
+    # at m = 4 and 128 it packs wide: its worker outputs, every call
+    for m in (4, 128, 4):
         packed.clear()
-    assert vector._plan[-1] == []
+        decode(m)
+        assert packed == [m] * vector.N
 
 
 LAYOUT_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1]

@@ -141,6 +141,34 @@ def test_eval_exponents_p_minus_one(p):
         assert got.values() == ((a * b + 2 * a) % p, b)
 
 
+@pytest.mark.parametrize("p,top", [(5, 4), (7, 6), (11, 10), (2**31 - 1, 6)])
+def test_every_small_exponent_matches_the_reference(p, top):
+    # exponents 1..3 are written as products of x[k], larger ones as pow: a
+    # univariate map with every exponent 1..top, and a two-variable map with
+    # every pair of them, against FieldElement powers
+    field = FieldConfig(p)
+    rng = random.Random(f"powers-{p}")
+    exps = range(1, top + 1)
+    maps = [
+        PolyMap.from_terms(field, 1, [[(rng.randrange(1, p), (e,))] for e in exps]),
+        PolyMap.from_terms(field, 2, [[(rng.randrange(1, p), (a, b)) for a in exps for b in exps],
+                                      [(1, (a, 0)) for a in exps]]),
+    ]
+    for g in maps:
+        assert "pow" in g._evaluate.__code__.co_names
+        if p <= 11:
+            points = [field.vector(x) for x in itertools.product(range(p), repeat=g.m)]
+        else:
+            points = _points(rng, field, g.m, 20) + [field.vector([1] * g.m)]
+        for x in points:
+            assert g.eval(x) == dense_eval(g, x)
+    cube = PolyMap.from_terms(field, 2, [[(1, (3, 2)), (2, (1, 0))]])
+    assert "pow" not in cube._evaluate.__code__.co_names
+    for x in _points(rng, field, 2, 8):
+        a, b = x.values()
+        assert cube.eval(x).values() == ((a ** 3 * b ** 2 + 2 * a) % p,)
+
+
 def test_eval_twenty_thousand_terms_in_one_output():
     field = FieldConfig(2**31 - 1)
     rng = random.Random(20000)
