@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     FieldTooSmallError,
+    HarmcodeError,
     InvalidParamsError,
     NotPrimeError,
     ParameterCorruptionError,

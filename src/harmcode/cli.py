@@ -11,8 +11,9 @@ Commands:
   decode         shares-file parameters + outputs file -> decoded f vector
 
 Exit codes: 0 success, 1 validity/golden/privacy failure, 2 usage or
-configuration error. PRIVACY_AUDIT_BUDGET overrides the auditor's
-state-count cap.
+configuration error, unreadable path or undecodable file (any HarmcodeError
+or OSError, as one "error:" line). PRIVACY_AUDIT_BUDGET overrides the
+auditor's state-count cap.
 """
 
 from __future__ import annotations
@@ -25,18 +26,7 @@ import random
 import sys
 
 from . import baselines, fileio, harmonic, sim
-from .errors import (
-    BudgetExceededError,
-    ConstantPolynomialError,
-    CountMismatchError,
-    DegreeMismatchError,
-    DimensionMismatchError,
-    FieldTooSmallError,
-    InvalidParamsError,
-    NotPrimeError,
-    ResidueRangeError,
-    SchemaViolationError,
-)
+from .errors import CountMismatchError, HarmcodeError
 from .field import FieldConfig, sample_keys
 from .poly import Dataset, PolyMap, random_dataset, random_poly
 
@@ -48,7 +38,7 @@ DEMO_DECODE = (2, 1, 3, 1)
 DEMO_TRIALS = 100
 
 
-class UsageError(ValueError):
+class UsageError(HarmcodeError):
     """Semantically invalid flag combination."""
 
 
@@ -331,10 +321,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, SchemaViolationError, ResidueRangeError, CountMismatchError,
-            FieldTooSmallError, InvalidParamsError, BudgetExceededError,
-            NotPrimeError, ConstantPolynomialError, DegreeMismatchError,
-            DimensionMismatchError, FileNotFoundError) as exc:
+    except (HarmcodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

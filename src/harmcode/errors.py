@@ -1,35 +1,41 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Every refusal of bad
+parameters, sizes, fields or files is a ``HarmcodeError``, a ``ValueError``;
+the CLI maps these, and any ``OSError`` from a path, to exit code 2."""
 
 
-class NotPrimeError(ValueError):
+class HarmcodeError(ValueError):
+    """Root of every harmcode refusal."""
+
+
+class NotPrimeError(HarmcodeError):
     """Modulus is not a prime in the supported range."""
 
 
-class FieldMismatchError(ValueError):
+class FieldMismatchError(HarmcodeError):
     """Operands are bound to prime fields with different moduli."""
 
 
-class ZeroInversionError(ZeroDivisionError):
+class ZeroInversionError(HarmcodeError, ZeroDivisionError):
     """Multiplicative inverse of zero was requested."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(HarmcodeError):
     """Vector lengths, dataset sizes, or output counts do not line up."""
 
 
-class DegreeMismatchError(ValueError):
+class DegreeMismatchError(HarmcodeError):
     """Polynomial degree is outside what the operation supports."""
 
 
-class ConstantPolynomialError(ValueError):
+class ConstantPolynomialError(HarmcodeError):
     """Constant maps carry no gradient structure; schemes reject them."""
 
 
-class FieldTooSmallError(ValueError):
+class FieldTooSmallError(HarmcodeError):
     """The prime field has no room for the required scheme parameters."""
 
 
-class InvalidParamsError(ValueError):
+class InvalidParamsError(HarmcodeError):
     """Supplied scheme parameters violate their constraints."""
 
     def __init__(self, violations):
@@ -39,21 +45,22 @@ class InvalidParamsError(ValueError):
         self.violations = list(violations)
 
 
-class ParameterCorruptionError(ValueError):
+class ParameterCorruptionError(HarmcodeError):
     """Decoder hit a zero denominator that valid parameters rule out."""
 
 
-class BudgetExceededError(ValueError):
+class BudgetExceededError(HarmcodeError):
     """Exhaustive enumeration would exceed the configured state budget."""
 
 
-class SchemaViolationError(ValueError):
-    """JSON document does not match the expected schema."""
+class SchemaViolationError(HarmcodeError):
+    """File is not JSON (bad syntax or UTF-8, too deep, an integer past the
+    digit limit) or does not match the expected schema."""
 
 
-class ResidueRangeError(ValueError):
+class ResidueRangeError(HarmcodeError):
     """Integer in a JSON document is outside the residue range [0, p)."""
 
 
-class CountMismatchError(ValueError):
+class CountMismatchError(HarmcodeError):
     """Row or vector counts in a JSON document disagree with the declared sizes."""

@@ -14,9 +14,11 @@ Schemas (all integers are residues in [0, p)):
   outputs  {"outputs": [[y_1..y_n] x N]}
   decoded  {"f": [y_1..y_n]}
 
-Violations raise, distinctly: SchemaViolationError for structure,
-ResidueRangeError for out-of-range values, CountMismatchError for
-row/vector counts that disagree with the declared sizes.
+Violations raise distinct HarmcodeErrors: SchemaViolationError for
+structure and for a file that is not JSON (bad syntax, non-UTF-8 bytes,
+nesting too deep, an integer past the digit limit), ResidueRangeError for
+out-of-range values, CountMismatchError for row/vector counts that
+disagree with the declared sizes. A path that cannot be opened raises OSError.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8 and digit-limit errors
         raise SchemaViolationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaViolationError(f"{path}: top level must be a JSON object")

@@ -273,7 +273,7 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
 
     The result is coordinate-identical to ``encoding_matrix(params).apply(data, z)``.
     ``stats`` gains K*d, K chain steps plus K(d-1) blends; it is kept only
-    for perfbench, until ROADMAP item 3a.
+    for perfbench, until ROADMAP item 4b deletes this function.
     """
     shares = encoder(params)(data, z)
     if stats is not None:
