@@ -6,7 +6,7 @@ vectors. Shamir and LCC take their weights from the shared Lagrange
 routine, :func:`harmcode.linear._lagrange_rows`, and their module
 encode/decode functions delegate to the builders. The freshman scheme has
 no module encode or decode: a handle (:func:`harmcode.sim.make_handle`)
-encodes and decodes it, and :func:`freshman_apply`, its worker function,
+encodes and decodes it, and its worker function, a :class:`FreshmanMap`,
 checks the data width.
 
 * Shamir-style MPC: every input is masked separately (X_k + Z_k * theta),
@@ -23,6 +23,7 @@ checks the data width.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -272,15 +273,36 @@ def freshman_decode_vector(params: FreshmanParams) -> DecodeVector:
     return DecodeVector(params.field, [-1, 1])
 
 
+class FreshmanMap:
+    """The scheme's own g, x -> A (x_1^d, ..., x_m^d)^T, as its worker
+    function: a call checks the vector's field and width and evaluates. Like
+    a :class:`~harmcode.poly.PolyMap` it has ``field``, ``m``, ``n``, that
+    check alone (``_check``) and an evaluator on residues (``_evaluate``)."""
+
+    __slots__ = ("field", "m", "n", "matrix")
+
+    def __init__(self, params: FreshmanParams):
+        self.field = params.field
+        self.m = params.m
+        self.n = params.n
+        self.matrix = params.matrix
+
+    def _check(self, field: FieldConfig, dim: int) -> None:
+        if field is not self.field:
+            raise FieldMismatchError(f"input over F_{field.p}, params over F_{self.field.p}")
+        if dim != self.m:
+            raise DimensionMismatchError(f"input dim {dim} != m={self.m}")
+
+    def _evaluate(self, values: Sequence[int]) -> tuple[int, ...]:
+        p = self.field.p  # d = p
+        powers = [pow(v, p, p) for v in values]
+        return tuple([sum(map(mul, row, powers)) % p for row in self.matrix])
+
+    def __call__(self, x: FieldVector) -> FieldVector:
+        self._check(x.field, x.dim)
+        return FieldVector._of(self.field, self._evaluate(x.values()))
+
+
 def freshman_apply(params: FreshmanParams, x: FieldVector) -> FieldVector:
     """The scheme's own worker function: A applied to coordinatewise d-th powers."""
-    if x.field != params.field:
-        raise FieldMismatchError(f"input over F_{x.field.p}, params over F_{params.field.p}")
-    if x.dim != params.m:
-        raise DimensionMismatchError(f"input dim {x.dim} != m={params.m}")
-    p = params.field.p
-    powers = [pow(v, params.d, p) for v in x.values()]
-    out = []
-    for row in params.matrix:
-        out.append(sum(e * v for e, v in zip(row, powers)) % p)
-    return params.field.vector(out)
+    return FreshmanMap(params)(x)

@@ -156,11 +156,12 @@ def _build_handle(field, K, m, args):
 def cmd_validate(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    m = 1 if args.m is None else args.m
     n = 1 if args.n is None else args.n
-    if args.m < 1 or n < 1:
+    if m < 1 or n < 1:
         raise UsageError("--m and --n must be >= 1")
     field = FieldConfig(args.p)
-    fixed = _build_handle(field, args.K, args.m, args)
+    fixed = _build_handle(field, args.K, m, args)
     task_g = None
     if args.task is not None:
         if fixed.worker_fn is not None:
@@ -170,19 +171,21 @@ def cmd_validate(args) -> int:
             raise UsageError(f"task file is over F_{task_field.p}, flags say F_{field.p}")
         if args.n is not None and args.n != task_g.n:
             raise UsageError(f"task file has n={task_g.n}, flags say --n {args.n}")
+        if args.m is not None and args.m != task_g.m:
+            raise UsageError(f"task file has m={task_g.m}, flags say --m {args.m}")
+        m = task_g.m
     master = random.Random(args.seed)
     all_exact = True
     for _ in range(args.trials):
         if fixed.worker_fn is not None:
             # a scheme that fixes g (freshman) gets a fresh g per trial
             handle = sim.make_handle(
-                _random_freshman_params(master, field, args.K, args.m, n))
+                _random_freshman_params(master, field, args.K, m, n))
             g = None
         else:
             handle = fixed
-            g = task_g if task_g is not None else random_poly(
-                master, field, args.m, n, args.d)
-        data = random_dataset(master, field, args.K, args.m)
+            g = task_g if task_g is not None else random_poly(master, field, m, n, args.d)
+        data = random_dataset(master, field, args.K, m)
         report = sim.run_trial(handle, g, data, master.randrange(2**32))
         print(json.dumps(report.to_json()))
         all_exact &= report.exact_match
@@ -197,7 +200,8 @@ def _random_freshman_params(rng, field, K, m, n):
 
 
 def cmd_privacy_audit(args) -> int:
-    if args.m < 1:
+    m = 1 if args.m is None else args.m
+    if m < 1:
         raise UsageError("--m must be >= 1")
     budget = sim.DEFAULT_AUDIT_BUDGET
     env = os.environ.get("PRIVACY_AUDIT_BUDGET")
@@ -207,10 +211,10 @@ def cmd_privacy_audit(args) -> int:
         except ValueError as exc:
             raise UsageError(f"PRIVACY_AUDIT_BUDGET must be an integer, got {env!r}") from exc
     field = FieldConfig(args.p)
-    handle = _build_handle(field, args.K, args.m, args)
+    handle = _build_handle(field, args.K, m, args)
     if args.inject_leak:
         handle = sim.ClearStorageScheme(handle)
-    report = sim.privacy_audit_exhaustive(handle, m=args.m, budget=budget)
+    report = sim.privacy_audit_exhaustive(handle, m=m, budget=budget)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.all_private else 1
 
@@ -265,7 +269,8 @@ _FLAGS = {
     "p": {"type": int, "required": True},
     "K": {"type": int, "default": 2},
     "d": {"type": int, "required": True},
-    "m": {"type": int, "default": 1},
+    "m": {"type": int, "default": None,
+          "help": "data width (default: the task's m with --task, else 1)"},
     "n": {"type": int, "default": None,
           "help": "outputs of g (default: the task's n, else 1)"},
     "trials": {"type": int, "default": 100},

@@ -32,14 +32,16 @@ A_{j+1} = B_j, so summing the Q_j telescopes: everything cancels except
 sum_j g(X_j), A_1 g(P_0), and B_K g(P_K), and the head and tail workers
 supply those last two directly.
 
-The recursive encoder (:func:`encoder`) turns a_j, b_j and q_ij into int
-residues once per parameter set -- once per handle, for a
-:class:`~harmcode.linear.LinearCode`. Each call packs Z and every X_j into
-one int with a slot per coordinate, and runs every chain step and every
-blend as one multiply-add a * P + b * X on those ints. A chain step ends
-with a slot-wise Barrett step that leaves P_j in [0, 2p), so each sum
-stays below 4 (p-1)^2; one call of :func:`~harmcode.linear._residues`
-then reduces the blends and P_K to [0, p) together.
+The recursive encoder (:func:`residue_encoder`) turns a_j, b_j and q_ij
+into int residues once per parameter set -- once per handle, for a
+:class:`~harmcode.linear.LinearCode` -- and works on residue columns, like
+every code's core; :func:`encoder` is its check-and-wrap shell. Each call
+packs Z and every X_j into one int with a slot per coordinate, and runs
+every chain step and every blend as one multiply-add a * P + b * X on
+those ints. A chain step ends with a slot-wise Barrett step that leaves
+P_j in [0, 2p), so each sum stays below 4 (p-1)^2; one call of
+:func:`~harmcode.linear._residues` then reduces the blends and P_K to
+[0, p) together.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .errors import (
 )
 from .field import FieldConfig, FieldVector
 from .linear import (DecodeVector, EncodingMatrix, _columns, _lagrange_rows, _layout, _pack,
-                     _residues)
+                     _residues, _vectors)
 from .poly import Dataset
 
 
@@ -199,17 +201,16 @@ def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple]]]
 _CHAIN_TERMS = 4
 
 
-def _chain(field: FieldConfig, K: int, steps, data: Dataset,
-           keys: Sequence[FieldVector]) -> tuple[tuple, list[int], list[int]]:
-    """P_0 = Z, the one key, to P_K and X_1..X_K packed on m slots, and their
-    layout. Each step P_j = a_j P_{j-1} + b_j X_j is one multiply-add and one
-    Barrett step, so every slot of P_1..P_K lies in [0, 2p), not yet [0, p)."""
-    p = field.p
-    *cols, z = _columns(field, K, 1, data, keys)
-    layout = _layout(data.m, p, _CHAIN_TERMS)
+def _chain(p: int, steps, cols: Sequence[Sequence[int]],
+           m: int) -> tuple[tuple, list[int], list[int]]:
+    """P_0 = Z to P_K and X_1..X_K packed on m slots, and their layout, from
+    the residue columns X_1..X_K, Z. Each step P_j = a_j P_{j-1} + b_j X_j is
+    one multiply-add and one Barrett step, so every slot of P_1..P_K lies in
+    [0, 2p), not yet [0, p)."""
+    layout = _layout(m, p, _CHAIN_TERMS)
     shift, mu, mask = layout[:3]
-    xs = [_pack(layout, x) for x in cols]
-    prev = _pack(layout, z)
+    xs = [_pack(layout, x) for x in cols[:-1]]
+    prev = _pack(layout, cols[-1])
     chain = [prev]
     for (a, b, _), x in zip(steps, xs):
         v = a * prev + b * x
@@ -218,24 +219,37 @@ def _chain(field: FieldConfig, K: int, steps, data: Dataset,
     return layout, chain, xs
 
 
-def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
-    """The recursive encoder of one parameter set, as ``encode(data, *keys)``
-    like ``EncodingMatrix.apply``; the one key is z = P_0.
+def residue_encoder(params: HarmonicParams) -> Callable[..., list[tuple[int, ...]]]:
+    """The recursive encoder of one parameter set on residues, as
+    ``encode(cols, m)`` like ``EncodingMatrix.apply_residues``: each share's
+    residues from the unchecked residue columns X_1..X_K, Z, each m wide.
+    Share 0 is Z = P_0 itself.
 
     Its scalars come from :func:`_scalars`, once; each call then makes K*d
     two-term combinations (K chain steps, K(d-1) blends), each one
     multiply-add on packed ints. ZeroInversionError here when c <= K.
     """
-    field, K = params.field, params.K
-    p, steps = field.p, _scalars(params)[1]
-    of = FieldVector._of
+    p, steps = params.field.p, _scalars(params)[1]
 
-    def encode(data: Dataset, *keys: FieldVector) -> list[FieldVector]:
-        layout, chain, xs = _chain(field, K, steps, data, keys)
+    def encode(cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
+        layout, chain, xs = _chain(p, steps, cols, m)
         sums = [r * x + q * prev
                 for (_, _, pairs), x, prev in zip(steps, xs, chain) for r, q in pairs]
         sums.append(chain[-1])
-        return [keys[0]] + [of(field, v) for v in _residues(sums, layout, p)]
+        return [tuple(cols[-1])] + _residues(sums, layout, p)
+
+    return encode
+
+
+def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
+    """:func:`residue_encoder` as ``encode(data, *keys)``, like
+    ``EncodingMatrix.apply``: the data and the one key z = P_0 checked by
+    :func:`~harmcode.linear._columns`, the shares wrapped as vectors."""
+    field, K = params.field, params.K
+    core = residue_encoder(params)
+
+    def encode(data: Dataset, *keys: FieldVector) -> list[FieldVector]:
+        return _vectors(field, core(_columns(field, K, 1, data, keys), data.m))
 
     return encode
 
@@ -244,8 +258,9 @@ def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector) -> 
     """The masking chain P_0..P_K as residues in [0, p), one two-term
     combination per step."""
     field = params.field
-    layout, chain, _ = _chain(field, params.K, _scalars(params)[1], data, (z,))
-    return [FieldVector._of(field, v) for v in _residues(chain, layout, field.p)]
+    cols = _columns(field, params.K, 1, data, (z,))
+    layout, chain, _ = _chain(field.p, _scalars(params)[1], cols, data.m)
+    return _vectors(field, _residues(chain, layout, field.p))
 
 
 def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:

@@ -12,6 +12,18 @@ by :meth:`~harmcode.field.FieldConfig.residues` when they are built.
 :class:`~harmcode.sim.Scheme` entry and builds each on first use. The
 scheme modules only supply the coefficients.
 
+Every code works on residues underneath: its core turns the residue
+columns X_1..X_K, Z_1..Z_num_keys (tuples of ints in [0, p)) into one
+residue tuple per worker, and N worker outputs as residue tuples into f's
+residues. The public methods -- :meth:`EncodingMatrix.apply`,
+:meth:`DecodeVector.apply`, :meth:`LinearCode.encode` and
+:meth:`LinearCode.decode` -- are shells over that core: they check their
+vectors' fields and widths once (:func:`_columns` for an encode) and wrap
+the residues the core returns as :class:`~harmcode.field.FieldVector`
+objects. A caller that has checked its inputs itself, as
+:func:`harmcode.sim.run_trial` does, calls the core directly and wraps
+nothing per share.
+
 Both maps are applied by one kernel, :func:`_apply_rows`: rows of int
 coefficients over columns of residues, in one of two packings, whichever
 makes fewer packed operations. A map with N rows, ``width`` columns read and
@@ -19,10 +31,12 @@ makes fewer packed operations. A map with N rows, ``width`` columns read and
 
 - *wide*: each column it reads, once per call, into one Python int with a
   slot per coordinate; each row sums c * packed over its terms in C: width
-  packs, nnz products of m slots and N row reductions in all;
-- *narrow*, when ``m * width < nnz + N + width``: each coefficient column,
-  once per map, into one int with a slot per row; each coordinate i sums
-  cols[k][i] * packed_k over the columns in C, m * width products in all.
+  packs, nnz products of m slots and N row reductions in all, a pack
+  weighing _PACK = 4 products;
+- *narrow*, when ``m * width < nnz + N + 4 * width``: each coefficient
+  column, once per map, into one int with a slot per row; each coordinate i
+  sums cols[k][i] * packed_k over the columns in C, m * width products in
+  all.
 
 One call of :func:`_residues` then reduces every packed sum with a
 slot-wise Barrett step and one conditional subtraction of p over all of
@@ -33,8 +47,13 @@ coefficient adds nothing -- so it stays below most * (p-1)^2 < 2^s either
 way, and a slot holds each sum times mu = floor(2^s / p) and bit
 p.bit_length(), so no carry or borrow crosses a slot at any row length or
 modulus. The decode vector is the one-row case, with its N worker outputs
-as columns: it packs narrow while m * N < 2N + 1, so at n <= 2 outputs, and
-wide above. The harmonic chain encoder runs on the wide layout.
+as columns: it packs narrow while m * N < 5N + 1, so at n <= 5 outputs, and
+wide above. The measured crossovers put a pack at about 0.5 products for
+Shamir's sparse 48 x 32 matrix, 3 for harmonic's 18 x 9 one, 4 for
+Shamir's 32 x 16 one and 7 or more for LCC's dense 25 x 9 one and for
+one-row maps of 10 to 48 weights; at 4, every map on the benchmark's
+workloads takes its faster kernel. The harmonic chain encoder runs on the
+wide layout.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -45,7 +64,7 @@ from __future__ import annotations
 
 import math
 import struct
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
@@ -111,19 +130,24 @@ def _compile(rows: tuple[tuple[int, ...], ...]) -> tuple:
     """A map's plan: its rows; per row, its (column, coefficient) nonzero
     terms; the columns the rows read, ascending; the most terms in a row;
     the nonzero count; and a list that the first narrow apply fills with the
-    row-packed layout and coefficient columns, so a map only ever applied
-    wide never builds them."""
+    row-packed layout (None for one row) and coefficient columns, so a map
+    only ever applied wide never builds them."""
     terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
     columns = tuple(sorted({k for row in terms for k, _ in row}))
     return rows, terms, columns, max(map(len, terms), default=0), sum(map(len, terms)), []
 
 
+# A per-call column pack (a Struct pack and an int.from_bytes) costs about
+# as much as this many slot products at the sizes where the kernels meet.
+_PACK = 4
+
+
 def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """sum_k c * cols[k] mod p for each row's (k, c) terms, m coordinates wide,
-    packed narrow when ``m * width < nnz + rows + width`` -- fewer packed
-    operations -- and wide otherwise."""
+    packed narrow when ``m * width < nnz + rows + _PACK * width`` -- fewer
+    packed operations, a pack weighing _PACK products -- and wide otherwise."""
     rows, _, columns, _, nnz, _ = plan
-    if nnz and m * len(columns) < nnz + len(rows) + len(columns):
+    if nnz and m * len(columns) < nnz + len(rows) + _PACK * len(columns):
         return _apply_narrow(plan, cols, m, p)
     return _apply_wide(plan, cols, m, p)
 
@@ -138,14 +162,23 @@ def _apply_wide(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tup
 
 def _apply_narrow(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """Each coefficient column packed over the N rows, once per map, and one
-    product per column read at each coordinate. A map that reads no column
-    would get no coordinates here; the rule never sends one (nnz = 0)."""
+    product per column read at each coordinate. A one-row map (a decode
+    vector) has one slot per column: a one-slot pack of c is c itself and a
+    one-slot reduction is % p, so it packs and unpacks nothing, and its
+    first apply, the only one a ``harmcode decode`` makes, costs what its
+    later ones do. A map that reads no column would get no coordinates
+    here; the rule never sends one (nnz = 0)."""
     rows, _, columns, most, _, narrow = plan
     if not narrow:
-        layout = _layout(len(rows), p, most)
-        narrow[:] = layout, [_pack(layout, [row[k] for row in rows]) for k in columns]
+        if len(rows) == 1:
+            narrow[:] = None, [rows[0][k] for k in columns]
+        else:
+            layout = _layout(len(rows), p, most)
+            narrow[:] = layout, [_pack(layout, [row[k] for row in rows]) for k in columns]
     layout, coeffs = narrow
     sums = [sum(map(mul, values, coeffs)) for values in zip(*[cols[k] for k in columns])]
+    if layout is None:
+        return [tuple([v % p for v in sums])]
     return list(zip(*_residues(sums, layout, p)))
 
 
@@ -159,12 +192,19 @@ def _columns(field: FieldConfig, K: int, num_keys: int, data: Dataset,
         raise DimensionMismatchError(f"need {num_keys} keys, got {len(keys)}")
     if data.field is not field:
         raise FieldMismatchError(f"dataset over F_{data.field.p}, code over F_{field.p}")
+    m = data.m
     for z in keys:
         if z.field is not field:
             raise FieldMismatchError(f"key over F_{z.field.p}, code over F_{field.p}")
-        if z.dim != data.m:
-            raise DimensionMismatchError(f"key dim {z.dim} != data dim {data.m}")
+        if z.dim != m:
+            raise DimensionMismatchError(f"key dim {z.dim} != data dim {m}")
     return [item.values() for item in data.items] + [z.values() for z in keys]
+
+
+def _vectors(field: FieldConfig, rows: Sequence[tuple[int, ...]]) -> list[FieldVector]:
+    """Each residue tuple a core returned, wrapped as a vector of ``field``."""
+    of = FieldVector._of
+    return [of(field, values) for values in rows]
 
 
 def _lagrange_rows(points: Sequence[int], ats: Sequence[int], p: int) -> list[list[int]]:
@@ -233,10 +273,13 @@ class EncodingMatrix:
 
     def apply(self, data: Dataset, *keys: FieldVector) -> list[FieldVector]:
         """Shares in worker order: share_w = sum_k row[w][k] X_k + sum_t row[w][K+t] Z_t."""
-        field, of = self.field, FieldVector._of
-        cols = _columns(field, self.K, self.num_keys, data, keys)
-        return [of(field, values) for values in
-                _apply_rows(self._plan, cols, data.m, field.p)]
+        cols = _columns(self.field, self.K, self.num_keys, data, keys)
+        return _vectors(self.field, self.apply_residues(cols, data.m))
+
+    def apply_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
+        """The core of :meth:`apply`: each share's residues from the residue
+        columns X_1..X_K, Z_1..Z_num_keys, each m wide, unchecked."""
+        return _apply_rows(self._plan, cols, m, self.field.p)
 
     def __eq__(self, other):
         return (
@@ -284,9 +327,14 @@ class DecodeVector:
                     f"output over F_{out.field.p}, decode vector over F_{self.field.p}")
             if out.dim != dim:
                 raise DimensionMismatchError("outputs of differing dimensions")
-        [values] = _apply_rows(self._plan, [out.values() for out in outputs], dim,
-                               self.field.p)
-        return FieldVector._of(self.field, values)
+        return FieldVector._of(self.field,
+                               self.apply_residues([out.values() for out in outputs], dim))
+
+    def apply_residues(self, outputs: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+        """The core of :meth:`apply`: f's residues from the N outputs' residue
+        tuples, each n wide, unchecked."""
+        [values] = _apply_rows(self._plan, outputs, n, self.field.p)
+        return values
 
     def __eq__(self, other):
         return (
@@ -304,10 +352,16 @@ class LinearCode:
 
     ``scheme`` is the parameters' :class:`~harmcode.sim.Scheme` entry; the
     kind, the key count, the builders, ``fast_encode`` and the worker
-    function all come from it. ``matrix``, ``vector`` and ``encoder`` are
-    built on first use and kept, so an encode-only caller never builds the
-    decode vector and a decode-only caller never builds the matrix, and a
-    bad parameter set still makes a handle and fails at its first encode.
+    function all come from it. ``matrix``, ``vector`` and the residue
+    encoder are built on first use and kept, so an encode-only caller never
+    builds the decode vector and a decode-only caller never builds the
+    matrix, and a bad parameter set still makes a handle and fails at its
+    first encode.
+
+    :meth:`encode_residues` and ``vector.apply_residues`` are the code's
+    core; :meth:`encode` and :meth:`decode` check and wrap around them. A
+    subclass that changes the shares overrides :meth:`encode_residues`, so
+    that both paths see the change.
     """
 
     def __init__(self, scheme, params):
@@ -319,7 +373,7 @@ class LinearCode:
         self.d = params.d
         self.worker_count = params.N
         self.num_keys = params.K if scheme.keys_per_input else 1
-        self.worker_fn = None if scheme.worker_fn is None else partial(scheme.worker_fn, params)
+        self.worker_fn = None if scheme.worker_fn is None else scheme.worker_fn(params)
 
     @cached_property
     def matrix(self) -> EncodingMatrix:
@@ -330,13 +384,19 @@ class LinearCode:
         return self.scheme.build_vector(self.params)
 
     @cached_property
-    def encoder(self) -> Callable[..., list[FieldVector]]:
+    def _encoder(self) -> Callable[[Sequence[Sequence[int]], int], list[tuple[int, ...]]]:
         if self.scheme.fast_encode is None:
-            return self.matrix.apply
+            return self.matrix.apply_residues
         return self.scheme.fast_encode(self.params)
 
+    def encode_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
+        """Each share's residues, in worker order, from the residue columns
+        X_1..X_K, Z_1..Z_num_keys, each m wide, unchecked."""
+        return self._encoder(cols, m)
+
     def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        return self.encoder(data, *keys)
+        cols = _columns(self.field, self.K, self.num_keys, data, keys)
+        return _vectors(self.field, self.encode_residues(cols, data.m))
 
     def decode(self, outputs: Sequence[FieldVector]) -> FieldVector:
         return self.vector.apply(outputs)

@@ -189,11 +189,17 @@ class PolyMap:
         """Evaluate exactly in F_p; output dimension n."""
         if not isinstance(x, FieldVector):
             raise TypeError(f"expected FieldVector, got {type(x).__name__}")
-        if x.field != self.field:
-            raise FieldMismatchError("input vector from a different field")
-        if x.dim != self.m:
-            raise DimensionMismatchError(f"input dim {x.dim} != m={self.m}")
+        self._check(x.field, x.dim)
         return FieldVector._of(self.field, self._evaluate(x.values()))
+
+    def _check(self, field: FieldConfig, dim: int) -> None:
+        """:meth:`eval`'s check of an input's field and width, on its own, for
+        a caller that then evaluates many inputs of that field and width on
+        residues with ``_evaluate``."""
+        if field is not self.field:
+            raise FieldMismatchError("input vector from a different field")
+        if dim != self.m:
+            raise DimensionMismatchError(f"input dim {dim} != m={self.m}")
 
     def total_degree(self) -> int:
         """Max total degree over all stored monomials; 0 for a constant map."""
@@ -259,11 +265,19 @@ class Dataset:
 
 
 def direct_gradient_sum(g: PolyMap, data: Dataset) -> FieldVector:
-    """Brute-force oracle: g(X_1) + ... + g(X_K), one independent eval per
-    item, the K residue tuples summed coordinatewise and reduced once."""
+    """Brute-force oracle: g(X_1) + ... + g(X_K), one independent evaluation
+    per item, the K residue tuples summed coordinatewise and reduced once.
+    The dataset is checked once: its items share one field and one width."""
+    g._check(data.field, data.m)
+    return FieldVector._of(g.field, _gradient_sum(g, [item.values() for item in data.items]))
+
+
+def _gradient_sum(g, xs: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The core of :func:`direct_gradient_sum`: g's residues summed over the
+    unchecked residue tuples ``xs``. ``g`` is anything with ``field`` and
+    ``_evaluate``, such as a PolyMap."""
     p = g.field.p
-    values = [g.eval(item).values() for item in data.items]
-    return FieldVector._of(g.field, tuple([sum(col) % p for col in zip(*values)]))
+    return tuple([sum(col) % p for col in zip(*map(g._evaluate, xs))])
 
 
 class MultilinearMap:

@@ -2,7 +2,12 @@
 
 Workers are simulated as pure function applications: a trial encodes the
 dataset with fresh seeded keys, applies g to every share, decodes, and
-compares against the brute-force gradient sum. The privacy auditor
+compares against the brute-force gradient sum. A trial checks its inputs
+once, at its boundary, and then runs on residues: the code's residue core
+encodes and decodes, and g's compiled evaluator computes every worker's
+output and the oracle, with no vector made per share. The public
+``encode``, ``decode`` and ``g.eval`` are check-and-wrap shells over the
+same cores (see :mod:`harmcode.linear`). The privacy auditor
 enumerates *every* dataset and key value, tabulates exact integer counts
 of each worker's share, and declares a worker private only when its share
 distribution is literally identical for all dataset values -- mutual
@@ -21,10 +26,8 @@ on every coordinate alike and independently, as every linear code does
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 from collections import Counter
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -39,8 +42,8 @@ from .errors import (
     SchemaViolationError,
 )
 from .field import FieldConfig, FieldVector, sample_keys
-from .linear import LinearCode
-from .poly import Dataset, PolyMap, direct_gradient_sum
+from .linear import LinearCode, _columns
+from .poly import Dataset, PolyMap, _gradient_sum
 
 DEFAULT_AUDIT_BUDGET = 10_000_000
 
@@ -101,10 +104,11 @@ class Scheme(NamedTuple):
     width, only sizes freshman's placeholder matrix); ``from_points``, or
     ``params_type`` when None, builds them from explicit points. The header
     stores the attributes in ``scalars`` as residues, in ``lists`` as lists.
-    ``fast_encode`` is a builder ``params -> encode(data, *keys)`` that the
-    handle calls on its first encode, in place of ``matrix.apply``; the
-    encoder it builds must give the same shares. ``worker_fn(params, x)``
-    is set only by a scheme that fixes g itself.
+    ``fast_encode`` is a builder ``params -> encode(cols, m)`` that the
+    handle calls on its first encode, in place of ``matrix.apply_residues``;
+    the residue encoder it builds must give the same shares.
+    ``worker_fn(params)``, set only by a scheme that fixes g itself, builds
+    that g, shaped like a PolyMap (see :class:`~harmcode.baselines.FreshmanMap`).
     """
 
     name: str
@@ -136,7 +140,7 @@ SCHEMES = {s.name: s for s in (
            lambda f, K, d, m: harmonic.select_params(f, K, d),
            harmonic.encoding_matrix, harmonic.decode_vector,
            scalars=("c",), lists=("betas",), from_points=harmonic.select_params,
-           fast_encode=harmonic.encoder),
+           fast_encode=harmonic.residue_encoder),
     Scheme("lcc", baselines.LCCParams,
            lambda f, K, d, m: baselines.lcc_params(f, K, d),
            baselines.lcc_encoding_matrix, baselines.lcc_decode_vector,
@@ -148,7 +152,7 @@ SCHEMES = {s.name: s for s in (
     Scheme("freshman", baselines.FreshmanParams,
            lambda f, K, d, m: baselines.FreshmanParams(f, K, m, 1, [[1] * m]),
            baselines.freshman_encoding_matrix, baselines.freshman_decode_vector,
-           worker_fn=baselines.freshman_apply),
+           worker_fn=baselines.FreshmanMap),
 )}
 _BY_TYPE = {s.params_type: s for s in SCHEMES.values()}
 
@@ -170,9 +174,10 @@ class ClearStorageScheme(LinearCode):
     ``leak_worker`` stores X_1 in the clear.
 
     Exists to prove the auditor rejects leaky schemes; never use outside
-    tests and the audit tooling. Only ``encode`` differs from ``inner``:
-    the leaking row has no key coefficient, which EncodingMatrix refuses,
-    so ``matrix`` is still the inner code's.
+    tests and the audit tooling. Only the shares differ from ``inner``'s,
+    and they differ in the residue core, so ``encode``, the auditor and
+    ``run_trial`` all see the leak. The leaking row has no key coefficient,
+    which EncodingMatrix refuses, so ``matrix`` is still the inner code's.
     """
 
     def __init__(self, inner: LinearCode, leak_worker: int = 0):
@@ -182,9 +187,9 @@ class ClearStorageScheme(LinearCode):
         self.kind = f"leaky-{inner.kind}"
         self.leak_worker = leak_worker
 
-    def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
-        shares = super().encode(data, keys)
-        shares[self.leak_worker] = data.items[0]
+    def encode_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
+        shares = super().encode_residues(cols, m)
+        shares[self.leak_worker] = tuple(cols[0])
         return shares
 
 
@@ -199,13 +204,18 @@ def run_trial(scheme, g: Optional[PolyMap], data: Dataset, seed: int) -> TrialRe
     every other scheme takes an explicit non-constant map of total degree
     <= scheme.d. Keys are drawn from random.Random(seed), one vector per
     key in key order.
+
+    The inputs are checked once, here: g's degree and width, the data's
+    field against g's (``g._check``, as ``g.eval`` does), then the dataset
+    and keys against the code (``_columns``, as ``scheme.encode`` does).
+    The rest runs on residues and gives what
+    ``scheme.decode([g.eval(s) for s in scheme.encode(data, keys)])`` and
+    ``direct_gradient_sum(g, data)`` give.
     """
-    worker_fn = scheme.worker_fn
-    if worker_fn is not None:
+    if scheme.worker_fn is not None:
         if g is not None:
             raise ValueError("this scheme fixes its own g; pass g=None")
-        oracle = functools.reduce(operator.add, map(worker_fn, data.items))
-        n = oracle.dim
+        g = scheme.worker_fn
     else:
         if g is None:
             raise ValueError("scheme needs an explicit polynomial map g")
@@ -216,25 +226,25 @@ def run_trial(scheme, g: Optional[PolyMap], data: Dataset, seed: int) -> TrialRe
                 f"g has degree {g.total_degree()}, scheme supports <= {scheme.d}")
         if g.m != data.m:
             raise DimensionMismatchError(f"g expects m={g.m}, data has m={data.m}")
-        worker_fn = g.eval
-        oracle = direct_gradient_sum(g, data)
-        n = g.n
-    rng = random.Random(seed)
-    keys = sample_keys(rng, scheme.field, scheme.num_keys, data.m)
-    shares = scheme.encode(data, keys)
-    outputs = [worker_fn(share) for share in shares]
-    decoded = scheme.decode(outputs)
+    g._check(data.field, data.m)
+    field, m = scheme.field, data.m
+    keys = sample_keys(random.Random(seed), field, scheme.num_keys, m)
+    cols = _columns(field, scheme.K, scheme.num_keys, data, keys)
+    evaluate = g._evaluate
+    outputs = [evaluate(share) for share in scheme.encode_residues(cols, m)]
+    decoded = scheme.vector.apply_residues(outputs, g.n)
+    oracle = _gradient_sum(g, cols[:data.K])
     return TrialReport(
         scheme=scheme.kind,
-        p=scheme.field.p,
+        p=field.p,
         K=data.K,
         d=scheme.d,
-        m=data.m,
-        n=n,
+        m=m,
+        n=g.n,
         seed=seed,
-        decoded=decoded.values(),
-        oracle=oracle.values(),
-        exact_match=decoded.values() == oracle.values(),
+        decoded=decoded,
+        oracle=oracle,
+        exact_match=decoded == oracle,
         worker_evals=scheme.worker_count,
         num_keys=scheme.num_keys,
     )

@@ -127,13 +127,41 @@ def test_validate_n_defaults_to_the_task_and_must_match_it(tmp_path, capsys):
     assert len(docs) == 3 and all(doc["n"] == 1 for doc in docs)
 
 
+def m2_task(tmp_path):
+    task = tmp_path / "task_m2.json"
+    task.write_text(json.dumps({
+        "p": 11, "m": 2, "n": 1,
+        "g": [[{"coeff": 1, "exps": [1, 1]}, {"coeff": 3, "exps": [0, 1]}]],
+    }))
+    return ["validate", "--scheme", "harmonic", "--p", "11", "--d", "2", "--trials", "3",
+            "--task", str(task)]
+
+
+def test_validate_m_defaults_to_the_task(tmp_path, capsys):
+    for extra in ([], ["--m", "2"]):
+        assert main(m2_task(tmp_path) + extra) == 0
+        captured = capsys.readouterr()
+        docs = [json.loads(line) for line in captured.out.splitlines()]
+        assert captured.err == ""
+        assert len(docs) == 3 and all(doc["m"] == 2 and doc["exact_match"] for doc in docs)
+
+
+def test_validate_refuses_an_m_that_differs_from_the_task(tmp_path, capsys):
+    # refused as a usage error naming the flag, as --n is, not dropped
+    for m in ("1", "3"):
+        assert main(m2_task(tmp_path) + ["--m", m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: task file has m=2, flags say --m {m}\n"
+
+
 @pytest.mark.parametrize("argv, func, expected", [
     (["demo"], cli.cmd_demo, {"command": "demo", "c": None, "betas": None}),
     (["validate", "--scheme", "lcc", "--p", "7", "--d", "2"], cli.cmd_validate,
-     {"command": "validate", "scheme": "lcc", "p": 7, "K": 2, "d": 2, "m": 1, "n": None,
+     {"command": "validate", "scheme": "lcc", "p": 7, "K": 2, "d": 2, "m": None, "n": None,
       "trials": 100, "seed": 0, "task": None, "c": None, "betas": None}),
     (["privacy-audit", "--scheme", "shamir", "--p", "5", "--d", "1"], cli.cmd_privacy_audit,
-     {"command": "privacy-audit", "scheme": "shamir", "p": 5, "K": 2, "d": 1, "m": 1,
+     {"command": "privacy-audit", "scheme": "shamir", "p": 5, "K": 2, "d": 1, "m": None,
       "c": None, "betas": None, "inject_leak": False}),
     (["encode", "--scheme", "harmonic", "--p", "11", "--d", "3", "--data", "x.json",
       "--out", "y.json"], cli.cmd_encode,

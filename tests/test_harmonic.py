@@ -234,7 +234,8 @@ def test_intermediate_vars_are_residues_though_the_chain_runs_below_2p():
             params = select_params(field, K, 2)
             data = random_dataset(rng, field, K, 64)
             z = sample_uniform_vector(rng, field, 64)
-            layout, chain, _ = harmonic._chain(field, K, harmonic._scalars(params)[1], data, (z,))
+            cols = [x.values() for x in data.items] + [z.values()]
+            layout, chain, _ = harmonic._chain(p, harmonic._scalars(params)[1], cols, 64)
             bits = 8 * layout[-1].size // 64
             slots = [v >> (i * bits) & (2**bits - 1) for v in chain for i in range(64)]
             assert max(slots) < 2 * p

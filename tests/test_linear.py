@@ -338,14 +338,14 @@ def rule_is_narrow(code, m):
 @pytest.mark.parametrize("p", [2, 3, 5, 13, TOP])
 @pytest.mark.parametrize("label,K,rows,num_keys", PACKING_MAPS, ids=[m[0] for m in PACKING_MAPS])
 def test_both_packings_match_the_reference(p, label, K, rows, num_keys):
-    # every m from 1 to ceil((nnz + rows + width) / width) + 1, so the rule
+    # every m from 1 to ceil((nnz + rows + 4 * width) / width) + 1, so the rule
     # sends the map both ways; the map's own coefficients at F_TOP, its pattern
     # elsewhere, and the pattern at p - 1, with random data and every datum
     # p - 1: the worst slot
     field = FieldConfig(p)
     rng = random.Random(f"packings-{label}-{p}")
     nnz, width = sum(map(bool, sum(rows, ()))), len(rows[0])
-    top_m = -(-(nnz + len(rows) + width) // width) + 1
+    top_m = -(-(nnz + len(rows) + 4 * width) // width) + 1
     for coeffs in ([rows] if p == TOP else []) + [on_pattern(rows, p, top) for top in (False, True)]:
         matrix = EncodingMatrix(field, K, coeffs, num_keys=num_keys)
         assert {rule_is_narrow(matrix, m) for m in range(1, top_m + 1)} == {True, False}
@@ -368,15 +368,15 @@ def test_narrow_packing_skips_a_zero_column_and_empty_maps(p):
     field = FieldConfig(p)
     rng = random.Random(f"narrow-edges-{p}")
     # column 1 of 4 is all zero: three columns read, 15 nonzeros over 5 rows,
-    # so narrow while 3m < 15 + 5 + 3
+    # so narrow while 3m < 15 + 5 + 4 * 3
     rows = [[rng.randrange(1, p), 0, rng.randrange(1, p), rng.randrange(1, p)] for _ in range(5)]
     rows[0] = [p - 1, 0, p - 1, p - 1]
     matrix = EncodingMatrix(field, 3, rows)
-    for m in (1, 2, 7, 8):
+    for m in (1, 2, 10, 11):
         data = random_dataset(rng, field, 3, m)
         z = sample_uniform_vector(rng, field, m)
         want = reference_apply(field, matrix.rows, list(data.items) + [z])
-        assert rule_is_narrow(matrix, m) == (m < 8)
+        assert rule_is_narrow(matrix, m) == (m < 11)
         assert matrix.apply(data, z) == want
         cols = [x.values() for x in data.items] + [z.values()]
         assert _apply_narrow(matrix._plan, cols, m, p) == [w.values() for w in want]
@@ -428,23 +428,24 @@ def test_both_kernels_agree_on_every_shape(p):
 
 
 # (label, code, m): the largest m the rule packs narrow, one more is wide;
-# rows, width and nnz in the comments, narrow while m * width < nnz + rows + width
+# rows, width and nnz in the comments, narrow while
+# m * width < nnz + rows + 4 * width
 F_TOP = FieldConfig(TOP)
 RULE_SHAPES = [
-    # 32 x 16, 64 nonzeros: narrow up to m = 6 (96 < 112)
-    ("shamir-8-3", baselines.shamir_encoding_matrix(shamir_params(F_TOP, 8, 3)), 6),
-    # 48 x 32, 96 nonzeros: narrow up to m = 5, which includes many-inputs' m = 4
-    ("shamir-16-2", baselines.shamir_encoding_matrix(shamir_params(F_TOP, 16, 2)), 5),
-    # 25 x 9, 225 nonzeros: narrow up to m = 28
-    ("lcc-8-3", baselines.lcc_encoding_matrix(lcc_params(F_TOP, 8, 3)), 28),
-    # 33 x 17, 561 nonzeros: narrow up to m = 35
-    ("lcc-16-2", baselines.lcc_encoding_matrix(lcc_params(F_TOP, 16, 2)), 35),
-    # 18 x 9, 98 nonzeros: narrow up to m = 13
-    ("harmonic-8-3", harmonic.encoding_matrix(select_params(F_TOP, 8, 3)), 13),
-    # one row of N weights: narrow while m * N < 2N + 1, so at n <= 2 outputs
-    ("harmonic-decode-16-2", harmonic.decode_vector(select_params(F_TOP, 16, 2)), 2),
-    ("lcc-decode-16-2", baselines.lcc_decode_vector(lcc_params(F_TOP, 16, 2)), 2),
-    ("shamir-decode-16-2", baselines.shamir_decode_vector(shamir_params(F_TOP, 16, 2)), 2),
+    # 32 x 16, 64 nonzeros: narrow up to m = 9 (144 < 160)
+    ("shamir-8-3", baselines.shamir_encoding_matrix(shamir_params(F_TOP, 8, 3)), 9),
+    # 48 x 32, 96 nonzeros: narrow up to m = 8, which includes many-inputs' m = 4
+    ("shamir-16-2", baselines.shamir_encoding_matrix(shamir_params(F_TOP, 16, 2)), 8),
+    # 25 x 9, 225 nonzeros: narrow up to m = 31
+    ("lcc-8-3", baselines.lcc_encoding_matrix(lcc_params(F_TOP, 8, 3)), 31),
+    # 33 x 17, 561 nonzeros: narrow up to m = 38
+    ("lcc-16-2", baselines.lcc_encoding_matrix(lcc_params(F_TOP, 16, 2)), 38),
+    # 18 x 9, 98 nonzeros: narrow up to m = 16
+    ("harmonic-8-3", harmonic.encoding_matrix(select_params(F_TOP, 8, 3)), 16),
+    # one row of N weights: narrow while m * N < 5N + 1, so at n <= 5 outputs
+    ("harmonic-decode-16-2", harmonic.decode_vector(select_params(F_TOP, 16, 2)), 5),
+    ("lcc-decode-16-2", baselines.lcc_decode_vector(lcc_params(F_TOP, 16, 2)), 5),
+    ("shamir-decode-16-2", baselines.shamir_decode_vector(shamir_params(F_TOP, 16, 2)), 5),
 ]
 
 
@@ -452,6 +453,23 @@ RULE_SHAPES = [
 def test_rule_packs_narrow_up_to_where_the_packings_meet(label, code, top):
     assert [rule_is_narrow(code, m) for m in range(1, top + 3)] == [True] * top + [False] * 2
     assert rule_is_narrow(code, 512) is False
+
+
+@pytest.mark.parametrize("N", [18, 25, 32, 48])
+def test_decode_vectors_pack_narrow_up_to_five_outputs(N):
+    # every decode on `wide` and `file-pipeline` has n = 4 outputs, where the
+    # narrow kernel is the faster one; at n = 6 and above the wide one is
+    rng = random.Random(f"decode-rule-{N}")
+    vector = DecodeVector(F_TOP, [TOP - 1] + [rng.randrange(1, TOP) for _ in range(N - 1)])
+    for n in (2, 3, 4, 6, 8):
+        assert rule_is_narrow(vector, n) == (n <= 4)
+        for outputs in ([sample_uniform_vector(rng, F_TOP, n) for _ in range(N)],
+                        [F_TOP.vector([TOP - 1] * n)] * N):
+            want = reference_apply(F_TOP, [vector.weights], outputs)[0].values()
+            cols = [out.values() for out in outputs]
+            assert _apply_narrow(vector._plan, cols, n, TOP) == [want]
+            assert _apply_wide(vector._plan, cols, n, TOP) == [want]
+            assert vector.apply(outputs).values() == want
 
 
 def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch):
@@ -468,7 +486,8 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
         z = sample_uniform_vector(rng, field, m)
         assert matrix.apply(data, z) == reference_apply(field, matrix.rows, list(data.items) + [z])
 
-    # narrow at m = 4 (68 < 561): the 17 coefficient columns, 33 rows each, once
+    # narrow at m = 4 (68 < 561 + 33 + 68): the 17 coefficient columns, 33
+    # rows each, once
     narrow = baselines.lcc_encoding_matrix(params)
     assert narrow._plan[-1] == []
     apply(narrow, 4)
@@ -479,15 +498,16 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
     # slots sized for the densest row's 17 terms, one slot per row
     layout, columns = narrow._plan[-1]
     assert layout == _layout(33, TOP, 17) and len(columns) == 17
-    # wide at m = 128 (2176 >= 561): every pack is a data column, every call
+    # wide at m = 128 (2176 >= 662): every pack is a data column, every call
     packed.clear()
     wide = baselines.lcc_encoding_matrix(params)
     for _ in range(3):
         apply(wide, 128)
     assert packed == [128] * 17 * 3
     assert wide._plan[-1] == []
-    # a decode vector at m <= 2 (m * 33 < 33 + 1 + 33) packs its 33 weights
-    # once, one slot each, and never its worker outputs
+    # a decode vector at m <= 5 (m * 33 < 33 + 1 + 4 * 33) packs nothing:
+    # its 33 weights are its one-slot coefficient columns as they are, no
+    # layout is built, and its worker outputs are never packed
     packed.clear()
     vector = baselines.lcc_decode_vector(params)
 
@@ -495,12 +515,12 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
         outputs = [sample_uniform_vector(rng, field, m) for _ in range(vector.N)]
         assert vector.apply(outputs) == reference_apply(field, [vector.weights], outputs)[0]
 
-    for m in (1, 2, 1, 2):
+    for m in (1, 2, 4, 5, 1):
         decode(m)
-    assert packed == [1] * vector.N
-    assert vector._plan[-1][0] == _layout(1, TOP, 33)
-    # at m = 4 and 128 it packs wide: its worker outputs, every call
-    for m in (4, 128, 4):
+    assert packed == []
+    assert vector._plan[-1] == [None, list(vector.weights)]
+    # at m = 6 and 128 it packs wide: its worker outputs, every call
+    for m in (6, 128, 6):
         packed.clear()
         decode(m)
         assert packed == [m] * vector.N

@@ -13,13 +13,14 @@ from harmcode.errors import (
     ConstantPolynomialError,
     DegreeMismatchError,
     DimensionMismatchError,
+    FieldMismatchError,
     FieldTooSmallError,
     SchemaViolationError,
 )
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
-from harmcode.field import FieldConfig
+from harmcode.field import FieldConfig, sample_keys
 from harmcode.harmonic import encoding_matrix, select_params
-from harmcode.poly import Dataset, PolyMap, random_dataset, random_poly
+from harmcode.poly import Dataset, PolyMap, direct_gradient_sum, random_dataset, random_poly
 from harmcode.sim import (
     SCHEMES,
     ClearStorageScheme,
@@ -113,6 +114,67 @@ def test_run_trial_rejections():
     g2 = PolyMap.from_terms(F5, 2, [[(1, (1, 1))]])
     with pytest.raises(DimensionMismatchError, match="g expects m=2, data has m=1"):
         run_trial(handle, g2, data, seed=0)
+
+
+def test_run_trial_refuses_g_over_another_field():
+    # the texts g.eval and the encoders give: g against the data, then the
+    # data against the code
+    F7 = FieldConfig(7)
+    data = Dataset([F5.vector([1]), F5.vector([2])])
+    for handle in (fixture_handle(), make_handle(lcc_params(F5, 2, 1)),
+                   make_handle(shamir_params(F5, 2, 2))):
+        with pytest.raises(FieldMismatchError, match="input vector from a different field"):
+            run_trial(handle, PolyMap.univariate(F7, [0, 1]), data, seed=0)
+        with pytest.raises(FieldMismatchError, match="dataset over F_7, code over F_5"):
+            run_trial(handle, PolyMap.univariate(F7, [0, 1]),
+                      Dataset([F7.vector([1]), F7.vector([2])]), seed=0)
+
+
+def residue_path_handles():
+    """(label, handle, g or None, data, seed): every scheme, freshman (g =
+    None) included, and a ClearStorageScheme mutant of each, at p in
+    {5, 7, 11, 2^31 - 1}, K <= 4, d <= 3 and m in {1, 4, 9}, wherever the
+    field has room."""
+    rng = random.Random(2026)
+    for p in (5, 7, 11, 2**31 - 1):
+        field = FieldConfig(p)
+        for K, d, m in itertools.product(range(1, 5), range(1, 4), (1, 4, 9)):
+            n = rng.randint(1, 3)
+            g = random_poly(rng, field, m, n, d)
+            data = random_dataset(rng, field, K, m)
+            matrix = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+            matrix[0][0] = 1
+            builds = [(lambda f, K, d: FreshmanParams(f, K, m, n, matrix), None),
+                      (select_params, g), (lcc_params, g), (shamir_params, g)]
+            for build, worker_g in builds:
+                try:
+                    handle = make_handle(build(field, K, d))
+                except FieldTooSmallError:
+                    continue
+                leaky = ClearStorageScheme(handle, rng.randrange(handle.worker_count))
+                for code in (handle, leaky):
+                    yield (f"{code.kind}-{p}-{K}-{d}-{m}", code, worker_g, data,
+                           rng.randrange(2**32))
+
+
+def test_run_trial_on_residues_matches_the_public_path():
+    kinds = set()
+    for label, handle, g, data, seed in residue_path_handles():
+        kinds.add(handle.kind)
+        report = run_trial(handle, g, data, seed)
+        worker = handle.worker_fn if g is None else g.eval
+        keys = sample_keys(random.Random(seed), handle.field, handle.num_keys, data.m)
+        shares = handle.encode(data, keys)
+        decoded = handle.decode([worker(s) for s in shares]).values()
+        oracle = (direct_gradient_sum(g, data).values() if g is not None else
+                  tuple(sum(col) % handle.field.p
+                        for col in zip(*[worker(x).values() for x in data.items])))
+        assert report.decoded == decoded, label
+        assert report.oracle == oracle, label
+        assert report.exact_match == (decoded == oracle), label
+        assert report.exact_match or handle.kind.startswith("leaky-"), label
+    assert kinds == {kind + scheme for kind in ("", "leaky-")
+                     for scheme in ("freshman", "harmonic", "lcc", "shamir")}
 
 
 def assert_json_is_fields_in_order(report, keys):
