@@ -56,7 +56,6 @@ from .baselines import (
     FreshmanParams,
     LCCParams,
     ShamirParams,
-    freshman_apply,
     freshman_decode_vector,
     freshman_encoding_matrix,
     lcc_decode,

@@ -7,7 +7,7 @@ routine, :func:`harmcode.linear._lagrange_rows`, and their module
 encode/decode functions delegate to the builders. The freshman scheme has
 no module encode or decode: a handle (:func:`harmcode.sim.make_handle`)
 encodes and decodes it, and its worker function, a :class:`FreshmanMap`,
-checks the data width.
+has PolyMap's ``eval`` and checks the data width there.
 
 * Shamir-style MPC: every input is masked separately (X_k + Z_k * theta),
   each of the d+1 share points gets one worker per input, and each
@@ -18,7 +18,8 @@ checks the data width.
   workers, one key.
 * Freshman scheme: for the special family g(X) = A (X_1^d, ..., X_m^d)^T
   with d equal to the field characteristic, two workers suffice because
-  coordinatewise (a+b)^p = a^p + b^p makes g additive.
+  coordinatewise (a+b)^p = a^p + b^p makes g additive; as a function on
+  F_p^m, g is A X, since x^p = x (Fermat), and that is how it is evaluated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .field import FieldConfig, FieldVector
 from .linear import DecodeVector, EncodingMatrix, _lagrange_rows
-from .poly import Dataset
+from .poly import Dataset, PolyMap
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +276,10 @@ def freshman_decode_vector(params: FreshmanParams) -> DecodeVector:
 
 class FreshmanMap:
     """The scheme's own g, x -> A (x_1^d, ..., x_m^d)^T, as its worker
-    function: a call checks the vector's field and width and evaluates. Like
-    a :class:`~harmcode.poly.PolyMap` it has ``field``, ``m``, ``n``, that
-    check alone (``_check``) and an evaluator on residues (``_evaluate``)."""
+    function. It is used as a :class:`~harmcode.poly.PolyMap` is, and its
+    ``eval`` is PolyMap's: a type check, then this map's check of the
+    vector's field and width (``_check``), then its evaluator on residues
+    (``_evaluate``)."""
 
     __slots__ = ("field", "m", "n", "matrix")
 
@@ -294,15 +296,9 @@ class FreshmanMap:
             raise DimensionMismatchError(f"input dim {dim} != m={self.m}")
 
     def _evaluate(self, values: Sequence[int]) -> tuple[int, ...]:
-        p = self.field.p  # d = p
-        powers = [pow(v, p, p) for v in values]
-        return tuple([sum(map(mul, row, powers)) % p for row in self.matrix])
+        """A x: d = p and x^p = x for every x in F_p (Fermat), so
+        A (x_1^p, ..., x_m^p)^T is A x as a function on F_p^m."""
+        p = self.field.p
+        return tuple([sum(map(mul, row, values)) % p for row in self.matrix])
 
-    def __call__(self, x: FieldVector) -> FieldVector:
-        self._check(x.field, x.dim)
-        return FieldVector._of(self.field, self._evaluate(x.values()))
-
-
-def freshman_apply(params: FreshmanParams, x: FieldVector) -> FieldVector:
-    """The scheme's own worker function: A applied to coordinatewise d-th powers."""
-    return FreshmanMap(params)(x)
+    eval = PolyMap.eval

@@ -1,6 +1,8 @@
 """Exception types shared across the package. Every refusal of bad
 parameters, sizes, fields or files is a ``HarmcodeError``, a ``ValueError``;
-the CLI maps these, and any ``OSError`` from a path, to exit code 2."""
+the CLI maps these, and any ``OSError`` from a path, to exit code 2. A value
+of the wrong type (a float where an int belongs, a list where a vector
+belongs) still raises ``TypeError``, and an index out of range ``IndexError``."""
 
 
 class HarmcodeError(ValueError):

@@ -35,13 +35,13 @@ supply those last two directly.
 The recursive encoder (:func:`residue_encoder`) turns a_j, b_j and q_ij
 into int residues once per parameter set -- once per handle, for a
 :class:`~harmcode.linear.LinearCode` -- and works on residue columns, like
-every code's core; :func:`encoder` is its check-and-wrap shell. Each call
-packs Z and every X_j into one int with a slot per coordinate, and runs
-every chain step and every blend as one multiply-add a * P + b * X on
-those ints. A chain step ends with a slot-wise Barrett step that leaves
-P_j in [0, 2p), so each sum stays below 4 (p-1)^2; one call of
-:func:`~harmcode.linear._residues` then reduces the blends and P_K to
-[0, p) together.
+every code's core; the handle's ``encode`` is its check-and-wrap shell.
+Each call packs Z and every X_j into one int with a slot per coordinate,
+and runs every chain step and every blend as one multiply-add
+a * P + b * X on those ints. A chain step ends with a slot-wise Barrett
+step that leaves P_j in [0, 2p), so each sum stays below 4 (p-1)^2; one
+call of :func:`~harmcode.linear._residues` then reduces the blends and
+P_K to [0, p) together.
 """
 
 from __future__ import annotations
@@ -241,19 +241,6 @@ def residue_encoder(params: HarmonicParams) -> Callable[..., list[tuple[int, ...
     return encode
 
 
-def encoder(params: HarmonicParams) -> Callable[..., list[FieldVector]]:
-    """:func:`residue_encoder` as ``encode(data, *keys)``, like
-    ``EncodingMatrix.apply``: the data and the one key z = P_0 checked by
-    :func:`~harmcode.linear._columns`, the shares wrapped as vectors."""
-    field, K = params.field, params.K
-    core = residue_encoder(params)
-
-    def encode(data: Dataset, *keys: FieldVector) -> list[FieldVector]:
-        return _vectors(field, core(_columns(field, K, 1, data, keys), data.m))
-
-    return encode
-
-
 def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector) -> list[FieldVector]:
     """The masking chain P_0..P_K as residues in [0, p), one two-term
     combination per step."""
@@ -284,13 +271,16 @@ def encoding_matrix(params: HarmonicParams) -> EncodingMatrix:
 
 def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
            stats: EncodeStats | None = None) -> list[FieldVector]:
-    """Shares in worker order via the recursive chain; see :func:`encoder`.
+    """Shares in worker order via :func:`residue_encoder`, the data and the
+    one key z = P_0 checked by :func:`~harmcode.linear._columns` and the
+    shares wrapped as vectors, as a handle's ``encode`` does.
 
     The result is coordinate-identical to ``encoding_matrix(params).apply(data, z)``.
     ``stats`` gains K*d, K chain steps plus K(d-1) blends; it is kept only
     for perfbench, until ROADMAP item 4b deletes this function.
     """
-    shares = encoder(params)(data, z)
+    field, core = params.field, residue_encoder(params)
+    shares = _vectors(field, core(_columns(field, params.K, 1, data, (z,)), data.m))
     if stats is not None:
         stats.two_term_combos += params.K * params.d
     return shares

@@ -24,6 +24,7 @@ from .errors import (
     DegreeMismatchError,
     DimensionMismatchError,
     FieldMismatchError,
+    InvalidParamsError,
 )
 from .field import FieldConfig, FieldVector, sample_uniform_vector
 
@@ -48,9 +49,9 @@ class Monomial:
             raise TypeError(
                 f"coefficient and exponents must be ints, got {coeff!r}, {exps!r}") from None
         if coeff == 0:
-            raise ValueError("zero terms are not stored")
+            raise InvalidParamsError("zero terms are not stored")
         if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
+            raise DegreeMismatchError("exponents must be nonnegative")
         self.coeff = coeff
         self.exps = exps
 
@@ -147,14 +148,14 @@ class PolyMap:
                     raise DimensionMismatchError(
                         f"exponent vector length {len(mono.exps)} != m={m}")
                 if not 0 < mono.coeff <= cap:
-                    raise ValueError(
+                    raise InvalidParamsError(
                         f"coefficient {mono.coeff} outside [1, p-1={cap}]; "
                         "not a canonical representation")
                 if any(e > cap for e in mono.exps):
-                    raise ValueError(
+                    raise DegreeMismatchError(
                         f"exponent above p-1={cap}; not a canonical representation")
                 if mono.exps in seen:
-                    raise ValueError(f"duplicate exponent vector {mono.exps}; merge terms")
+                    raise InvalidParamsError(f"duplicate exponent vector {mono.exps}; merge terms")
                 seen.add(mono.exps)
             canon.append(coord)
         self.field = field
@@ -275,7 +276,8 @@ def direct_gradient_sum(g: PolyMap, data: Dataset) -> FieldVector:
 def _gradient_sum(g, xs: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The core of :func:`direct_gradient_sum`: g's residues summed over the
     unchecked residue tuples ``xs``. ``g`` is anything with ``field`` and
-    ``_evaluate``, such as a PolyMap."""
+    ``_evaluate``: a PolyMap, or a scheme's own worker function such as
+    :class:`~harmcode.baselines.FreshmanMap`."""
     p = g.field.p
     return tuple([sum(col) % p for col in zip(*map(g._evaluate, xs))])
 
@@ -330,7 +332,7 @@ class MultilinearMap:
         """
         d, m = self.d, self.g.m
         if d * m > 12:
-            raise ValueError(f"symbolic expansion capped at 12 variables, got {d * m}")
+            raise DimensionMismatchError(f"symbolic expansion capped at 12 variables, got {d * m}")
         field = self.g.field
         units = [field.vector([1 if t == k else 0 for t in range(m)]) for k in range(m)]
         raw: list[list[tuple]] = [[] for _ in range(self.g.n)]
@@ -351,7 +353,7 @@ class MultilinearMap:
 def multilinearize(g: PolyMap, d: int) -> MultilinearMap:
     """Turn a map of exact total degree d into a d-block multilinear map."""
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise DegreeMismatchError(f"d must be >= 1, got {d}")
     if g.total_degree() != d:
         raise DegreeMismatchError(
             f"d={d} must equal the map's total degree {g.total_degree()}")
@@ -375,10 +377,10 @@ def _random_exps(rng: random.Random, m: int, total: int, cap: int) -> tuple[int,
 def random_poly(rng: random.Random, field: FieldConfig, m: int, n: int, d: int) -> PolyMap:
     """Random sparse map of total degree exactly d (one degree-d term forced)."""
     if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+        raise DegreeMismatchError(f"degree must be >= 1, got {d}")
     cap = field.p - 1
     if d > m * cap:
-        raise ValueError(
+        raise DegreeMismatchError(
             f"no canonical monomial of degree {d} exists in {m} variables over F_{field.p}")
     outputs = []
     for t in range(n):

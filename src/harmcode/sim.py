@@ -108,7 +108,8 @@ class Scheme(NamedTuple):
     handle calls on its first encode, in place of ``matrix.apply_residues``;
     the residue encoder it builds must give the same shares.
     ``worker_fn(params)``, set only by a scheme that fixes g itself, builds
-    that g, shaped like a PolyMap (see :class:`~harmcode.baselines.FreshmanMap`).
+    that g, used as a PolyMap is: ``eval``, ``_check`` and ``_evaluate``
+    (see :class:`~harmcode.baselines.FreshmanMap`).
     """
 
     name: str
@@ -214,11 +215,11 @@ def run_trial(scheme, g: Optional[PolyMap], data: Dataset, seed: int) -> TrialRe
     """
     if scheme.worker_fn is not None:
         if g is not None:
-            raise ValueError("this scheme fixes its own g; pass g=None")
+            raise InvalidParamsError("this scheme fixes its own g; pass g=None")
         g = scheme.worker_fn
     else:
         if g is None:
-            raise ValueError("scheme needs an explicit polynomial map g")
+            raise InvalidParamsError("scheme needs an explicit polynomial map g")
         if g.total_degree() == 0:
             raise ConstantPolynomialError("constant g has no gradient structure")
         if g.total_degree() > scheme.d:

@@ -1,8 +1,6 @@
 """Shamir-MPC, LCC, and freshman schemes: construction, validity, counts."""
 
-import functools
 import itertools
-import operator
 import random
 import re
 from collections import Counter
@@ -16,10 +14,10 @@ from harmcode.errors import (
     InvalidParamsError,
 )
 from harmcode.baselines import (
+    FreshmanMap,
     FreshmanParams,
     LCCParams,
     ShamirParams,
-    freshman_apply,
     lcc_decode,
     lcc_decode_vector,
     lcc_encode,
@@ -290,11 +288,6 @@ def test_lcc_decode_matches_oracle():
 # freshman
 
 
-def freshman_sum(params, data):
-    """The freshman oracle: freshman_apply summed over the dataset items."""
-    return functools.reduce(operator.add, [freshman_apply(params, x) for x in data.items])
-
-
 def test_freshman_hand_example_p3():
     field = FieldConfig(3)
     params = FreshmanParams(field, 2, 1, 1, [[1]])
@@ -303,7 +296,7 @@ def test_freshman_hand_example_p3():
     handle = make_handle(params)
     shares = handle.encode(data, [z])
     assert [s.values()[0] for s in shares] == [1, 1]  # 1, 1+1+2 = 4 = 1
-    outputs = [freshman_apply(params, s) for s in shares]
+    outputs = [FreshmanMap(params).eval(s) for s in shares]
     assert [o.values()[0] for o in outputs] == [1, 1]
     assert handle.decode(outputs).values() == (0,)
     assert (pow(1, 3, 3) + pow(2, 3, 3)) % 3 == 0  # the target value
@@ -316,7 +309,7 @@ def test_freshman_hand_example_p2():
     handle = make_handle(params)
     for z in range(2):
         shares = handle.encode(data, [field.vector([z])])
-        outputs = [freshman_apply(params, s) for s in shares]
+        outputs = [FreshmanMap(params).eval(s) for s in shares]
         assert handle.decode(outputs).values() == (0,)  # 1 + 1 = 0 mod 2
 
 
@@ -357,8 +350,8 @@ def test_freshman_matches_oracle_randomized():
             data = random_dataset(rng, field, K, m)
             z = sample_uniform_vector(rng, field, m)
             handle = make_handle(params)
-            outputs = [freshman_apply(params, s) for s in handle.encode(data, [z])]
-            assert handle.decode(outputs) == freshman_sum(params, data)
+            outputs = [FreshmanMap(params).eval(s) for s in handle.encode(data, [z])]
+            assert handle.decode(outputs) == direct_gradient_sum(FreshmanMap(params), data)
 
 
 def test_freshman_two_workers_always():
@@ -380,7 +373,7 @@ def test_freshman_rejects_zero_matrix():
 
 def test_freshman_handle_encodes_data_of_any_width():
     # the batched auditor encodes this code at width 9, not m = 1, so the
-    # handle's encode takes any width; freshman_apply checks m
+    # handle's encode takes any width; its worker function checks m
     field = FieldConfig(3)
     handle = make_handle(FreshmanParams(field, 2, 1, 1, [[1]]))
     for width in (1, 2, 9):
@@ -389,7 +382,7 @@ def test_freshman_handle_encodes_data_of_any_width():
         shares = handle.encode(data, [z])
         assert [s.values() for s in shares] == [(1,) * width, (1,) * width]
     with pytest.raises(DimensionMismatchError):
-        freshman_apply(handle.params, field.vector([1, 2]))
+        handle.worker_fn.eval(field.vector([1, 2]))
 
 
 
@@ -397,10 +390,28 @@ def test_freshman_worker_function_refuses_another_field():
     # the same check PolyMap.eval, the other worker function, makes
     params = FreshmanParams(FieldConfig(5), 2, 2, 1, [[1, 1]])
     x = FieldConfig(7).vector([6, 3])
-    for worker in (functools.partial(freshman_apply, params), make_handle(params).worker_fn):
+    for worker in (FreshmanMap(params).eval, make_handle(params).worker_fn.eval):
         with pytest.raises(FieldMismatchError, match="F_7"):
             worker(x)
+        with pytest.raises(TypeError, match="expected FieldVector"):
+            worker([1, 3])
         assert worker(FieldConfig(5).vector([1, 3])) == FieldConfig(5).vector([4])  # 1^5 + 3^5
+
+def test_freshman_map_is_a_applied_to_pth_powers_exhaustive():
+    # eval computes A x, which on F_p is A (x_1^p, ..., x_m^p) by Fermat
+    rng = random.Random(24)
+    for p in (2, 3, 5, 7):
+        field = FieldConfig(p)
+        for m, n in itertools.product((1, 2), repeat=2):
+            matrix = [[0] * m]
+            while not any(map(any, matrix)):
+                matrix = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+            worker = FreshmanMap(FreshmanParams(field, 2, m, n, matrix))
+            for x in itertools.product(range(p), repeat=m):
+                expected = tuple(sum(a * pow(v, p) for a, v in zip(row, x)) % p
+                                 for row in matrix)
+                assert worker.eval(field.vector(x)).values() == expected, (p, matrix, x)
+
 
 def test_freshman_trial_with_wrong_width_raises():
     field = FieldConfig(5)

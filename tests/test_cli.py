@@ -1,8 +1,6 @@
 """The command-line surface: golden demo output, exit codes, file pipelines."""
 
-import functools
 import json
-import operator
 import os
 import pathlib
 import re
@@ -326,10 +324,9 @@ def test_encode_decode_pipeline(tmp_path, capsys, scheme, p, d):
     data = Dataset([field.vector(r) for r in data_doc["data"]])
     if scheme == "freshman":
         # degree-p map: coordinatewise p-th powers summed (matrix of ones)
-        from harmcode.baselines import freshman_apply
-        outputs = [freshman_apply(params, s) for s in shares]
-        oracle = functools.reduce(operator.add,
-                                  [freshman_apply(params, x) for x in data.items])
+        from harmcode.baselines import FreshmanMap
+        outputs = [FreshmanMap(params).eval(s) for s in shares]
+        oracle = direct_gradient_sum(FreshmanMap(params), data)
     else:
         g = PolyMap.from_terms(field, 2, [[(1, (2, 0)), (3, (0, 1))]])
         outputs = [g.eval(s) for s in shares]

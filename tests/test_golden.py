@@ -1,6 +1,7 @@
 """Pinned SHA-256 digests of `harmcode encode` share files and of the
-`harmcode decode` output, one fixed dataset and seed per scheme, and of
-exhaustive privacy-audit reports.
+`harmcode decode` output, one fixed dataset and seed per scheme, of
+exhaustive privacy-audit reports, and of one freshman `harmcode validate`
+run.
 
 Any change to the coefficient algebra, the key draw order or the file
 layout shows up here as a digest mismatch; so does any change to an audit
@@ -13,7 +14,7 @@ import json
 import pytest
 
 from harmcode import harmonic
-from harmcode.baselines import freshman_apply, lcc_params, shamir_params
+from harmcode.baselines import FreshmanMap, lcc_params, shamir_params
 from harmcode.cli import main
 from harmcode.field import FieldConfig
 from harmcode.fileio import load_shares, write_outputs
@@ -57,7 +58,7 @@ def test_share_and_decode_digests(tmp_path, capsys, scheme):
                  "--seed", str(SEED)]) == 0
     params, shares = load_shares(shares_path)
     if scheme == "freshman":
-        outputs = [freshman_apply(params, s) for s in shares]
+        outputs = [FreshmanMap(params).eval(s) for s in shares]
     else:
         field = FieldConfig(p)
         g = PolyMap.from_terms(field, 2, [[(2, (2, 0)), (5, (1, 1)), (1, (0, 0))],
@@ -69,6 +70,19 @@ def test_share_and_decode_digests(tmp_path, capsys, scheme):
     capsys.readouterr()
 
     assert (sha256(shares_path), sha256(decoded_path)) == (shares_digest, decoded_digest)
+
+
+# SHA-256 of the standard output of `harmcode validate --scheme freshman
+# --p 5 --d 5 --K 3 --m 2 --n 2 --trials 20 --seed 3`: twenty trials, each
+# with its own random A, data and keys, one JSON line each.
+FRESHMAN_VALIDATE = "d87ac9723db88e52849d0647fbf5bdcd8eb014ae8bc5f77efbe126cf02d04db4"
+
+
+def test_freshman_validate_digest(capsys):
+    assert main(["validate", "--scheme", "freshman", "--p", "5", "--d", "5", "--K", "3",
+                 "--m", "2", "--n", "2", "--trials", "20", "--seed", "3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == FRESHMAN_VALIDATE
 
 
 # audit case -> SHA-256 of json.dumps(report.to_json(), sort_keys=True).

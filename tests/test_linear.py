@@ -1,8 +1,6 @@
 """Every scheme as one linear code: the handle, the module functions and the
 encoding matrix / decode vector must agree share for share."""
 
-import functools
-import operator
 import random
 import struct
 from unittest import mock
@@ -64,12 +62,6 @@ def module_paths(scheme):
     return MODULE[scheme][1:]
 
 
-def freshman_sum(params, data):
-    """The freshman oracle: freshman_apply summed over the dataset items."""
-    return functools.reduce(operator.add,
-                            [baselines.freshman_apply(params, x) for x in data.items])
-
-
 def test_grid_covers_every_scheme():
     assert {scheme for scheme, _ in GRID} == {"harmonic", "shamir", "lcc", "freshman"}
 
@@ -92,10 +84,10 @@ def test_handle_module_and_matrix_agree(scheme, params):
         if handle.worker_fn is None:
             g = random_poly(rng, field, m, 1, params.d)
             outputs = [g.eval(s) for s in shares]
-            oracle = direct_gradient_sum(g, data)
         else:
-            outputs = [handle.worker_fn(s) for s in shares]
-            oracle = freshman_sum(params, data)
+            g = baselines.FreshmanMap(params)
+            outputs = [handle.worker_fn.eval(s) for s in shares]
+        oracle = direct_gradient_sum(g, data)
         decoded = handle.decode(outputs)
         assert decoded == oracle
         assert decoded == module_decode(params, outputs)
@@ -160,7 +152,7 @@ def test_clear_storage_forwards_the_worker_function():
     inner = make_handle(FreshmanParams(FieldConfig(3), 2, 1, 1, [[1]]))
     leaky = ClearStorageScheme(inner)
     assert isinstance(leaky, LinearCode)
-    assert leaky.worker_fn(x) == inner.worker_fn(x)
+    assert leaky.worker_fn.eval(x) == inner.worker_fn.eval(x)
     assert (leaky.matrix, leaky.vector, leaky.num_keys) == (inner.matrix, inner.vector,
                                                              inner.num_keys)
     for params in (select_params(FieldConfig(5), 2, 2), shamir_params(FieldConfig(5), 2, 1)):
@@ -608,6 +600,6 @@ def test_packed_chain_encoder_matches_the_matrix_and_the_reference(p):
         top = field.vector([p - 1] * 5)
         for data, z in ((Dataset([top] * K), top),
                         (random_dataset(rng, field, K, 5), sample_uniform_vector(rng, field, 5))):
-            shares = harmonic.encoder(params)(data, z)
+            shares = make_handle(params).encode(data, [z])
             assert shares == matrix.apply(data, z)
             assert shares == reference_apply(field, matrix.rows, list(data.items) + [z])

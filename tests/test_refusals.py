@@ -48,6 +48,48 @@ def test_every_error_is_a_harmcode_error_with_its_old_bases():
     assert issubclass(errors.ZeroInversionError, ZeroDivisionError)
 
 
+def _refusal_sites():
+    """(call, class, text) for each refusal in poly and sim that raised a plain
+    ValueError before it raised a HarmcodeError; the text is unchanged."""
+    f5, rng = FieldConfig(5), random.Random(0)
+    quadratic = harmcode.PolyMap.from_terms(f5, 7, [[(1, (2, 0, 0, 0, 0, 0, 0))]])
+    data = harmcode.Dataset([f5.vector([1]), f5.vector([2])])
+    freshman = harmcode.make_handle(harmcode.FreshmanParams(f5, 2, 1, 1, [[1]]))
+    harmonic = harmcode.make_handle(harmcode.select_params(f5, 2, 2))
+    mono = harmcode.Monomial
+    return [
+        (lambda: mono(0, [1]), errors.InvalidParamsError, "zero terms are not stored"),
+        (lambda: mono(1, [-1]), errors.DegreeMismatchError, "exponents must be nonnegative"),
+        (lambda: harmcode.PolyMap(f5, 1, [[mono(5, [1])]]), errors.InvalidParamsError,
+         "coefficient 5 outside [1, p-1=4]; not a canonical representation"),
+        (lambda: harmcode.PolyMap(f5, 1, [[mono(1, [5])]]), errors.DegreeMismatchError,
+         "exponent above p-1=4; not a canonical representation"),
+        (lambda: harmcode.PolyMap(f5, 1, [[mono(1, [1]), mono(2, [1])]]),
+         errors.InvalidParamsError, "duplicate exponent vector (1,); merge terms"),
+        (lambda: harmcode.multilinearize(quadratic, 2).expand(),
+         errors.DimensionMismatchError, "symbolic expansion capped at 12 variables, got 14"),
+        (lambda: harmcode.multilinearize(quadratic, 0), errors.DegreeMismatchError,
+         "d must be >= 1, got 0"),
+        (lambda: harmcode.random_poly(rng, f5, 1, 1, 0), errors.DegreeMismatchError,
+         "degree must be >= 1, got 0"),
+        (lambda: harmcode.random_poly(rng, f5, 1, 1, 5), errors.DegreeMismatchError,
+         "no canonical monomial of degree 5 exists in 1 variables over F_5"),
+        (lambda: harmcode.run_trial(freshman, quadratic, data, 0), errors.InvalidParamsError,
+         "this scheme fixes its own g; pass g=None"),
+        (lambda: harmcode.run_trial(harmonic, None, data, 0), errors.InvalidParamsError,
+         "scheme needs an explicit polynomial map g"),
+    ]
+
+
+def test_every_refusal_in_poly_and_sim_is_a_harmcode_error_with_its_old_text():
+    sites = _refusal_sites()
+    assert len(sites) == 11
+    for call, cls, text in sites:
+        with pytest.raises(harmcode.HarmcodeError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (cls, text)
+
+
 def _paths(node, path=()):
     """The root, every key, and the first three entries of every list."""
     yield path

@@ -162,7 +162,7 @@ def test_run_trial_on_residues_matches_the_public_path():
     for label, handle, g, data, seed in residue_path_handles():
         kinds.add(handle.kind)
         report = run_trial(handle, g, data, seed)
-        worker = handle.worker_fn if g is None else g.eval
+        worker = (handle.worker_fn if g is None else g).eval
         keys = sample_keys(random.Random(seed), handle.field, handle.num_keys, data.m)
         shares = handle.encode(data, keys)
         decoded = handle.decode([worker(s) for s in shares]).values()
