@@ -197,7 +197,9 @@ def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple]]]
     return c_inv, steps
 
 
-# a * P + b * X with P in [0, 2p) stays below 4 (p-1)^2: four products' worth
+# a * P + b * X with P in [0, 2p) and a, b general residues stays below
+# 4 (p-1)^2, four products of two residues: the chain's slots are sized for
+# sums up to _CHAIN_TERMS * (p-1)^2
 _CHAIN_TERMS = 4
 
 
@@ -207,7 +209,7 @@ def _chain(p: int, steps, cols: Sequence[Sequence[int]],
     the residue columns X_1..X_K, Z. Each step P_j = a_j P_{j-1} + b_j X_j is
     one multiply-add and one Barrett step, so every slot of P_1..P_K lies in
     [0, 2p), not yet [0, p)."""
-    layout = _layout(m, p, _CHAIN_TERMS)
+    layout = _layout(m, p, _CHAIN_TERMS * (p - 1) ** 2)
     shift, mu, mask = layout[:3]
     xs = [_pack(layout, x) for x in cols[:-1]]
     prev = _pack(layout, cols[-1])

@@ -39,21 +39,25 @@ makes fewer packed operations. A map with N rows, ``width`` columns read and
   all.
 
 One call of :func:`_residues` then reduces every packed sum with a
-slot-wise Barrett step and one conditional subtraction of p over all of
-its slots at once, and unpacks each with one Struct. :func:`_layout` sizes
-the slots from the densest row: a slot sums one row's terms -- over a
-coordinate when wide, over the columns when narrow, where a zero
-coefficient adds nothing -- so it stays below most * (p-1)^2 < 2^s either
-way, and a slot holds each sum times mu = floor(2^s / p) and bit
-p.bit_length(), so no carry or borrow crosses a slot at any row length or
-modulus. The decode vector is the one-row case, with its N worker outputs
-as columns: it packs narrow while m * N < 5N + 1, so at n <= 5 outputs, and
-wide above. The measured crossovers put a pack at about 0.5 products for
-Shamir's sparse 48 x 32 matrix, 3 for harmonic's 18 x 9 one, 4 for
-Shamir's 32 x 16 one and 7 or more for LCC's dense 25 x 9 one and for
-one-row maps of 10 to 48 weights; at 4, every map on the benchmark's
-workloads takes its faster kernel. The harmonic chain encoder runs on the
-wide layout.
+slot-wise Barrett step and one conditional subtraction of p over all of its
+slots at once, and unpacks each with one Struct. :func:`_layout` sizes the
+slots from the map's heaviest row, the largest sum of one row's
+coefficients: a slot sums one row's coefficients times residues of at most
+p-1 -- over a coordinate when wide, over the columns when narrow -- so it
+stays below heaviest * (p-1) < 2^s either way, and a slot holds each sum
+times mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow
+crosses a slot at any row length or modulus. Every coefficient is at most
+p-1, so no slot is wider than the densest row's terms * (p-1)^2 would make
+it. Shamir's coefficients are 1 and theta_r <= d+1, so at p = 2^31-1 and
+d = 3 its slots take 8 bytes, where the general residues of harmonic's and
+LCC's maps take 13. The decode vector is the one-row case, with its N
+worker outputs as columns: it packs narrow while m * N < 5N + 1, so at
+n <= 5 outputs, and wide above. The measured crossovers put a pack at
+about 0.5 products for Shamir's sparse 48 x 32 matrix, 3 for harmonic's
+18 x 9 one, 4 for Shamir's 32 x 16 one and 7 or more for LCC's dense 25 x 9
+one and for one-row maps of 10 to 48 weights; at 4, every map on the
+benchmark's workloads takes its faster kernel. The harmonic chain encoder
+runs on the wide layout.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -79,12 +83,12 @@ from .poly import Dataset
 
 
 @lru_cache(maxsize=64)
-def _layout(m: int, p: int, terms: int) -> tuple:
-    """The packed layout of m slots for sums of at most ``terms`` products of
-    two residues, as (s, mu, mask, ones, bias, bit, slots):
+def _layout(m: int, p: int, top: int) -> tuple:
+    """The packed layout of m slots for sums of at most ``top``, as
+    (s, mu, mask, ones, bias, bit, slots):
 
-    - s covers the largest slot sum, terms * (p-1)^2 < 2^s, and mu = 2^s // p
-      (terms = 0, rows that are all zero, gives s = mu = 0: every sum is 0);
+    - s covers the largest slot sum, top < 2^s, and mu = 2^s // p (top = 0,
+      rows that are all zero, gives s = mu = 0: every sum is 0);
     - a slot is the fewest bytes, ``width``, that hold both 2^s * mu and
       bit = p.bit_length(), and at least the 8 its residue is read from;
     - mask holds the low 8 * width - s bits of every slot, where
@@ -94,7 +98,7 @@ def _layout(m: int, p: int, terms: int) -> tuple:
       zeros above it; 8-byte slots are spelled as one count code, because
       CPython keeps about 32 bytes per code of a format.
     """
-    s = (terms * (p - 1) ** 2).bit_length()
+    s = top.bit_length()
     mu = (1 << s) // p
     bit = p.bit_length()
     width = max(8, -(-max((mu << s).bit_length(), bit + 1) // 8))
@@ -128,13 +132,14 @@ def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...
 
 def _compile(rows: tuple[tuple[int, ...], ...]) -> tuple:
     """A map's plan: its rows; per row, its (column, coefficient) nonzero
-    terms; the columns the rows read, ascending; the most terms in a row;
-    the nonzero count; and a list that the first narrow apply fills with the
-    row-packed layout (None for one row) and coefficient columns, so a map
-    only ever applied wide never builds them."""
+    terms; the columns the rows read, ascending; the largest sum of one
+    row's coefficients, which are residues, so a slot stays below it times
+    p-1; the nonzero count; and a list that the first narrow apply fills
+    with the row-packed layout (None for one row) and coefficient columns,
+    so a map only ever applied wide never builds them."""
     terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
     columns = tuple(sorted({k for row in terms for k, _ in row}))
-    return rows, terms, columns, max(map(len, terms), default=0), sum(map(len, terms)), []
+    return rows, terms, columns, max(map(sum, rows), default=0), sum(map(len, terms)), []
 
 
 # A per-call column pack (a Struct pack and an int.from_bytes) costs about
@@ -154,8 +159,8 @@ def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tup
 
 def _apply_wide(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """Each column read packed over the m coordinates, one product per term."""
-    _, terms, columns, most, _, _ = plan
-    layout = _layout(m, p, most)
+    _, terms, columns, heaviest, _, _ = plan
+    layout = _layout(m, p, heaviest * (p - 1))
     packed = {k: _pack(layout, cols[k]) for k in columns}
     return _residues([sum([c * packed[k] for k, c in row]) for row in terms], layout, p)
 
@@ -168,12 +173,12 @@ def _apply_narrow(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[t
     first apply, the only one a ``harmcode decode`` makes, costs what its
     later ones do. A map that reads no column would get no coordinates
     here; the rule never sends one (nnz = 0)."""
-    rows, _, columns, most, _, narrow = plan
+    rows, _, columns, heaviest, _, narrow = plan
     if not narrow:
         if len(rows) == 1:
             narrow[:] = None, [rows[0][k] for k in columns]
         else:
-            layout = _layout(len(rows), p, most)
+            layout = _layout(len(rows), p, heaviest * (p - 1))
             narrow[:] = layout, [_pack(layout, [row[k] for row in rows]) for k in columns]
     layout, coeffs = narrow
     sums = [sum(map(mul, values, coeffs)) for values in zip(*[cols[k] for k in columns])]

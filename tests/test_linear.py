@@ -389,7 +389,10 @@ def test_narrow_packing_skips_a_zero_column_and_empty_maps(p):
 def grid_maps(rng, p):
     """Maps of 1, 2, 3 and 6 rows over 1, 2, 5 and 9 columns: random
     coefficients with about a third zero, the same with every other row all
-    zero, every coefficient p - 1, and a single nonzero; each as (rows, plan)."""
+    zero, every coefficient p - 1, a single nonzero, and small coefficients
+    drawn from 1..4 (below p) with one row of the largest, so that its sum
+    is the map's heaviest and every column p - 1 fills its slots to the
+    layout's bound; each as (rows, plan)."""
     for n_rows in (1, 2, 3, 6):
         for width in (1, 2, 5, 9):
             rand = [[rng.randrange(p) if rng.random() < 2 / 3 else 0 for _ in range(width)]
@@ -397,7 +400,10 @@ def grid_maps(rng, p):
             striped = [row if r % 2 else [0] * width for r, row in enumerate(rand)]
             single = [[0] * width for _ in range(n_rows)]
             single[-1][-1] = rng.randrange(1, p)
-            for rows in (rand, striped, [[p - 1] * width] * n_rows, single):
+            big = min(4, p - 1)
+            small = [[rng.randint(1, big) for _ in range(width)] for _ in range(n_rows)]
+            small[rng.randrange(n_rows)] = [big] * width
+            for rows in (rand, striped, [[p - 1] * width] * n_rows, single, small):
                 if any(map(any, rows)):
                     yield rows, linear._compile(tuple(map(tuple, rows)))
 
@@ -447,6 +453,63 @@ def test_rule_packs_narrow_up_to_where_the_packings_meet(label, code, top):
     assert rule_is_narrow(code, 512) is False
 
 
+def layouts_made(apply):
+    """What ``apply()`` returns, and the (slot count, layout) of every
+    layout it builds."""
+    made = []
+    layout = linear._layout
+    with mock.patch.object(linear, "_layout",
+                           lambda *args: made.append((args[0], layout(*args))) or made[-1][1]):
+        return apply(), made
+
+
+def test_shamir_wide_matrix_packs_eight_byte_slots():
+    # Shamir's rows hold 1 on X_k and theta_r <= d + 1 on Z_k: at the `wide`
+    # shape (K = 8, d = 3, m = 512) a slot sums below 5 (p - 1) < 2^34, so
+    # its slots are 8 bytes, one count code, where 2 (p - 1)^2 took 12
+    matrix = baselines.shamir_encoding_matrix(shamir_params(F_TOP, 8, 3))
+    rng = random.Random("shamir-wide")
+    worst = F_TOP.vector([TOP - 1] * 512)
+    for columns in ([worst] * 16, [sample_uniform_vector(rng, F_TOP, 512) for _ in range(16)]):
+        shares, made = layouts_made(lambda: matrix.apply(Dataset(columns[:8]), *columns[8:]))
+        assert [(slots, layout[-1].format) for slots, layout in made] == [(512, "<512Q")]
+        assert shares == reference_apply(F_TOP, matrix.rows, columns)
+
+
+def workload_codes():
+    """(label, code, m) for every matrix and decode vector of the four
+    workloads: `wide`, `many-inputs` and `file-pipeline` at F_TOP, and
+    `audit-tiny`'s K = 2, d = 2 at each of its primes 5, 7 and 11."""
+    for p, K, d, m, n in ((TOP, 8, 3, 512, 4), (TOP, 16, 2, 4, 2), (TOP, 8, 2, 128, 4),
+                          (5, 2, 2, 1, 1), (7, 2, 2, 1, 1), (11, 2, 2, 1, 1)):
+        for scheme, (build, _, _) in MODULE.items():
+            try:
+                params = build(FieldConfig(p), K, d)
+            except FieldTooSmallError:
+                continue
+            handle = make_handle(params)
+            yield f"{scheme}-{p}-{K}-{d}", handle.matrix, m
+            yield f"{scheme}-decode-{p}-{K}-{d}", handle.vector, n
+
+
+def test_no_slot_is_wider_than_the_densest_rows_bound():
+    # every matrix and decode vector of RULE_SHAPES and of the workloads, on
+    # both kernels: the heaviest row's layout is never wider than the one
+    # sized for the densest row's terms * (p - 1)^2
+    codes = RULE_SHAPES + list(workload_codes())
+    assert len(codes) == len(RULE_SHAPES) + 34  # 36 less LCC's pair at F_5, too small
+    for label, code, m in codes:
+        p = code.field.p
+        plan = code._plan
+        most = max(sum(map(bool, row)) for row in plan[0])
+        cols = [(p - 1,) * m] * len(plan[0][0])
+        made = (layouts_made(lambda: _apply_wide(plan, cols, m, p))[1]
+                + layouts_made(lambda: _apply_narrow(linear._compile(plan[0]), cols, m, p))[1])
+        assert made, label
+        for slots, layout in made:
+            assert layout[-1].size <= _layout(slots, p, most * (p - 1) ** 2)[-1].size, label
+
+
 @pytest.mark.parametrize("N", [18, 25, 32, 48])
 def test_decode_vectors_pack_narrow_up_to_five_outputs(N):
     # every decode on `wide` and `file-pipeline` has n = 4 outputs, where the
@@ -487,9 +550,10 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
     for _ in range(9):
         apply(narrow, 4)
     assert packed == [33] * 17
-    # slots sized for the densest row's 17 terms, one slot per row
+    # slots sized for the heaviest row's coefficient sum, one slot per row
     layout, columns = narrow._plan[-1]
-    assert layout == _layout(33, TOP, 17) and len(columns) == 17
+    assert layout == _layout(33, TOP, max(map(sum, narrow.rows)) * (TOP - 1))
+    assert len(columns) == 17
     # wide at m = 128 (2176 >= 662): every pack is a data column, every call
     packed.clear()
     wide = baselines.lcc_encoding_matrix(params)
@@ -537,7 +601,7 @@ def packed_sums(layout, sums):
 @pytest.mark.parametrize("terms", [0] + LAYOUT_TERMS)
 def test_layout_bounds_every_slot(p, terms):
     m = 3
-    layout = _layout(m, p, terms)
+    layout = _layout(m, p, terms * (p - 1) ** 2)
     s, mu, mask, ones, bias, bit, _ = layout
     bits = slot_bits(layout, m)
     assert bits % 8 == 0 and bits >= 64
@@ -555,7 +619,7 @@ def test_eight_byte_slots_are_one_count_code(p):
     # 10,201 slots: the p = 101 harmonic audit's encode width
     rng = random.Random(p)
     for m in (1, 25, 10_201):
-        slots = _layout(m, p, 4)[-1]
+        slots = _layout(m, p, 4 * (p - 1) ** 2)[-1]
         assert slots.size == 8 * m
         assert slots.format == f"<{m}Q"  # one code however many slots
         values = [rng.randrange(p) for _ in range(m)]
@@ -570,7 +634,7 @@ def test_eight_byte_slots_are_one_count_code(p):
 def test_residues_of_every_slot_sum(p, terms):
     top = terms * (p - 1) ** 2
     sums = list(range(top + 1))
-    layout = _layout(len(sums), p, terms)
+    layout = _layout(len(sums), p, top)
     want = tuple(v % p for v in sums)
     # two rows: every sum, then every sum in reverse
     got = _residues([packed_sums(layout, sums), packed_sums(layout, sums[::-1])], layout, p)
@@ -585,7 +649,7 @@ def test_residues_at_the_top_of_the_range(terms):
     # the top sums, the multiples of p at and below them, and their neighbours
     sums = [top - k for k in range(64)] + [
         k * p + e for k in (q, q - 1, q - 2, 1) for e in (-1, 0, 1, p - 1) if k * p + e <= top]
-    layout = _layout(len(sums), p, terms)
+    layout = _layout(len(sums), p, top)
     assert _residues([packed_sums(layout, sums)], layout, p) == [tuple(v % p for v in sums)]
 
 
