@@ -279,7 +279,7 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
 
     The result is coordinate-identical to ``encoding_matrix(params).apply(data, z)``.
     ``stats`` gains K*d, K chain steps plus K(d-1) blends; it is kept only
-    for perfbench, until ROADMAP item 4b deletes this function.
+    for perfbench, until ROADMAP item 2b deletes this function.
     """
     field, core = params.field, residue_encoder(params)
     shares = _vectors(field, core(_columns(field, params.K, 1, data, (z,)), data.m))

@@ -5,12 +5,12 @@ A scheme with K inputs and ``num_keys`` uniform keys hands worker w
     share_w = sum_k E[w][k] X_k + sum_t E[w][K+t] Z_t
 
 and recovers f = g(X_1)+...+g(X_K) from the worker outputs as
-sum_w v_w g(share_w). :class:`EncodingMatrix` holds E and
-:class:`DecodeVector` holds v, both as int residues in [0, p), reduced once
-by :meth:`~harmcode.field.FieldConfig.residues` when they are built.
-:class:`LinearCode` binds one parameter set to its
-:class:`~harmcode.sim.Scheme` entry and builds each on first use. The
-scheme modules only supply the coefficients.
+sum_w v_w g(share_w). Both are a :class:`LinearMap`, rows of int residues
+in [0, p) reduced once by :meth:`~harmcode.field.FieldConfig.residues` when
+built: :class:`EncodingMatrix` is E, and :class:`DecodeVector` is v, the
+one-row map over the N worker outputs. :class:`LinearCode` binds one
+parameter set to its :class:`~harmcode.sim.Scheme` entry and builds each on
+first use. The scheme modules only supply the coefficients.
 
 Every code works on residues underneath: its core turns the residue
 columns X_1..X_K, Z_1..Z_num_keys (tuples of ints in [0, p)) into one
@@ -24,19 +24,20 @@ objects. A caller that has checked its inputs itself, as
 :func:`harmcode.sim.run_trial` does, calls the core directly and wraps
 nothing per share.
 
-Both maps are applied by one kernel, :func:`_apply_rows`: rows of int
+Every map is applied by one kernel, :func:`_apply_rows`: rows of int
 coefficients over columns of residues, in one of two packings, whichever
-makes fewer packed operations. A map with N rows, ``width`` columns read and
-``nnz`` nonzero coefficients, applied m coordinates wide, packs
+makes fewer packed operations. A map with N rows, ``width`` = len(columns)
+columns read and ``nnz`` nonzero coefficients, all kept on the map when it
+is built, applied m coordinates wide, packs
 
 - *wide*: each column it reads, once per call, into one Python int with a
   slot per coordinate; each row sums c * packed over its terms in C: width
   packs, nnz products of m slots and N row reductions in all, a pack
   weighing _PACK = 4 products;
 - *narrow*, when ``m * width < nnz + N + 4 * width``: each coefficient
-  column, once per map, into one int with a slot per row; each coordinate i
-  sums cols[k][i] * packed_k over the columns in C, m * width products in
-  all.
+  column, once per map and kept in its ``narrow``, into one int with a slot
+  per row; each coordinate i sums cols[k][i] * packed_k over the columns in
+  C, m * width products in all.
 
 One call of :func:`_residues` then reduces every packed sum with a
 slot-wise Barrett step and one conditional subtraction of p over all of its
@@ -130,57 +131,44 @@ def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...
     return out
 
 
-def _compile(rows: tuple[tuple[int, ...], ...]) -> tuple:
-    """A map's plan: its rows; per row, its (column, coefficient) nonzero
-    terms; the columns the rows read, ascending; the largest sum of one
-    row's coefficients, which are residues, so a slot stays below it times
-    p-1; the nonzero count; and a list that the first narrow apply fills
-    with the row-packed layout (None for one row) and coefficient columns,
-    so a map only ever applied wide never builds them."""
-    terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
-    columns = tuple(sorted({k for row in terms for k, _ in row}))
-    return rows, terms, columns, max(map(sum, rows), default=0), sum(map(len, terms)), []
-
-
 # A per-call column pack (a Struct pack and an int.from_bytes) costs about
 # as much as this many slot products at the sizes where the kernels meet.
 _PACK = 4
 
 
-def _apply_rows(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
-    """sum_k c * cols[k] mod p for each row's (k, c) terms, m coordinates wide,
+def _apply_rows(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
+    """sum_k c * cols[k] mod p for each row's ``terms`` of the map, m wide,
     packed narrow when ``m * width < nnz + rows + _PACK * width`` -- fewer
     packed operations, a pack weighing _PACK products -- and wide otherwise."""
-    rows, _, columns, _, nnz, _ = plan
-    if nnz and m * len(columns) < nnz + len(rows) + _PACK * len(columns):
-        return _apply_narrow(plan, cols, m, p)
-    return _apply_wide(plan, cols, m, p)
+    width = len(lmap.columns)
+    if lmap.nnz and m * width < lmap.nnz + len(lmap.rows) + _PACK * width:
+        return _apply_narrow(lmap, cols, m, p)
+    return _apply_wide(lmap, cols, m, p)
 
 
-def _apply_wide(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
+def _apply_wide(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """Each column read packed over the m coordinates, one product per term."""
-    _, terms, columns, heaviest, _, _ = plan
-    layout = _layout(m, p, heaviest * (p - 1))
-    packed = {k: _pack(layout, cols[k]) for k in columns}
-    return _residues([sum([c * packed[k] for k, c in row]) for row in terms], layout, p)
+    layout = _layout(m, p, lmap.heaviest * (p - 1))
+    packed = {k: _pack(layout, cols[k]) for k in lmap.columns}
+    return _residues([sum([c * packed[k] for k, c in row]) for row in lmap.terms], layout, p)
 
 
-def _apply_narrow(plan, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
-    """Each coefficient column packed over the N rows, once per map, and one
-    product per column read at each coordinate. A one-row map (a decode
-    vector) has one slot per column: a one-slot pack of c is c itself and a
-    one-slot reduction is % p, so it packs and unpacks nothing, and its
-    first apply, the only one a ``harmcode decode`` makes, costs what its
-    later ones do. A map that reads no column would get no coordinates
-    here; the rule never sends one (nnz = 0)."""
-    rows, _, columns, heaviest, _, narrow = plan
-    if not narrow:
+def _apply_narrow(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
+    """Each coefficient column packed over the map's rows, once per map into
+    its ``narrow``, and one product per column read at each coordinate. A
+    one-row map (a decode vector) has one slot per column: a one-slot pack
+    of c is c itself and a one-slot reduction is % p, so it packs and
+    unpacks nothing, and its first apply, the only one a ``harmcode decode``
+    makes, costs what its later ones do. A map that reads no column would
+    get no coordinates here; the rule never sends one (nnz = 0)."""
+    rows, columns = lmap.rows, lmap.columns
+    if lmap.narrow is None:
         if len(rows) == 1:
-            narrow[:] = None, [rows[0][k] for k in columns]
+            lmap.narrow = [None, [rows[0][k] for k in columns]]
         else:
-            layout = _layout(len(rows), p, heaviest * (p - 1))
-            narrow[:] = layout, [_pack(layout, [row[k] for row in rows]) for k in columns]
-    layout, coeffs = narrow
+            layout = _layout(len(rows), p, lmap.heaviest * (p - 1))
+            lmap.narrow = [layout, [_pack(layout, [row[k] for row in rows]) for k in columns]]
+    layout, coeffs = lmap.narrow
     sums = [sum(map(mul, values, coeffs)) for values in zip(*[cols[k] for k in columns])]
     if layout is None:
         return [tuple([v % p for v in sums])]
@@ -191,6 +179,8 @@ def _columns(field: FieldConfig, K: int, num_keys: int, data: Dataset,
              keys: Sequence[FieldVector]) -> list[tuple[int, ...]]:
     """X_1..X_K, Z_1..Z_num_keys as residue columns, once the dataset's K and
     field, the key count and each key's field and width match the code's."""
+    if not isinstance(data, Dataset):
+        raise TypeError(f"expected Dataset, got {type(data).__name__}")
     if data.K != K:
         raise DimensionMismatchError(f"dataset has K={data.K}, code has K={K}")
     if len(keys) != num_keys:
@@ -199,6 +189,8 @@ def _columns(field: FieldConfig, K: int, num_keys: int, data: Dataset,
         raise FieldMismatchError(f"dataset over F_{data.field.p}, code over F_{field.p}")
     m = data.m
     for z in keys:
+        if not isinstance(z, FieldVector):
+            raise TypeError(f"expected FieldVector, got {type(z).__name__}")
         if z.field is not field:
             raise FieldMismatchError(f"key over F_{z.field.p}, code over F_{field.p}")
         if z.dim != m:
@@ -245,7 +237,38 @@ def _lagrange_rows(points: Sequence[int], ats: Sequence[int], p: int) -> list[li
     return rows
 
 
-class EncodingMatrix:
+class LinearMap:
+    """Rows of residues over ``field`` and what the kernels read of them:
+    per row, its (column, coefficient) nonzero ``terms``; the ``columns``
+    read, ascending; ``heaviest``, the largest sum of one row's
+    coefficients, which times p-1 bounds a slot; ``nnz``, the nonzero
+    count; and ``narrow``, None until the first narrow apply fills in the
+    row-packed layout (None for one row) and coefficient columns."""
+
+    __slots__ = ("field", "rows", "terms", "columns", "heaviest", "nnz", "narrow")
+
+    def __init__(self, field: FieldConfig, rows: Sequence[Sequence[int]]):
+        self.field = field
+        self.rows = rows = tuple(field.residues(row) for row in rows)
+        self.terms = terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
+        self.columns = tuple(sorted({k for row in terms for k, _ in row}))
+        self.heaviest = max(map(sum, rows), default=0)
+        self.nnz = sum(map(len, terms))
+        self.narrow = None
+
+    def apply_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
+        """Each row's residues from the residue columns, each m wide,
+        unchecked: a matrix's shares from X_1..X_K, Z_1..Z_num_keys."""
+        return _apply_rows(self, cols, m, self.field.p)
+
+    def __eq__(self, other):
+        """Same type, field and rows, and for a matrix the same K and key count."""
+        return type(other) is type(self) and all(
+            getattr(self, a, None) == getattr(other, a, None)
+            for a in ("field", "rows", "K", "num_keys"))
+
+
+class EncodingMatrix(LinearMap):
     """N x (K + num_keys) matrix of residues: columns 1..K multiply
     X_1..X_K, the last num_keys columns multiply the keys Z_1..Z_num_keys.
 
@@ -253,24 +276,20 @@ class EncodingMatrix:
     privacy witness -- and construction refuses rows that break it.
     """
 
-    __slots__ = ("field", "K", "num_keys", "rows", "_plan")
+    __slots__ = ("K", "num_keys")
 
     def __init__(self, field: FieldConfig, K: int, rows: Sequence[Sequence[int]],
                  num_keys: int = 1):
+        super().__init__(field, rows)
         width = K + num_keys
-        rows = tuple(field.residues(row) for row in rows)
-        for w, row in enumerate(rows, start=1):
+        for w, row in enumerate(self.rows, start=1):
             if len(row) != width:
                 raise DimensionMismatchError(
                     f"row {w} has {len(row)} entries, expected {width}")
             if not any(row[K:]):
                 raise InvalidParamsError(
                     [f"row {w} gives every key a zero coefficient and would leak data"])
-        self.field = field
-        self.K = K
-        self.num_keys = num_keys
-        self.rows = rows
-        self._plan = _compile(rows)
+        self.K, self.num_keys = K, num_keys
 
     @property
     def N(self) -> int:
@@ -281,36 +300,21 @@ class EncodingMatrix:
         cols = _columns(self.field, self.K, self.num_keys, data, keys)
         return _vectors(self.field, self.apply_residues(cols, data.m))
 
-    def apply_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
-        """The core of :meth:`apply`: each share's residues from the residue
-        columns X_1..X_K, Z_1..Z_num_keys, each m wide, unchecked."""
-        return _apply_rows(self._plan, cols, m, self.field.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EncodingMatrix)
-            and self.field == other.field
-            and self.K == other.K
-            and self.num_keys == other.num_keys
-            and self.rows == other.rows
-        )
-
     def __repr__(self):
         return f"EncodingMatrix(F_{self.field.p}, {self.N}x{self.K + self.num_keys})"
 
 
-class DecodeVector:
-    """The N master-side weights, as residues; applying them to worker
-    outputs yields f."""
+class DecodeVector(LinearMap):
+    """The N master-side weights, as residues: the one-row map over the N
+    worker outputs; applying it to them yields f."""
 
-    __slots__ = ("field", "weights", "_plan")
+    __slots__ = ("weights",)
 
     def __init__(self, field: FieldConfig, weights: Sequence[int]):
-        self.field = field
-        self.weights = field.residues(weights)
+        super().__init__(field, (weights,))
+        self.weights = self.rows[0]
         if not self.weights:
             raise DimensionMismatchError("decode vectors need at least one weight")
-        self._plan = _compile((self.weights,))
 
     @property
     def N(self) -> int:
@@ -325,28 +329,22 @@ class DecodeVector:
         if len(outputs) != self.N:
             raise DimensionMismatchError(
                 f"expected {self.N} worker outputs, got {len(outputs)}")
-        dim = outputs[0].dim
         for out in outputs:
+            if not isinstance(out, FieldVector):
+                raise TypeError(f"expected FieldVector, got {type(out).__name__}")
             if out.field is not self.field:
                 raise FieldMismatchError(
                     f"output over F_{out.field.p}, decode vector over F_{self.field.p}")
-            if out.dim != dim:
+            if out.dim != outputs[0].dim:
                 raise DimensionMismatchError("outputs of differing dimensions")
-        return FieldVector._of(self.field,
-                               self.apply_residues([out.values() for out in outputs], dim))
+        return FieldVector._of(self.field, self.apply_residues(
+            [out.values() for out in outputs], outputs[0].dim))
 
     def apply_residues(self, outputs: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
         """The core of :meth:`apply`: f's residues from the N outputs' residue
         tuples, each n wide, unchecked."""
-        [values] = _apply_rows(self._plan, outputs, n, self.field.p)
+        [values] = _apply_rows(self, outputs, n, self.field.p)
         return values
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecodeVector)
-            and self.field == other.field
-            and self.weights == other.weights
-        )
 
     def __repr__(self):
         return f"DecodeVector{self.weights}"

@@ -236,7 +236,9 @@ class Dataset:
         if not items:
             raise DimensionMismatchError("dataset needs at least one item")
         first = items[0]
-        for it in items[1:]:
+        for it in items:
+            if not isinstance(it, FieldVector):
+                raise TypeError(f"expected FieldVector, got {type(it).__name__}")
             if it.field != first.field:
                 raise FieldMismatchError("dataset items from different fields")
             if it.dim != first.dim:

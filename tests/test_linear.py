@@ -300,6 +300,30 @@ def test_empty_matrix_applies_to_no_shares():
         DecodeVector(field, [])
 
 
+def test_maps_are_equal_by_kind_field_rows_and_key_split():
+    field = FieldConfig(11)
+    one_key = EncodingMatrix(field, 2, [[1, 2, 3]])
+    two_keys = EncodingMatrix(field, 1, [[1, 2, 3]], num_keys=2)
+    vector = DecodeVector(field, [1, 2, 3])
+    assert one_key == EncodingMatrix(field, 2, [[12, 2, -8]])
+    assert vector == DecodeVector(field, [12, 2, -8])
+    # a one-row matrix is never the decode vector of its entries
+    assert one_key != vector and vector != one_key
+    assert one_key.rows == vector.rows
+    assert vector != linear.LinearMap(field, [[1, 2, 3]])
+    # the same rows with another K / key split, and with no rows at all
+    assert one_key != two_keys
+    assert EncodingMatrix(field, 2, []) != EncodingMatrix(field, 1, [], num_keys=2)
+    assert EncodingMatrix(field, 2, []) != EncodingMatrix(field, 2, [], num_keys=2)
+    assert vector != DecodeVector(FieldConfig(13), [1, 2, 3])
+    # a narrow apply fills in a map's packing, not what it equals
+    vector.apply([field.vector([1])] * 3)
+    assert vector.narrow is not None and vector == DecodeVector(field, [1, 2, 3])
+    for lmap in (one_key, two_keys, vector):
+        with pytest.raises(TypeError):
+            hash(lmap)
+
+
 TOP = 2**31 - 1
 
 # (label, K, rows over F_TOP, key count): maps on both sides of the rule
@@ -324,7 +348,7 @@ def rule_is_narrow(code, m):
     kernel at m coordinates, as observed through the dispatch itself."""
     with mock.patch.object(linear, "_apply_narrow", lambda *args: "narrow"), \
             mock.patch.object(linear, "_apply_wide", lambda *args: "wide"):
-        return linear._apply_rows(code._plan, None, m, 2) == "narrow"
+        return linear._apply_rows(code, None, m, 2) == "narrow"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, TOP])
@@ -351,8 +375,8 @@ def test_both_packings_match_the_reference(p, label, K, rows, num_keys):
                 keys = [field.vector(c) for c in cols[K:]]
                 shares = [w[:m] for w in want]
                 assert [s.values() for s in matrix.apply(data, *keys)] == shares
-                assert _apply_narrow(matrix._plan, cols, m, p) == shares
-                assert _apply_wide(matrix._plan, cols, m, p) == shares
+                assert _apply_narrow(matrix, cols, m, p) == shares
+                assert _apply_wide(matrix, cols, m, p) == shares
 
 
 @pytest.mark.parametrize("p", [2, 13, TOP])
@@ -371,12 +395,12 @@ def test_narrow_packing_skips_a_zero_column_and_empty_maps(p):
         assert rule_is_narrow(matrix, m) == (m < 11)
         assert matrix.apply(data, z) == want
         cols = [x.values() for x in data.items] + [z.values()]
-        assert _apply_narrow(matrix._plan, cols, m, p) == [w.values() for w in want]
+        assert _apply_narrow(matrix, cols, m, p) == [w.values() for w in want]
     # no rows: no shares on either packing, and the rule packs it wide
     empty = EncodingMatrix(field, 2, [])
     cols = [(1, 2), (3, 4), (5, 6)]
     assert not rule_is_narrow(empty, 2)
-    assert _apply_narrow(empty._plan, cols, 2, p) == _apply_wide(empty._plan, cols, 2, p) == []
+    assert _apply_narrow(empty, cols, 2, p) == _apply_wide(empty, cols, 2, p) == []
     # all-zero weights read no column, which the narrow kernel cannot apply:
     # the rule packs them wide at every m, and they decode to zeros
     zeros = DecodeVector(field, [0, 0, 0])
@@ -405,7 +429,7 @@ def grid_maps(rng, p):
             small[rng.randrange(n_rows)] = [big] * width
             for rows in (rand, striped, [[p - 1] * width] * n_rows, single, small):
                 if any(map(any, rows)):
-                    yield rows, linear._compile(tuple(map(tuple, rows)))
+                    yield rows, linear.LinearMap(FieldConfig(p), rows)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, TOP])
@@ -500,11 +524,11 @@ def test_no_slot_is_wider_than_the_densest_rows_bound():
     assert len(codes) == len(RULE_SHAPES) + 34  # 36 less LCC's pair at F_5, too small
     for label, code, m in codes:
         p = code.field.p
-        plan = code._plan
-        most = max(sum(map(bool, row)) for row in plan[0])
-        cols = [(p - 1,) * m] * len(plan[0][0])
-        made = (layouts_made(lambda: _apply_wide(plan, cols, m, p))[1]
-                + layouts_made(lambda: _apply_narrow(linear._compile(plan[0]), cols, m, p))[1])
+        most = max(sum(map(bool, row)) for row in code.rows)
+        cols = [(p - 1,) * m] * len(code.rows[0])
+        fresh = linear.LinearMap(code.field, code.rows)
+        made = (layouts_made(lambda: _apply_wide(code, cols, m, p))[1]
+                + layouts_made(lambda: _apply_narrow(fresh, cols, m, p))[1])
         assert made, label
         for slots, layout in made:
             assert layout[-1].size <= _layout(slots, p, most * (p - 1) ** 2)[-1].size, label
@@ -522,8 +546,8 @@ def test_decode_vectors_pack_narrow_up_to_five_outputs(N):
                         [F_TOP.vector([TOP - 1] * n)] * N):
             want = reference_apply(F_TOP, [vector.weights], outputs)[0].values()
             cols = [out.values() for out in outputs]
-            assert _apply_narrow(vector._plan, cols, n, TOP) == [want]
-            assert _apply_wide(vector._plan, cols, n, TOP) == [want]
+            assert _apply_narrow(vector, cols, n, TOP) == [want]
+            assert _apply_wide(vector, cols, n, TOP) == [want]
             assert vector.apply(outputs).values() == want
 
 
@@ -544,14 +568,14 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
     # narrow at m = 4 (68 < 561 + 33 + 68): the 17 coefficient columns, 33
     # rows each, once
     narrow = baselines.lcc_encoding_matrix(params)
-    assert narrow._plan[-1] == []
+    assert narrow.narrow is None
     apply(narrow, 4)
     assert packed == [33] * 17
     for _ in range(9):
         apply(narrow, 4)
     assert packed == [33] * 17
     # slots sized for the heaviest row's coefficient sum, one slot per row
-    layout, columns = narrow._plan[-1]
+    layout, columns = narrow.narrow
     assert layout == _layout(33, TOP, max(map(sum, narrow.rows)) * (TOP - 1))
     assert len(columns) == 17
     # wide at m = 128 (2176 >= 662): every pack is a data column, every call
@@ -560,7 +584,7 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
     for _ in range(3):
         apply(wide, 128)
     assert packed == [128] * 17 * 3
-    assert wide._plan[-1] == []
+    assert wide.narrow is None
     # a decode vector at m <= 5 (m * 33 < 33 + 1 + 4 * 33) packs nothing:
     # its 33 weights are its one-slot coefficient columns as they are, no
     # layout is built, and its worker outputs are never packed
@@ -574,7 +598,7 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
     for m in (1, 2, 4, 5, 1):
         decode(m)
     assert packed == []
-    assert vector._plan[-1] == [None, list(vector.weights)]
+    assert vector.narrow == [None, list(vector.weights)]
     # at m = 6 and 128 it packs wide: its worker outputs, every call
     for m in (6, 128, 6):
         packed.clear()

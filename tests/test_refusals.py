@@ -90,6 +90,27 @@ def test_every_refusal_in_poly_and_sim_is_a_harmcode_error_with_its_old_text():
         assert (type(info.value), str(info.value)) == (cls, text)
 
 
+# a plain list where a vector or dataset belongs, each fed to the harmonic
+# handle at F_11, K = 2, d = 2 (four workers), its data and its key z
+LIST_FOR_A_VECTOR = {
+    "vector.apply": lambda handle, data, z: handle.vector.apply([[1], [2], [3], [4]]),
+    "handle.decode": lambda handle, data, z: handle.decode([[1]] * 4),
+    "matrix.apply-key": lambda handle, data, z: handle.matrix.apply(data, [3]),
+    "handle.encode-key": lambda handle, data, z: handle.encode(data, [[3]]),
+    "handle.encode-data": lambda handle, data, z: handle.encode([[1], [2]], [z]),
+    "Dataset": lambda handle, data, z: harmcode.Dataset([[1], [2]]),
+}
+
+
+@pytest.mark.parametrize("call", LIST_FOR_A_VECTOR.values(), ids=LIST_FOR_A_VECTOR.keys())
+def test_a_list_where_a_vector_belongs_is_a_type_error(call):
+    f11 = FieldConfig(P)
+    handle = harmcode.make_handle(harmcode.select_params(f11, 2, 2))
+    data = harmcode.Dataset([f11.vector([1]), f11.vector([2])])
+    with pytest.raises(TypeError, match=r"^expected (FieldVector|Dataset), got list$"):
+        call(handle, data, f11.vector([3]))
+
+
 def _paths(node, path=()):
     """The root, every key, and the first three entries of every list."""
     yield path
