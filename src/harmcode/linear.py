@@ -49,9 +49,13 @@ stays below heaviest * (p-1) < 2^s either way, and a slot holds each sum
 times mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow
 crosses a slot at any row length or modulus. Every coefficient is at most
 p-1, so no slot is wider than the densest row's terms * (p-1)^2 would make
-it. Shamir's coefficients are 1 and theta_r <= d+1, so at p = 2^31-1 and
-d = 3 its slots take 8 bytes, where the general residues of harmonic's and
-LCC's maps take 13. The decode vector is the one-row case, with its N
+it. A slot takes 1, 2, 4 or 8 bytes, the fewest of them that hold it, or
+past 8 the fewest whole bytes that do. Shamir's coefficients are 1 and
+theta_r <= d+1, so at p = 2^31-1 and d = 3 its slots take 8 bytes, where
+the general residues of harmonic's and LCC's maps take 13. At the small
+primes of an exhaustive audit every slot takes 1, 2 or 4 bytes: harmonic's
+chain takes 2 at p <= 11 and 4 at p = 13 to 101, and LCC's and Shamir's
+matrices take 1 at p <= 5. The decode vector is the one-row case, with its N
 worker outputs as columns: it packs narrow while m * N < 5N + 1, so at
 n <= 5 outputs, and wide above. The measured crossovers put a pack at
 about 0.5 products for Shamir's sparse 48 x 32 matrix, 3 for harmonic's
@@ -91,20 +95,26 @@ def _layout(m: int, p: int, top: int) -> tuple:
     - s covers the largest slot sum, top < 2^s, and mu = 2^s // p (top = 0,
       rows that are all zero, gives s = mu = 0: every sum is 0);
     - a slot is the fewest bytes, ``width``, that hold both 2^s * mu and
-      bit = p.bit_length(), and at least the 8 its residue is read from;
+      bit = p.bit_length(): the smallest of 1, 2, 4 and 8 that do, else
+      the fewest above 8;
     - mask holds the low 8 * width - s bits of every slot, where
       v * mu >> s leaves each slot's quotient; ones holds 1 and bias
       2^bit - p in every slot;
-    - the Struct ``slots`` packs a residue into each slot's low 8 bytes,
-      zeros above it; 8-byte slots are spelled as one count code, because
-      CPython keeps about 32 bytes per code of a format.
+    - the Struct ``slots`` packs a residue into each slot, or into its low
+      8 bytes with zeros above them when it is wider; slots of 1, 2, 4 or 8
+      bytes are spelled as one count code (B, H, I or Q), because CPython
+      keeps about 32 bytes per code of a format.
     """
     s = top.bit_length()
     mu = (1 << s) // p
     bit = p.bit_length()
-    width = max(8, -(-max((mu << s).bit_length(), bit + 1) // 8))
+    width = -(-max((mu << s).bit_length(), bit + 1) // 8)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+        fmt = f"<{m}" + "BHIQ"[width.bit_length() - 1]
+    else:
+        fmt = "<" + ("Q" + "x" * (width - 8)) * m
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * m, "little")
-    fmt = f"<{m}Q" if width == 8 else "<" + ("Q" + "x" * (width - 8)) * m
     return (s, mu, ones * ((1 << (8 * width - s)) - 1), ones, ones * ((1 << bit) - p), bit,
             struct.Struct(fmt))
 

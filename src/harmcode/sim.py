@@ -276,8 +276,11 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     that each consecutive slice of key_states * m coordinates of a share
     is one dataset value's shares under every key tuple, in dataset order;
     every linear code does. Each worker keeps one share tuple per value of
-    X_1 and the laws are read slice by slice. m is checked, then the
-    budget, before anything is built.
+    X_1. Its laws are cut from them in C -- the tuples chained, the
+    coordinates zipped into m-tuples when m > 1, then key_states shares
+    zipped into each dataset value's slice -- and each sorted slice is
+    compared with the first. m is checked, then the budget, before
+    anything is built.
     """
     if m < 1:
         raise DimensionMismatchError(f"m must be >= 1, got {m}")
@@ -294,7 +297,6 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
             f"raise the budget to at least {total} to run it")
     N = scheme.worker_count
     of = FieldVector._of
-    S = key_states * m  # coordinates per dataset value
     # The X_2..X_K columns and the keys, shared by every call: the r-th
     # X_2..X_K tuple under every key tuple j, for r in turn.
     rest_tuples = list(itertools.product(range(p), repeat=(K - 1) * m))
@@ -306,34 +308,33 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
                 z[t * m:(t + 1) * m] for z in key_tuples)) * len(rest_tuples))
             for t in range(nkeys)]
     # laws[w][a]: worker w's share coordinates for the a-th value of X_1,
-    # one slice of S coordinates per X_2..X_K tuple
+    # key_states * m of them per X_2..X_K tuple
     laws: list[list[tuple[int, ...]]] = [[] for _ in range(N)]
     for x_1 in itertools.product(range(p), repeat=m):
         data = Dataset([of(field, x_1 * (len(rest_tuples) * key_states))] + rest)
         for w, share in enumerate(scheme.encode(data, keys)):
             laws[w].append(share.values())
 
-    def shares(v):
-        # at m = 1 the residues themselves are the shares: the same law
-        # without a tuple per key value
-        return v if m == 1 else zip(*[v[i::m] for i in range(m)])
-
-    def per_dataset_value(per_x1):
-        # each dataset value's share coordinates, in dataset order
-        for v in per_x1:
-            for start in range(0, len(v), S):
-                yield v[start:start + S]
+    def slices(per_x1):
+        # each dataset value's shares under every key tuple, in dataset
+        # order, cut in C: the coordinates in m-tuples (at m = 1 the residues
+        # themselves are the shares), then key_states of them per slice
+        shares = itertools.chain.from_iterable(per_x1)
+        if m > 1:
+            shares = zip(*[shares] * m)
+        return zip(*[shares] * key_states)
 
     cond_equal = []
     mi_bits = []
     for per_x1 in laws:
-        reference = sorted(shares(per_x1[0][:S]))
-        equal = all(sorted(shares(v)) == reference for v in per_dataset_value(per_x1))
+        cut = slices(per_x1)
+        reference = sorted(next(cut))
+        equal = all(map(reference.__eq__, map(sorted, cut)))
         cond_equal.append(equal)
         if equal:
             mi_bits.append(0.0)
         else:
-            counts = [Counter(shares(v)) for v in per_dataset_value(per_x1)]
+            counts = list(map(Counter, slices(per_x1)))
             marginal: Counter = Counter()
             for c in counts:
                 marginal.update(c)

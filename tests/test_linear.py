@@ -1,6 +1,7 @@
 """Every scheme as one linear code: the handle, the module functions and the
 encoding matrix / decode vector must agree share for share."""
 
+import itertools
 import random
 import struct
 from unittest import mock
@@ -18,7 +19,7 @@ from harmcode.errors import (
 from harmcode.field import FieldConfig, FieldVector, sample_uniform_vector
 from harmcode.harmonic import select_params
 from harmcode.linear import (DecodeVector, EncodingMatrix, LinearCode, _apply_narrow,
-                             _apply_wide, _layout, _residues)
+                             _apply_wide, _layout, _pack, _residues)
 from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
 from harmcode.sim import SCHEMES, ClearStorageScheme, make_handle
 from reference_field import FieldElement, element, vector
@@ -344,8 +345,8 @@ def on_pattern(rows, p, top):
 
 
 def rule_is_narrow(code, m):
-    """Whether ``_apply_rows`` sends a matrix's or vector's plan to the narrow
-    kernel at m coordinates, as observed through the dispatch itself."""
+    """Whether ``_apply_rows`` sends a matrix or vector to the narrow kernel
+    at m coordinates, as observed through the dispatch itself."""
     with mock.patch.object(linear, "_apply_narrow", lambda *args: "narrow"), \
             mock.patch.object(linear, "_apply_wide", lambda *args: "wide"):
         return linear._apply_rows(code, None, m, 2) == "narrow"
@@ -416,7 +417,7 @@ def grid_maps(rng, p):
     zero, every coefficient p - 1, a single nonzero, and small coefficients
     drawn from 1..4 (below p) with one row of the largest, so that its sum
     is the map's heaviest and every column p - 1 fills its slots to the
-    layout's bound; each as (rows, plan)."""
+    layout's bound; each as (rows, its LinearMap)."""
     for n_rows in (1, 2, 3, 6):
         for width in (1, 2, 5, 9):
             rand = [[rng.randrange(p) if rng.random() < 2 / 3 else 0 for _ in range(width)]
@@ -432,21 +433,23 @@ def grid_maps(rng, p):
                     yield rows, linear.LinearMap(FieldConfig(p), rows)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, TOP])
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101, TOP])
 def test_both_kernels_agree_on_every_shape(p):
     # one-row maps (decode vectors) and all-zero rows included; columns random,
-    # and every coordinate p - 1, the worst slot; every m in 1..9 and 128
+    # and every coordinate p - 1, the worst slot; every m in 1..9 and 128.
+    # The primes reach every slot width: 1 byte at p <= 13, 2 at 3 to 101, 4
+    # at 13 and 101, and 8, 11, 12 or 13 bytes at TOP
     field = FieldConfig(p)
     rng = random.Random(f"kernel-grid-{p}")
-    for rows, plan in grid_maps(rng, p):
+    for rows, lmap in grid_maps(rng, p):
         for m in list(range(1, 10)) + [128]:
             for columns in ([sample_uniform_vector(rng, field, m) for _ in rows[0]],
                             [field.vector([p - 1] * m)] * len(rows[0])):
                 want = [s.values() for s in reference_apply(field, rows, columns)]
                 cols = [c.values() for c in columns]
-                assert _apply_wide(plan, cols, m, p) == want
-                assert _apply_narrow(plan, cols, m, p) == want
-                assert linear._apply_rows(plan, cols, m, p) == want
+                assert _apply_wide(lmap, cols, m, p) == want
+                assert _apply_narrow(lmap, cols, m, p) == want
+                assert linear._apply_rows(lmap, cols, m, p) == want
 
 
 # (label, code, m): the largest m the rule packs narrow, one more is wide;
@@ -614,8 +617,16 @@ def slot_bits(layout, m):
     return 8 * layout[-1].size // m
 
 
+def fewest_slot_bits(s, mu, bit):
+    """The fewest of 8, 16, 32, 64, 72, 80, ... bits that hold both
+    2^s * mu and bit + 1 bits."""
+    return next(b for b in itertools.chain((8, 16, 32), itertools.count(64, 8))
+                if 2**s * mu < 2**b and bit < b)
+
+
 def packed_sums(layout, sums):
-    """Slot sums laid one per slot, which may exceed the 8 bytes _pack fills."""
+    """Slot sums laid one per slot, which may exceed p - 1, the largest value
+    _pack lays."""
     bits = slot_bits(layout, len(sums))
     return sum(v << (i * bits) for i, v in enumerate(sums))
 
@@ -626,31 +637,72 @@ def packed_sums(layout, sums):
 def test_layout_bounds_every_slot(p, terms):
     m = 3
     layout = _layout(m, p, terms * (p - 1) ** 2)
-    s, mu, mask, ones, bias, bit, _ = layout
+    s, mu, mask, ones, bias, bit, slots = layout
     bits = slot_bits(layout, m)
-    assert bits % 8 == 0 and bits >= 64
     assert terms * (p - 1) ** 2 < 2**s
     assert mu == 2**s // p
     assert 2**s * mu < 2**bits       # no slot's v * mu reaches the next slot
     assert bit == p.bit_length() < bits
+    # and no slot is wider than it needs: 1, 2, 4 or 8 bytes, or whole bytes
+    # above 8
+    assert bits == fewest_slot_bits(s, mu, bit)
     for i in range(m):
         assert [v >> (i * bits) & (2**bits - 1) for v in (ones, mask, bias)] == [
             1, 2**(bits - s) - 1, 2**bit - p]
+    values = (p - 1, 0, p // 2)
+    assert _pack(layout, values) == packed_sums(layout, values)
+    assert slots.unpack(_pack(layout, values).to_bytes(slots.size, "little")) == values
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 101])
+# each prime's slot code for sums up to 4 (p - 1)^2, the chain's bound: 1, 2,
+# 4 and 8 bytes
+SLOT_CODES = {2: "B", 5: "H", 7: "H", 11: "H", 101: "I", 65521: "Q"}
+
+
+@pytest.mark.parametrize("p", list(SLOT_CODES))
 def test_eight_byte_slots_are_one_count_code(p):
-    # 10,201 slots: the p = 101 harmonic audit's encode width
+    # every slot of 8 bytes or fewer is one count code, B, H, I or Q, however
+    # many slots; 10,201 slots: the p = 101 harmonic audit's encode width
     rng = random.Random(p)
+    code = SLOT_CODES[p]
+    size = struct.calcsize(code)
     for m in (1, 25, 10_201):
-        slots = _layout(m, p, 4 * (p - 1) ** 2)[-1]
-        assert slots.size == 8 * m
-        assert slots.format == f"<{m}Q"  # one code however many slots
+        layout = _layout(m, p, 4 * (p - 1) ** 2)
+        slots = layout[-1]
+        assert slots.size == size * m
+        assert slots.format == f"<{m}{code}"
+        assert 8 * size == fewest_slot_bits(*layout[:2], layout[5])
         values = [rng.randrange(p) for _ in range(m)]
-        per_slot = struct.Struct("<" + "Q" * m)
+        per_slot = struct.Struct("<" + code * m)
         packed = slots.pack(*values)
         assert packed == per_slot.pack(*values)
         assert slots.unpack(packed) == per_slot.unpack(packed) == tuple(values)
+        assert _pack(layout, values) == int.from_bytes(packed, "little")
+
+
+def test_workload_maps_keep_their_layouts_at_top():
+    # at p = 2^31 - 1 the general residues of harmonic's chain and LCC's
+    # matrix need 13-byte slots, Q and five pad bytes, and Shamir's heaviest
+    # row fits 8, one count code; the decode vectors, at n <= 4 outputs,
+    # pack narrow on no layout
+    padded = "Q" + "x" * 5
+    slots_of = {  # (K, d, m, n) -> slots of harmonic's, LCC's and Shamir's layout
+        (8, 3, 512, 4): (512, 512, 512),    # wide
+        (16, 2, 4, 2): (4, 33, 48),         # many-inputs: LCC and Shamir narrow
+        (8, 2, 128, 4): (128, 128, 128),    # file-pipeline
+    }
+    for (K, d, m, n), slots in slots_of.items():
+        for scheme, count in zip(("harmonic", "lcc", "shamir"), slots):
+            handle = make_handle(MODULE[scheme][0](F_TOP, K, d))
+            cols = [(TOP - 1,) * m] * (K + handle.num_keys)
+            outputs = [(TOP - 1,) * n] * handle.worker_count
+            # harmonic's chain builds its layout through linear's
+            with mock.patch.object(harmonic, "_layout", lambda *args: linear._layout(*args)):
+                _, made = layouts_made(lambda: (handle.encode_residues(cols, m),
+                                                handle.vector.apply_residues(outputs, n)))
+            want = f"<{count}Q" if scheme == "shamir" else "<" + padded * count
+            assert [(n_slots, layout[-1].format) for n_slots, layout in made] == [(count, want)], (
+                scheme, K, d, m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
