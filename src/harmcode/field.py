@@ -19,13 +19,19 @@ Randomness: callers pass a seeded ``random.Random`` (Mersenne Twister).
 lowest index first, so a given seed always produces the identical stream
 of vectors -- a requirement for reproducible share files. It makes
 randrange's own draws (``getrandbits(p.bit_length())``, redrawn while
->= p, as CPython 3.10-3.12 do) without randrange's per-call overhead.
+>= p, as CPython 3.10-3.12 do) without randrange's per-call overhead, all
+of a round's draws in one ``getrandbits(32 * n)``. That rests on two
+CPython facts, which cover every k <= 32: ``getrandbits(32 * n)`` is n
+successive 32-bit Mersenne Twister words, the first one lowest, and
+``getrandbits(k)`` is one such word shifted right by 32 - k.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+import struct
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import (
@@ -186,6 +192,23 @@ class FieldVector:
         return f"FieldVector{self._values}%{self.field.p}"
 
 
+# A rejected candidate's word, all ones: a kept one is below p < 2^31, so its
+# top byte is below 0x80 and no run of four 0xff bytes starts inside it.
+_REJECTED = b"\xff" * 4
+
+
+@lru_cache(maxsize=64)
+def _draws(n: int, p: int) -> tuple:
+    """The layout of up to n candidates of bit = p.bit_length() bits, one per
+    4-byte slot, as (mask, ones, bias, bit, words): mask holds the low bit bits
+    of every slot, ones 1 and bias 2^bit - p in every slot, and the Struct
+    ``words`` unpacks n slots. A round of fewer candidates reads the same
+    mask, ones and bias: its slots above its own are 0, and 0 + bias < 2^bit."""
+    bit = p.bit_length()
+    ones = int.from_bytes(b"\x01\x00\x00\x00" * n, "little")
+    return ones * ((1 << bit) - 1), ones, ones * ((1 << bit) - p), bit, struct.Struct(f"<{n}I")
+
+
 def sample_uniform_vector(rng: random.Random, field: FieldConfig, dim: int) -> FieldVector:
     """Uniform vector in F_p^dim, one randrange(p) per coordinate in index order.
 
@@ -193,15 +216,31 @@ def sample_uniform_vector(rng: random.Random, field: FieldConfig, dim: int) -> F
     the first one below p kept. So the coordinates are the draws below p,
     in order, and each round makes only as many draws as coordinates are
     missing -- the stream randrange would consume, draw for draw.
+
+    A round of n draws is one ``getrandbits(32 * n)``. CPython builds that
+    int from n successive 32-bit Mersenne Twister words, the first one
+    lowest, and ``getrandbits(k)`` for k <= 32 is one such word shifted
+    right by 32 - k; so ``>> (32 - k) & mask`` leaves in each 4-byte slot
+    the draw one ``getrandbits(k)`` call would return. Adding 2^k - p to
+    every slot sets bit k in exactly the slots >= p. When one is set, the
+    rejected slots become 0xffffffff and one ``bytes.replace`` cuts them.
+    The CPython facts cover every k <= 32; the test and the cut need
+    k <= 31, which every supported prime has, so a cap above 2^31 must
+    change this draw.
     """
     if dim < 1:
         raise DimensionMismatchError("dim must be >= 1")
     draw, p = rng.getrandbits, field.p
-    k = p.bit_length()
-    values = []
-    while len(values) < dim:
-        values += [r for _ in range(dim - len(values)) if (r := draw(k)) < p]
-    return FieldVector._of(field, tuple(values))
+    mask, ones, bias, bit, words = _draws(dim, p)
+    shift = 32 - bit
+    drawn = b""
+    while n := dim - (len(drawn) >> 2):
+        v = draw(32 * n) >> shift & mask
+        if rejected := (v + bias) >> bit & ones:
+            drawn += (v | rejected * 0xFFFFFFFF).to_bytes(4 * n, "little").replace(_REJECTED, b"")
+        else:
+            drawn += v.to_bytes(4 * n, "little")
+    return FieldVector._of(field, words.unpack(drawn))
 
 
 def sample_keys(rng: random.Random, field: FieldConfig, num_keys: int,

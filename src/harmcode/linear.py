@@ -31,9 +31,12 @@ columns read and ``nnz`` nonzero coefficients, all kept on the map when it
 is built, applied m coordinates wide, packs
 
 - *wide*: each column it reads, once per call, into one Python int with a
-  slot per coordinate; each row sums c * packed over its terms in C: width
-  packs, nnz products of m slots and N row reductions in all, a pack
-  weighing _PACK = 4 products;
+  slot per coordinate; each row sums c * packed over its terms in C,
+  starting from its first product, and a coefficient of 1 adds its packed
+  column with no multiply: width packs, a product of m slots per
+  coefficient other than 1 and N row reductions in all. The rule below
+  counts every one of the nnz terms as a product, a pack weighing
+  _PACK = 4 of them;
 - *narrow*, when ``m * width < nnz + N + 4 * width``: each coefficient
   column, once per map and kept in its ``narrow``, into one int with a slot
   per row; each coordinate i sums cols[k][i] * packed_k over the columns in
@@ -157,10 +160,16 @@ def _apply_rows(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tup
 
 
 def _apply_wide(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
-    """Each column read packed over the m coordinates, one product per term."""
+    """Each column read packed over the m coordinates, one product per
+    coefficient other than 1 -- a 1 adds its packed column as it is -- and
+    each row summed from its first product; a row of no terms sums to 0."""
     layout = _layout(m, p, lmap.heaviest * (p - 1))
     packed = {k: _pack(layout, cols[k]) for k in lmap.columns}
-    return _residues([sum([c * packed[k] for k, c in row]) for row in lmap.terms], layout, p)
+    sums = []
+    for row in lmap.terms:
+        products = [packed[k] if c == 1 else c * packed[k] for k, c in row]
+        sums.append(sum(products[1:], products[0]) if products else 0)
+    return _residues(sums, layout, p)
 
 
 def _apply_narrow(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:

@@ -236,10 +236,12 @@ def test_sampling_range_and_determinism():
         sample_uniform_vector(random.Random(0), f13, 0)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521, 2**30 + 3, 2**31 - 1])
 def test_sampling_draws_the_randrange_stream(p):
     # 5,000 draws, in one vector and in vectors of 1, 7 and 64 coordinates;
-    # the generator must be left where randrange(p) would leave it.
+    # the generator must be left where randrange(p) would leave it. At
+    # 2^30 + 3 about half of all 31-bit draws are >= p, so most calls take
+    # several rounds of draws.
     field = FieldConfig(p)
     for seed, dims in ((p, [5000]), (p + 1, [1, 7, 64] * 69 + [32])):
         ref = random.Random(seed)
@@ -265,6 +267,19 @@ def test_sample_keys_draws_the_per_key_stream(p):
                 assert keys == want
                 assert all(z.field is field for z in keys)
                 assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("p", [2**30 + 3, 2**31 - 1])
+def test_sample_keys_at_the_wide_shape(p):
+    # Shamir's keys at K = 8, m = 512: 4,096 coordinates, each the next
+    # randrange(p), and the generator left where those draws leave it
+    field = FieldConfig(p)
+    for seed in range(5):
+        ref, rng = random.Random(seed), random.Random(seed)
+        want = [ref.randrange(p) for _ in range(8 * 512)]
+        keys = sample_keys(rng, field, 8, 512)
+        assert [z.values() for z in keys] == [tuple(want[i:i + 512]) for i in range(0, 4096, 512)]
+        assert rng.getstate() == ref.getstate()
 
 
 def test_sampling_uniformity_five_sigma():

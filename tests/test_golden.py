@@ -72,6 +72,22 @@ def test_share_and_decode_digests(tmp_path, capsys, scheme):
     assert (sha256(shares_path), sha256(decoded_path)) == (shares_digest, decoded_digest)
 
 
+# SHA-256 of the shares file of `harmcode encode --scheme shamir --p 1073741827
+# --d 2 --seed 29` on K = 3 inputs of m = 64 coordinates, input k holding
+# 64k..64k+63. About half of the 31-bit draws at p = 2^30 + 3 are >= p, so
+# the 192 key coordinates take several rounds of redraws.
+SHAMIR_P30 = "10c437646340bf8b8ecfa226e66f8e2bb977d0fc8b75da8b649eef4fea4196b7"
+
+
+def test_shamir_shares_digest_at_a_high_rejection_prime(tmp_path):
+    data_path, shares_path = tmp_path / "data.json", tmp_path / "shares.json"
+    data_path.write_text(json.dumps(
+        {"K": 3, "data": [[64 * k + i for i in range(64)] for k in range(3)]}))
+    assert main(["encode", "--scheme", "shamir", "--p", "1073741827", "--d", "2",
+                 "--data", str(data_path), "--out", str(shares_path), "--seed", "29"]) == 0
+    assert sha256(shares_path) == SHAMIR_P30
+
+
 # SHA-256 of the standard output of `harmcode validate --scheme freshman
 # --p 5 --d 5 --K 3 --m 2 --n 2 --trials 20 --seed 3`: twenty trials, each
 # with its own random A, data and keys, one JSON line each.

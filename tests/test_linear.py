@@ -452,6 +452,57 @@ def test_both_kernels_agree_on_every_shape(p):
                 assert linear._apply_rows(lmap, cols, m, p) == want
 
 
+def unit_maps(p):
+    """Rows of 1s over 5 columns, as (label, rows): all 1s; rows whose only
+    term is a 1, with an all-zero row; 1s beside other coefficients; and one
+    row of zero weights, a decode vector of nnz = 0, which the rule sends
+    wide."""
+    yield "ones", [[1] * 5] * 3
+    yield "lone-ones", [[int(k == r) for k in range(5)] for r in range(5)] + [[0] * 5]
+    yield "mixed", [[1, min(3, p - 1), 0, 1, p - 1], [0, 0, 0, 0, 1], [p - 1, 1, 1, 0, 0]]
+    yield "zero-weights", [[0] * 5]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101, TOP])
+def test_wide_rows_add_unit_terms_unmultiplied(p):
+    # a 1 adds its packed column as it is and each row sums from its first
+    # product: every map of unit_maps against the reference, at m in
+    # {1, 2, 9, 128}, columns random and every coordinate p - 1. A row whose
+    # only term is a 1 gives its column back, and the caller's columns stay
+    # as they were
+    field = FieldConfig(p)
+    rng = random.Random(f"unit-rows-{p}")
+    for label, rows in unit_maps(p):
+        lmap = linear.LinearMap(field, rows)
+        for m in (1, 2, 9, 128):
+            for columns in ([sample_uniform_vector(rng, field, m) for _ in range(5)],
+                            [field.vector([p - 1] * m)] * 5):
+                want = [s.values() for s in reference_apply(field, rows, columns)]
+                cols = [list(c.values()) for c in columns]
+                assert _apply_wide(lmap, cols, m, p) == want, label
+                assert linear._apply_rows(lmap, cols, m, p) == want, label
+                assert cols == [list(c.values()) for c in columns]
+                if label == "lone-ones":
+                    assert want == [c.values() for c in columns] + [(0,) * m]
+                if label == "zero-weights":
+                    assert lmap.nnz == 0
+                    assert DecodeVector(field, rows[0]).apply(columns) == field.zero_vector(m)
+
+
+def test_shamir_wide_rows_through_both_kernels():
+    # Shamir's K = 8, d = 3 matrix at p = 2^31 - 1: rows X_k + theta_r Z_k,
+    # theta_r = 1..4, so every X_k term and the theta_1 row's Z_k term is a
+    # 1. At m = 512 both kernels equal the reference
+    matrix = baselines.shamir_encoding_matrix(shamir_params(F_TOP, 8, 3))
+    assert sum(set(row) <= {0, 1} for row in matrix.rows) == 8
+    rng = random.Random("shamir-unit-rows")
+    columns = [sample_uniform_vector(rng, F_TOP, 512) for _ in range(16)]
+    want = [s.values() for s in reference_apply(F_TOP, matrix.rows, columns)]
+    cols = [c.values() for c in columns]
+    assert _apply_wide(matrix, cols, 512, TOP) == want
+    assert _apply_narrow(matrix, cols, 512, TOP) == want
+
+
 # (label, code, m): the largest m the rule packs narrow, one more is wide;
 # rows, width and nnz in the comments, narrow while
 # m * width < nnz + rows + 4 * width
