@@ -15,7 +15,13 @@ has PolyMap's ``eval`` and checks the data width there.
 * Lagrange coded computing (LCC): one degree-K vector polynomial hits the
   K inputs plus one key at fixed anchors; workers evaluate it elsewhere,
   and the composed degree-Kd polynomial is interpolated back. Kd+1
-  workers, one key.
+  workers, one key. Its handle encodes through
+  :func:`lcc_residue_encoder`: at the default anchors 0..K and evaluation
+  points K+1..K+N it tabulates the shares by differences, with additions
+  only, when the matrix would pack wide and the differences' slot bound
+  (:func:`_difference_bound`, from p, K and N) is at most (K+1)(p-1)^2,
+  the dense matrix row's; at any other points or shape it applies the
+  encoding matrix. The module :func:`lcc_encode` always applies the matrix.
 * Freshman scheme: for the special family g(X) = A (X_1^d, ..., X_m^d)^T
   with d equal to the field characteristic, two workers suffice because
   coordinatewise (a+b)^p = a^p + b^p makes g additive; as a function on
@@ -25,7 +31,7 @@ has PolyMap's ``eval`` and checks the data width there.
 from __future__ import annotations
 
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -34,7 +40,8 @@ from .errors import (
     InvalidParamsError,
 )
 from .field import FieldConfig, FieldVector
-from .linear import DecodeVector, EncodingMatrix, _lagrange_rows
+from .linear import (DecodeVector, EncodingMatrix, _lagrange_rows, _layout, _pack,
+                     _packs_narrow, _residues)
 from .poly import Dataset, PolyMap
 
 
@@ -196,6 +203,74 @@ def lcc_encoding_matrix(params: LCCParams) -> EncodingMatrix:
     field = params.field
     rows = _lagrange_rows(params.alphas, params.gammas, field.p)
     return EncodingMatrix(field, params.K, rows)
+
+
+def _difference_bound(p: int, K: int, N: int) -> int:
+    """The largest slot sum :func:`lcc_residue_encoder`'s differences can
+    form over N steps: level j of the table lies in [0, 2^j p), and each
+    step adds level j+1, already stepped, to level j, for j = K-1 down
+    to 0. Those are the steps run here on the levels' largest values."""
+    tops = [(p << j) - 1 for j in range(K + 1)]
+    for _ in range(N):
+        for j in reversed(range(K)):
+            tops[j] += tops[j + 1]
+    return max(tops)
+
+
+def lcc_residue_encoder(params: LCCParams) -> Callable[..., list[tuple[int, ...]]]:
+    """LCC's encoder on residues, as ``encode(cols, m)`` like
+    ``EncodingMatrix.apply_residues``: each share's residues from the
+    unchecked residue columns X_1..X_K, Z, each m wide.
+
+    At :func:`lcc_params`' consecutive layout, anchors 0..K and evaluation
+    points K+1..K+N, share w is u(K+w) for the degree-<=K polynomial with
+    u(0..K) = X_1..X_K, Z, and it is tabulated by differences (Knuth,
+    TAOCP vol. 2, 4.6.4) on packed ints, with no products: the backward
+    differences of u at K from K(K+1)/2 subtractions, each adding
+    2^(j-1) p to every slot of level j so that level j lies in [0, 2^j p),
+    then K additions per share, and one :func:`~harmcode.linear._residues`
+    call. The slots are sized by :func:`_difference_bound`, once per
+    parameter set.
+
+    The differences run when the matrix would pack wide at this m and the
+    bound is at most (K+1)(p-1)^2, the dense matrix row's, so that their
+    slots are never wider than the matrix's. At any other points (explicit
+    ones, or the short-field layout) or where the bound is wider, the
+    encoder is :func:`lcc_encoding_matrix`'s ``apply_residues``; where only
+    this m packs narrow, it applies that matrix, built on its first use.
+    """
+    p, K, N = params.field.p, params.K, params.N
+    top = _difference_bound(p, K, N)
+    if (params.alphas != tuple(range(K + 1)) or params.gammas != tuple(range(K + 1, K + N + 1))
+            or top > (K + 1) * (p - 1) ** 2):
+        return lcc_encoding_matrix(params).apply_residues
+    matrix = None
+
+    def encode(cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
+        nonlocal matrix
+        # at these points the matrix is dense: N rows of K+1 nonzero terms
+        if _packs_narrow(m, N, K + 1, N * (K + 1)):
+            if matrix is None:
+                matrix = lcc_encoding_matrix(params)
+            return matrix.apply_residues(cols, m)
+        layout = _layout(m, p, top)
+        ones = layout[3]
+        table = [_pack(layout, col) for col in cols]
+        # level j in place: table[i] = Delta^j u(i) for i <= K-j, so that
+        # table[K-j] ends as the backward difference nabla^j u(K)
+        for j in range(1, K + 1):
+            offset = ones * (p << (j - 1))
+            for i in range(K - j + 1):
+                table[i] = table[i + 1] - table[i] + offset
+        diffs = table[::-1]
+        shares = []
+        for _ in range(N):
+            for j in reversed(range(K)):
+                diffs[j] += diffs[j + 1]
+            shares.append(diffs[0])
+        return _residues(shares, layout, p)
+
+    return encode
 
 
 def lcc_decode_vector(params: LCCParams) -> DecodeVector:

@@ -46,7 +46,8 @@ P_K to [0, p) together.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Callable, Sequence
 
 from .errors import (
     FieldTooSmallError,
@@ -288,13 +289,11 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
     return shares
 
 
-class GroupCoeffs(NamedTuple):
+class GroupCoeffs(namedtuple("GroupCoeffs", ("weights", "a", "b"))):
     """Combining a group's outputs with `weights` yields
     g(X_j) - a * g(P_{j-1}) + b * g(P_j); every value a residue."""
 
-    weights: tuple[int, ...]
-    a: int
-    b: int
+    __slots__ = ()
 
 
 def _group_row(params: HarmonicParams, j: int) -> list[int]:

@@ -64,8 +64,14 @@ n <= 5 outputs, and wide above. The measured crossovers put a pack at
 about 0.5 products for Shamir's sparse 48 x 32 matrix, 3 for harmonic's
 18 x 9 one, 4 for Shamir's 32 x 16 one and 7 or more for LCC's dense 25 x 9
 one and for one-row maps of 10 to 48 weights; at 4, every map on the
-benchmark's workloads takes its faster kernel. The harmonic chain encoder
-runs on the wide layout.
+benchmark's workloads takes its faster kernel.
+
+Two encoders bypass the matrix kernel on the wide layout, each a scheme's
+``fast_encode``: harmonic's chain (:func:`harmcode.harmonic.residue_encoder`)
+always, and LCC's differences over its consecutive points
+(:func:`harmcode.baselines.lcc_residue_encoder`) where :func:`_packs_narrow`
+would pack its matrix wide and their slots are no wider than the matrix's;
+elsewhere LCC's encoder applies the matrix.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -149,12 +155,18 @@ def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...
 _PACK = 4
 
 
+def _packs_narrow(m: int, rows: int, width: int, nnz: int) -> bool:
+    """Whether a map of ``rows`` rows reading ``width`` columns through
+    ``nnz`` nonzero coefficients packs narrow m wide:
+    ``m * width < nnz + rows + _PACK * width``, fewer packed operations, a
+    pack weighing _PACK products. A map of no terms never does."""
+    return nnz > 0 and m * width < nnz + rows + _PACK * width
+
+
 def _apply_rows(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """sum_k c * cols[k] mod p for each row's ``terms`` of the map, m wide,
-    packed narrow when ``m * width < nnz + rows + _PACK * width`` -- fewer
-    packed operations, a pack weighing _PACK products -- and wide otherwise."""
-    width = len(lmap.columns)
-    if lmap.nnz and m * width < lmap.nnz + len(lmap.rows) + _PACK * width:
+    packed narrow when :func:`_packs_narrow` says so and wide otherwise."""
+    if _packs_narrow(m, len(lmap.rows), len(lmap.columns), lmap.nnz):
         return _apply_narrow(lmap, cols, m, p)
     return _apply_wide(lmap, cols, m, p)
 

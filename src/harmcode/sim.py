@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
-from typing import Callable, NamedTuple, Optional, Sequence
+from collections import Counter, namedtuple
+from typing import Optional, Sequence
 
 from . import baselines, harmonic
 from .errors import (
@@ -53,38 +53,21 @@ def _to_json(report) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in zip(report._fields, report)}
 
 
-class TrialReport(NamedTuple):
+class TrialReport(namedtuple("TrialReport", (
+        "scheme", "p", "K", "d", "m", "n", "seed", "decoded", "oracle", "exact_match",
+        "worker_evals", "num_keys"))):
     """Outcome of one encode/compute/decode round against the oracle."""
 
-    scheme: str
-    p: int
-    K: int
-    d: int
-    m: int
-    n: int
-    seed: int
-    decoded: tuple[int, ...]
-    oracle: tuple[int, ...]
-    exact_match: bool
-    worker_evals: int
-    num_keys: int
-
+    __slots__ = ()
     to_json = _to_json
 
 
-class PrivacyReport(NamedTuple):
+class PrivacyReport(namedtuple("PrivacyReport", (
+        "scheme", "p", "K", "d", "m", "mi_bits_per_worker", "conditional_equal_per_worker",
+        "dataset_states", "key_states"))):
     """Per-worker result of an exhaustive share-distribution audit."""
 
-    scheme: str
-    p: int
-    K: int
-    d: int
-    m: int
-    mi_bits_per_worker: tuple[float, ...]
-    conditional_equal_per_worker: tuple[bool, ...]
-    dataset_states: int
-    key_states: int
-
+    __slots__ = ()
     to_json = _to_json
 
     @property
@@ -96,7 +79,10 @@ class PrivacyReport(NamedTuple):
 # The scheme table: every per-scheme fact, said once
 
 
-class Scheme(NamedTuple):
+class Scheme(namedtuple("Scheme", (
+        "name", "params_type", "defaults", "build_matrix", "build_vector", "scalars", "lists",
+        "from_points", "keys_per_input", "fast_encode", "worker_fn"),
+        defaults=((), (), None, False, None, None))):
     """One scheme: how to build its params, what its shares-file header
     stores, and the parts of its LinearCode.
 
@@ -112,17 +98,7 @@ class Scheme(NamedTuple):
     (see :class:`~harmcode.baselines.FreshmanMap`).
     """
 
-    name: str
-    params_type: type
-    defaults: Callable
-    build_matrix: Callable
-    build_vector: Callable
-    scalars: tuple[str, ...] = ()
-    lists: tuple[str, ...] = ()
-    from_points: Optional[Callable] = None
-    keys_per_input: bool = False
-    fast_encode: Optional[Callable] = None
-    worker_fn: Optional[Callable] = None
+    __slots__ = ()
 
     def params(self, field: FieldConfig, K: int, d: int, m: int = 1, **points):
         """Params from the given points, or the defaults when none is given."""
@@ -145,7 +121,7 @@ SCHEMES = {s.name: s for s in (
     Scheme("lcc", baselines.LCCParams,
            lambda f, K, d, m: baselines.lcc_params(f, K, d),
            baselines.lcc_encoding_matrix, baselines.lcc_decode_vector,
-           lists=("alphas", "gammas")),
+           lists=("alphas", "gammas"), fast_encode=baselines.lcc_residue_encoder),
     Scheme("shamir", baselines.ShamirParams,
            lambda f, K, d, m: baselines.shamir_params(f, K, d),
            baselines.shamir_encoding_matrix, baselines.shamir_decode_vector,
@@ -361,10 +337,11 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
 # Worker-count comparison
 
 
-class WorkerCountRow(NamedTuple):
-    scheme: str
-    workers: int
-    special_case_only: bool = False
+class WorkerCountRow(namedtuple("WorkerCountRow", ("scheme", "workers", "special_case_only"),
+                                defaults=(False,))):
+    """WorkerCountRow(scheme, workers, special_case_only)"""
+
+    __slots__ = ()
 
 
 def worker_count_table(K: int, d: int) -> tuple[WorkerCountRow, ...]:

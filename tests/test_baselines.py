@@ -1,9 +1,11 @@
 """Shamir-MPC, LCC, and freshman schemes: construction, validity, counts."""
 
 import itertools
+import math
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -13,6 +15,7 @@ from harmcode.errors import (
     FieldTooSmallError,
     InvalidParamsError,
 )
+from harmcode import baselines
 from harmcode.baselines import (
     FreshmanMap,
     FreshmanParams,
@@ -23,6 +26,7 @@ from harmcode.baselines import (
     lcc_encode,
     lcc_encoding_matrix,
     lcc_params,
+    lcc_residue_encoder,
     shamir_decode,
     shamir_encode,
     shamir_params,
@@ -282,6 +286,92 @@ def test_lcc_decode_matches_oracle():
             z = sample_uniform_vector(rng, field, 2)
             outputs = [g.eval(s) for s in lcc_encode(params, data, z)]
             assert lcc_decode(params, outputs) == direct_gradient_sum(g, data)
+
+
+# LCC's differences: where they run, their shares are the matrix's
+
+DIFFERENCE_PRIMES = (5, 7, 11, 13, 101, 2**30 + 3, 2**31 - 1)
+
+
+def encoder_path(params, cols, m):
+    """The encoder's shares and the path it took: "matrix" when it built
+    LCC's encoding matrix, "differences" when it did not."""
+    built = []
+    build = baselines.lcc_encoding_matrix
+    with mock.patch.object(baselines, "lcc_encoding_matrix",
+                           lambda params: built.append(1) or build(params)):
+        shares = lcc_residue_encoder(params)(cols, m)
+    return shares, "matrix" if built else "differences"
+
+
+@pytest.mark.parametrize("p", DIFFERENCE_PRIMES)
+def test_lcc_differences_give_the_matrix_shares(p):
+    # random, all-(p-1) and all-zero columns at every m, on both paths
+    field = FieldConfig(p)
+    for K, d in itertools.product((1, 2, 3, 5, 8, 16), (1, 2, 3)):
+        try:
+            params = lcc_params(field, K, d)
+        except FieldTooSmallError:
+            continue
+        encode, matrix = lcc_residue_encoder(params), lcc_encoding_matrix(params)
+        rng = random.Random(f"lcc-differences-{p}-{K}-{d}")
+        for m in (1, 4, 31, 32, 33, 128, 512):
+            for cols in ([tuple(rng.randrange(p) for _ in range(m)) for _ in range(K + 1)],
+                         [(p - 1,) * m] * (K + 1), [(0,) * m] * (K + 1)):
+                assert encode(cols, m) == matrix.apply_residues(cols, m), (K, d, m)
+
+
+@pytest.mark.parametrize("p,K,d", [(13, 1, 1), (13, 1, 3), (13, 2, 1), (31, 2, 2)])
+def test_lcc_differences_on_every_input_at_small_primes(p, K, d):
+    # every value of (X_1..X_K, Z) laid along the coordinates, at shapes where
+    # the bound is close to the dense row's, so the slots are the tightest
+    params = lcc_params(FieldConfig(p), K, d)
+    cols = [tuple(col) for col in zip(*itertools.product(range(p), repeat=K + 1))]
+    shares, path = encoder_path(params, cols, p ** (K + 1))
+    assert path == "differences"
+    assert shares == lcc_encoding_matrix(params).apply_residues(cols, p ** (K + 1))
+
+
+@pytest.mark.parametrize("p", [7, 13, 101, 2**31 - 1])
+def test_lcc_difference_bound_is_newtons_backward_sum(p):
+    # after w steps, nabla^j u(K+w) = sum_i C(w+i-1, i) nabla^(j+i) u(K), and
+    # level j of the table lies below 2^j p
+    for K, N in itertools.product((1, 2, 3, 8, 16), (1, 2, 5, 25, 33)):
+        want = max(sum(math.comb(N + i - 1, i) * ((p << (j + i)) - 1) for i in range(K - j + 1))
+                   for j in range(K + 1))
+        assert baselines._difference_bound(p, K, N) == want, (K, N)
+
+
+def test_lcc_differences_fall_back_to_the_matrix_elsewhere():
+    # the short-field layout, and explicit points that are not anchors 0..K
+    # with evaluations K+1..K+N: shifted either way, or out of order
+    field = FieldConfig(2**31 - 1)
+    cases = [lcc_params(FieldConfig(7), 2, 2)]
+    for gammas in (range(4, 11), range(2, 9), [3, 4, 5, 6, 7, 9, 8]):
+        cases.append(LCCParams(field, 2, 3, range(3), gammas))
+    cases.append(LCCParams(field, 2, 3, [1, 0, 2], range(3, 10)))
+    rng = random.Random("lcc-fallback")
+    for params in cases:
+        p, m = params.field.p, 64
+        cols = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(params.K + 1)]
+        shares, path = encoder_path(params, cols, m)
+        assert path == "matrix", params
+        assert shares == lcc_encoding_matrix(params).apply_residues(cols, m)
+
+
+@pytest.mark.parametrize("p,K,d,m,path", [
+    (2**31 - 1, 8, 3, 512, "differences"),   # wide
+    (2**31 - 1, 8, 2, 128, "differences"),   # file-pipeline
+    (2**31 - 1, 16, 2, 4, "matrix"),         # many-inputs: the matrix packs narrow
+    (7, 2, 2, 49, "matrix"),                 # audit-tiny: the short-field layout
+    (2**31 - 1, 16, 2, 512, "matrix"),       # the bound is wider than the dense row's
+])
+def test_lcc_workload_shapes_take_their_paths(p, K, d, m, path):
+    params = lcc_params(FieldConfig(p), K, d)
+    cols = [(p - 1,) * m] * (K + 1)
+    shares, took = encoder_path(params, cols, m)
+    assert took == path
+    assert make_handle(params).encode_residues(cols, m) == shares
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Pinned SHA-256 digests of `harmcode encode` share files and of the
-`harmcode decode` output, one fixed dataset and seed per scheme, of
-exhaustive privacy-audit reports, and of one freshman `harmcode validate`
-run.
+`harmcode decode` output, one fixed dataset and seed per scheme, of LCC's
+share files at two wide shapes, of exhaustive privacy-audit reports, and
+of one freshman `harmcode validate` run.
 
 Any change to the coefficient algebra, the key draw order or the file
 layout shows up here as a digest mismatch; so does any change to an audit
@@ -86,6 +86,28 @@ def test_shamir_shares_digest_at_a_high_rejection_prime(tmp_path):
     assert main(["encode", "--scheme", "shamir", "--p", "1073741827", "--d", "2",
                  "--data", str(data_path), "--out", str(shares_path), "--seed", "29"]) == 0
     assert sha256(shares_path) == SHAMIR_P30
+
+
+# SHA-256 of the shares file of `harmcode encode --scheme lcc --p <p> --d <d>
+# --seed <seed>` on K inputs of m coordinates, coordinate i of input k
+# holding (m*k + i) * 7919 mod p, at the two shapes where LCC's shares come
+# from differences over its consecutive points: (p, K, d, m, seed) -> digest.
+LCC_WIDE = {
+    (2**31 - 1, 8, 3, 512, 31): "85839d3d2832bfe41c3b6f6105cf8754f1c63254e0515e740eb57c64303be676",
+    (2**30 + 3, 3, 2, 64, 37): "88dff80e330c133501eb6111c794bf4727f1f3c74ad0e7a66d5f5af0531a8a13",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LCC_WIDE))
+def test_lcc_shares_digests_on_wide_slots(tmp_path, capsys, shape):
+    p, K, d, m, seed = shape
+    data_path, shares_path = tmp_path / "data.json", tmp_path / "shares.json"
+    data_path.write_text(json.dumps(
+        {"K": K, "data": [[(m * k + i) * 7919 % p for i in range(m)] for k in range(K)]}))
+    assert main(["encode", "--scheme", "lcc", "--p", str(p), "--d", str(d),
+                 "--data", str(data_path), "--out", str(shares_path), "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert sha256(shares_path) == LCC_WIDE[shape]
 
 
 # SHA-256 of the standard output of `harmcode validate --scheme freshman

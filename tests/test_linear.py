@@ -734,24 +734,29 @@ def test_eight_byte_slots_are_one_count_code(p):
 def test_workload_maps_keep_their_layouts_at_top():
     # at p = 2^31 - 1 the general residues of harmonic's chain and LCC's
     # matrix need 13-byte slots, Q and five pad bytes, and Shamir's heaviest
-    # row fits 8, one count code; the decode vectors, at n <= 4 outputs,
-    # pack narrow on no layout
-    padded = "Q" + "x" * 5
-    slots_of = {  # (K, d, m, n) -> slots of harmonic's, LCC's and Shamir's layout
-        (8, 3, 512, 4): (512, 512, 512),    # wide
-        (16, 2, 4, 2): (4, 33, 48),         # many-inputs: LCC and Shamir narrow
-        (8, 2, 128, 4): (128, 128, 128),    # file-pipeline
+    # row fits 8, one count code; LCC's differences, where they run, need
+    # 12 bytes at `wide` and 11 at `file-pipeline`; the decode vectors, at
+    # n <= 4 outputs, pack narrow on no layout
+    def padded(size):
+        return "Q" + "x" * (size - 8)
+
+    layouts_of = {  # (K, d, m, n) -> (slots, slot bytes) of harmonic, LCC and Shamir
+        (8, 3, 512, 4): ((512, 13), (512, 12), (512, 8)),   # wide
+        (16, 2, 4, 2): ((4, 13), (33, 13), (48, 8)),        # many-inputs: LCC, Shamir narrow
+        (8, 2, 128, 4): ((128, 13), (128, 11), (128, 8)),   # file-pipeline
     }
-    for (K, d, m, n), slots in slots_of.items():
-        for scheme, count in zip(("harmonic", "lcc", "shamir"), slots):
+    for (K, d, m, n), layouts in layouts_of.items():
+        for scheme, (count, size) in zip(("harmonic", "lcc", "shamir"), layouts):
             handle = make_handle(MODULE[scheme][0](F_TOP, K, d))
             cols = [(TOP - 1,) * m] * (K + handle.num_keys)
             outputs = [(TOP - 1,) * n] * handle.worker_count
-            # harmonic's chain builds its layout through linear's
-            with mock.patch.object(harmonic, "_layout", lambda *args: linear._layout(*args)):
+            # harmonic's chain and LCC's differences build their layouts
+            # through linear's
+            with mock.patch.object(harmonic, "_layout", lambda *args: linear._layout(*args)), \
+                    mock.patch.object(baselines, "_layout", lambda *args: linear._layout(*args)):
                 _, made = layouts_made(lambda: (handle.encode_residues(cols, m),
                                                 handle.vector.apply_residues(outputs, n)))
-            want = f"<{count}Q" if scheme == "shamir" else "<" + padded * count
+            want = f"<{count}Q" if size == 8 else "<" + padded(size) * count
             assert [(n_slots, layout[-1].format) for n_slots, layout in made] == [(count, want)], (
                 scheme, K, d, m)
 

@@ -19,12 +19,15 @@ from harmcode.errors import (
 )
 from harmcode.baselines import FreshmanParams, lcc_params, shamir_params
 from harmcode.field import FieldConfig, sample_keys
-from harmcode.harmonic import encoding_matrix, select_params
+from harmcode.harmonic import GroupCoeffs, encoding_matrix, select_params
 from harmcode.poly import Dataset, PolyMap, direct_gradient_sum, random_dataset, random_poly
 from harmcode.sim import (
     SCHEMES,
     ClearStorageScheme,
     PrivacyReport,
+    Scheme,
+    TrialReport,
+    WorkerCountRow,
     make_handle,
     privacy_audit_exhaustive,
     run_trial,
@@ -186,6 +189,38 @@ def assert_json_is_fields_in_order(report, keys):
         value = getattr(report, key)
         expected = list(value) if isinstance(value, tuple) else value
         assert type(doc[key]) is type(expected) and doc[key] == expected
+
+
+@pytest.mark.parametrize("record,fields,defaults,example,text", [
+    (TrialReport, ("scheme", "p", "K", "d", "m", "n", "seed", "decoded", "oracle",
+                   "exact_match", "worker_evals", "num_keys"), {},
+     TrialReport("lcc", 13, 2, 2, 1, 1, 5, (1,), (1,), True, 5, 1),
+     "TrialReport(scheme='lcc', p=13, K=2, d=2, m=1, n=1, seed=5, decoded=(1,), "
+     "oracle=(1,), exact_match=True, worker_evals=5, num_keys=1)"),
+    (PrivacyReport, ("scheme", "p", "K", "d", "m", "mi_bits_per_worker",
+                     "conditional_equal_per_worker", "dataset_states", "key_states"), {},
+     PrivacyReport("lcc", 7, 2, 2, 1, (0.0,), (True,), 49, 7),
+     "PrivacyReport(scheme='lcc', p=7, K=2, d=2, m=1, mi_bits_per_worker=(0.0,), "
+     "conditional_equal_per_worker=(True,), dataset_states=49, key_states=7)"),
+    (Scheme, ("name", "params_type", "defaults", "build_matrix", "build_vector", "scalars",
+              "lists", "from_points", "keys_per_input", "fast_encode", "worker_fn"),
+     {"scalars": (), "lists": (), "from_points": None, "keys_per_input": False,
+      "fast_encode": None, "worker_fn": None},
+     Scheme("x", int, len, len, len),
+     "Scheme(name='x', params_type=<class 'int'>, defaults=<built-in function len>, "
+     "build_matrix=<built-in function len>, build_vector=<built-in function len>, "
+     "scalars=(), lists=(), from_points=None, keys_per_input=False, fast_encode=None, "
+     "worker_fn=None)"),
+    (WorkerCountRow, ("scheme", "workers", "special_case_only"), {"special_case_only": False},
+     WorkerCountRow("lcc", 5), "WorkerCountRow(scheme='lcc', workers=5, special_case_only=False)"),
+    (GroupCoeffs, ("weights", "a", "b"), {}, GroupCoeffs((1, 2), 3, 4),
+     "GroupCoeffs(weights=(1, 2), a=3, b=4)"),
+])
+def test_records_keep_their_fields_defaults_and_repr(record, fields, defaults, example, text):
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    assert repr(example) == text
+    assert record.__doc__ and not hasattr(example, "__dict__")
 
 
 def test_trial_report_json_keys():
