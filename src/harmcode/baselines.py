@@ -30,8 +30,8 @@ has PolyMap's ``eval`` and checks the data width there.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from operator import mul
-from typing import Callable, Sequence
 
 from .errors import (
     DimensionMismatchError,

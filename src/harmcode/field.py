@@ -31,8 +31,8 @@ from __future__ import annotations
 import operator
 import random
 import struct
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import (
     DimensionMismatchError,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import stat
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     CountMismatchError,

@@ -47,7 +47,7 @@ P_K to [0, p) together.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import (
     FieldTooSmallError,

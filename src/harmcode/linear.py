@@ -82,9 +82,9 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Sequence
 
 from .errors import (
     DimensionMismatchError,

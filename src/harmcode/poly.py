@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import (
     DegreeMismatchError,

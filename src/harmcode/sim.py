@@ -14,14 +14,18 @@ distribution is literally identical for all dataset values -- mutual
 information is derived from the same counts for reporting, but the
 pass/fail criterion never touches floating point.
 
-The auditor encodes once per value of X_1, not once per (dataset, key)
-pair: every X_2..X_K tuple and every key tuple is laid along the
-coordinates. Coordinate (r*key_states + j)*m + i of a call's vectors holds
-coordinate i of the r-th X_2..X_K tuple under the j-th key tuple, and X_1
-repeats one value throughout, so slice r*key_states + j of every share is
-the share for that dataset value and key tuple. This needs encode to act
-on every coordinate alike and independently, as every linear code does
-(share_w = sum_k E[w][k] X_k + sum_t E[w][K+t] Z_t, coordinatewise).
+The auditor encodes once per batch of consecutive values of X_1, not once
+per (dataset, key) pair: every X_2..X_K tuple and every key tuple is laid
+along the coordinates. Coordinate (r*key_states + j)*m + i of one value's
+W coordinates holds coordinate i of the r-th X_2..X_K tuple under the j-th
+key tuple, and X_1 repeats that value throughout, so slice r*key_states + j
+of those coordinates of every share is the share for that dataset value
+and key tuple. A batch lays its values' W coordinates one after another,
+as many values as make at least ``_AUDIT_CALL_FLOOR`` coordinates, so a
+tiny audit pays an encode call's fixed cost once, not p^m times. This
+needs encode to act on every coordinate alike and independently, as every
+linear code does (share_w = sum_k E[w][k] X_k + sum_t E[w][K+t] Z_t,
+coordinatewise).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import itertools
 import math
 import random
 from collections import Counter, namedtuple
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import baselines, harmonic
 from .errors import (
@@ -46,6 +50,10 @@ from .linear import LinearCode, _columns
 from .poly import Dataset, PolyMap, _gradient_sum
 
 DEFAULT_AUDIT_BUDGET = 10_000_000
+# The fewest coordinates the auditor puts in one encode call when one value
+# of X_1 gives fewer: below it a call's fixed cost outweighs its arithmetic.
+# A floor, not a cap: a wider call is never split.
+_AUDIT_CALL_FLOOR = 2**12
 
 
 def _to_json(report) -> dict:
@@ -174,7 +182,7 @@ class ClearStorageScheme(LinearCode):
 # Trial runner
 
 
-def run_trial(scheme, g: Optional[PolyMap], data: Dataset, seed: int) -> TrialReport:
+def run_trial(scheme, g: PolyMap | None, data: Dataset, seed: int) -> TrialReport:
     """Encode with seeded keys, apply g at every worker, decode, compare.
 
     A scheme with its own worker function (freshman) fixes g (pass None);
@@ -243,20 +251,27 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     built only for a worker that fails; the reported MI assumes a uniform
     prior and is computed from them.
 
-    ``scheme.encode`` is called once per value of X_1 (p^m calls), on
-    vectors of W = p^((K-1)m) * key_states * m coordinates, built once per
-    audit but for X_1. Coordinate (r*key_states + j)*m + i of X_2..X_K and
-    of each key is coordinate i of the r-th X_2..X_K tuple and of the j-th
-    key tuple (``itertools.product`` order), and X_1 is its value repeated.
-    The scheme must act on every coordinate alike and independently, so
-    that each consecutive slice of key_states * m coordinates of a share
-    is one dataset value's shares under every key tuple, in dataset order;
-    every linear code does. Each worker keeps one share tuple per value of
-    X_1. Its laws are cut from them in C -- the tuples chained, the
-    coordinates zipped into m-tuples when m > 1, then key_states shares
-    zipped into each dataset value's slice -- and each sorted slice is
-    compared with the first. m is checked, then the budget, before
-    anything is built.
+    One value of X_1 takes W = p^((K-1)m) * key_states * m coordinates.
+    Coordinate (r*key_states + j)*m + i of them, in X_2..X_K and in each
+    key, is coordinate i of the r-th X_2..X_K tuple and of the j-th key
+    tuple (``itertools.product`` order), and in X_1 it is that value's
+    coordinate i: the value repeated W/m times. ``scheme.encode`` is called
+    once per batch of b = max(1, _AUDIT_CALL_FLOOR // W) consecutive values
+    of X_1 (in product order; the last batch may be short), so
+    ceil(p^m / b) times, on n * W coordinates for a batch of n values: X_1
+    holds the batch's values one after another, and X_2..X_K and the keys
+    are one value's columns tiled n times. The floor only gathers calls
+    narrower than it; where W >= _AUDIT_CALL_FLOOR every call is one value
+    of X_1, W wide, so a large audit holds no more at once than one value
+    needs. The scheme must act on every coordinate alike and
+    independently, so that each consecutive slice of key_states * m
+    coordinates of a share is one dataset value's shares under every key
+    tuple, in dataset order; every linear code does. Each worker keeps one
+    share tuple per call. Its laws are cut from them in C -- the tuples
+    chained, the coordinates zipped into m-tuples when m > 1, then
+    key_states shares zipped into each dataset value's slice -- and each
+    sorted slice is compared with the first. m is checked, then the
+    budget, before anything is built.
     """
     if m < 1:
         raise DimensionMismatchError(f"m must be >= 1, got {m}")
@@ -273,22 +288,31 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
             f"raise the budget to at least {total} to run it")
     N = scheme.worker_count
     of = FieldVector._of
-    # The X_2..X_K columns and the keys, shared by every call: the r-th
+    # The X_2..X_K columns and the keys of one value of X_1: the r-th
     # X_2..X_K tuple under every key tuple j, for r in turn.
     rest_tuples = list(itertools.product(range(p), repeat=(K - 1) * m))
     key_tuples = list(itertools.product(range(p), repeat=nkeys * m))
-    rest = [of(field, tuple(itertools.chain.from_iterable(
-                x[k * m:(k + 1) * m] * key_states for x in rest_tuples)))
+    rest = [tuple(itertools.chain.from_iterable(
+                x[k * m:(k + 1) * m] * key_states for x in rest_tuples))
             for k in range(K - 1)]
-    keys = [of(field, tuple(itertools.chain.from_iterable(
-                z[t * m:(t + 1) * m] for z in key_tuples)) * len(rest_tuples))
+    keys = [tuple(itertools.chain.from_iterable(
+                z[t * m:(t + 1) * m] for z in key_tuples)) * len(rest_tuples)
             for t in range(nkeys)]
-    # laws[w][a]: worker w's share coordinates for the a-th value of X_1,
-    # key_states * m of them per X_2..X_K tuple
+    repeats = len(rest_tuples) * key_states  # W // m
+    per_call = max(1, _AUDIT_CALL_FLOOR // (repeats * m))
+    values = list(itertools.product(range(p), repeat=m))
+    # laws[w][c]: worker w's share coordinates for the c-th call's values of
+    # X_1, key_states * m of them per X_2..X_K tuple
     laws: list[list[tuple[int, ...]]] = [[] for _ in range(N)]
-    for x_1 in itertools.product(range(p), repeat=m):
-        data = Dataset([of(field, x_1 * (len(rest_tuples) * key_states))] + rest)
-        for w, share in enumerate(scheme.encode(data, keys)):
+    for start in range(0, len(values), per_call):
+        batch = values[start:start + per_call]
+        # the batch's values one after another, each with one value's columns;
+        # a lone value's X_1 is one tuple product, not copied into a second
+        # tuple (at W >= the floor that copy would cost a few % of the audit)
+        x_1 = of(field, batch[0] * repeats if len(batch) == 1 else
+                 tuple(itertools.chain.from_iterable(x * repeats for x in batch)))
+        data = Dataset([x_1] + [of(field, col * len(batch)) for col in rest])
+        for w, share in enumerate(scheme.encode(data, [of(field, z * len(batch)) for z in keys])):
             laws[w].append(share.values())
 
     def slices(per_x1):

@@ -465,9 +465,11 @@ def test_point_flags_accepted_by_harmonic(tmp_path, capsys):
                  "--data", str(data_path), "--out", str(shares_path)]) == 2
 
 
-def test_cli_imports_pull_in_neither_dataclasses_nor_inspect():
+def test_cli_imports_pull_in_no_dataclasses_inspect_or_typing():
     # every harmcode command is a cold start; dataclasses and what it imports
-    # (inspect, ast, dis, tokenize) took over half of `import harmcode`
+    # (inspect, ast, dis, tokenize) took over half of `import harmcode`, and
+    # typing (with re and enum) about a third of the rest. Annotations take
+    # their names from collections.abc. Under -S, site has imported none of them
     src = str(pathlib.Path(harmcode.__file__).parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import harmcode, harmcode.cli, harmcode.fileio; "
@@ -476,4 +478,4 @@ def test_cli_imports_pull_in_neither_dataclasses_nor_inspect():
                             check=True, capture_output=True, text=True)
     added = set(result.stdout.split())
     assert "harmcode.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+    assert not {"dataclasses", "inspect", "typing"} & added

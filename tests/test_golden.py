@@ -1,7 +1,8 @@
 """Pinned SHA-256 digests of `harmcode encode` share files and of the
 `harmcode decode` output, one fixed dataset and seed per scheme, of LCC's
-share files at two wide shapes, of exhaustive privacy-audit reports, and
-of one freshman `harmcode validate` run.
+share files at two wide shapes, of exhaustive privacy-audit reports, of
+one freshman `harmcode validate` run, and of `harmcode privacy-audit`'s
+output and exit code.
 
 Any change to the coefficient algebra, the key draw order or the file
 layout shows up here as a digest mismatch; so does any change to an audit
@@ -169,3 +170,43 @@ def test_audit_report_digests(name):
     doc = json.dumps(report.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(doc).hexdigest() == AUDIT_GOLDEN[name]
 
+
+# `harmcode privacy-audit --scheme <args>`, with and without --inject-leak ->
+# (exit code, SHA-256 of standard output). The first six shapes are the
+# audits CI runs through the entry point; the last two split X_1 into
+# batches whose last one is short (Shamir: 2, 2, 2, 2, 1 of the 9 values;
+# harmonic: 3, 3, 3, 2 of the 11).
+CLI_AUDIT = {
+    "shamir --p 5 --K 2 --d 2 --m 2": (
+        (0, "575f09c187981059ee707f603c10b4c94573044d474b01135fb8c86736ce1016"),
+        (1, "54029418747a7c5087743bec1e580a9b28829ec7735bf980a252319501e5d7ef")),
+    "harmonic --p 5 --K 2 --d 2 --m 2": (
+        (0, "16bf537c7d81e086be6a1162b656312ee7ad64d9e8b40e96815dcc21a99a722f"),
+        (1, "ed58a46ad243188160276f9714c116ccbb9679d32ca88f04f5d1499d0c32aa75")),
+    "harmonic --p 7 --K 3 --d 2": (
+        (0, "d4965f2fb166b27954514e5dbfe590859e1a3dfd38da621257efc1c11a708e19"),
+        (1, "5690d395478bef83c9f64c5bcea28c292027bcb17bc3ebc23975759fe1242554")),
+    "shamir --p 7 --K 3 --d 1": (
+        (0, "4e23772d0791f1bca9238d845b769082aa28871f53cb0124775680aa3abe9fc6"),
+        (1, "a2cc21327240651fb9385dc1249903915ffca818aa10830c93532eb2481a4f2f")),
+    "lcc --p 3 --K 1 --d 1 --m 3": (
+        (0, "e0e1f54dcdfcd40f89e9ce0c32ee17c1b7ebb40edab0562bb46aa84ca635f1bf"),
+        (1, "7cc0823fda620903f27e9bc2587024a5a20c0195789c80e00541a0864c5c0e30")),
+    "shamir --p 3 --K 1 --d 1 --m 2": (
+        (0, "52ce6e5232544274b72e04a52ef434ca8c5e334bc82e09ae656cd76a823fc09c"),
+        (1, "751f99bad62c74e6121a35ca76adaf98760c9e0ef62b2bd317cd98bda3ee84a9")),
+    "shamir --p 3 --K 2 --d 1 --m 2": (
+        (0, "a7fcbf3b817f5f191f5e463cb199eab43f2ee6608b15d50b24c085c1a22049c5"),
+        (1, "0890110fc099f8bd40731077497ff0bd4741d1625adffee4c6f33d71e91c5af4")),
+    "harmonic --p 11 --K 3 --d 2": (
+        (0, "2c70ce75642cccc8c6f9ab487712385d704e461823a3a52b613af72335128f36"),
+        (1, "0c8ab4b4d1a8ed8392c3ee3f247e4e23776bcb9391bb40257f403cba4bbfde30")),
+}
+
+
+@pytest.mark.parametrize("leak", [False, True], ids=["private", "inject-leak"])
+@pytest.mark.parametrize("args", sorted(CLI_AUDIT))
+def test_cli_audit_output_digests(capsys, args, leak):
+    code = main(["privacy-audit", "--scheme", *args.split(), *(["--inject-leak"] if leak else [])])
+    out = capsys.readouterr().out.encode()
+    assert (code, hashlib.sha256(out).hexdigest()) == CLI_AUDIT[args][leak]

@@ -5,9 +5,11 @@ import json
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
+from harmcode import sim
 from harmcode.errors import (
     BudgetExceededError,
     ConstantPolynomialError,
@@ -393,10 +395,22 @@ def fitting_handles(p):
     return handles
 
 
+def one_value_width(scheme, m):
+    """W: the coordinates the auditor lays out for one value of X_1."""
+    p = scheme.field.p
+    return p ** ((scheme.K - 1 + scheme.num_keys) * m) * m
+
+
 def assert_same_report(scheme, m):
-    batched = privacy_audit_exhaustive(scheme, m=m).to_json()
-    reference = reference_audit(scheme, m).to_json()
-    assert json.dumps(batched, sort_keys=True) == json.dumps(reference, sort_keys=True)
+    """The batched report equals the per-state reference's, at the real
+    call floor and at a floor of 2W, which puts two values of X_1 in each
+    call and one alone in the last (p^m is odd at every odd p)."""
+    reference = json.dumps(reference_audit(scheme, m).to_json(), sort_keys=True)
+    batched = json.dumps(privacy_audit_exhaustive(scheme, m=m).to_json(), sort_keys=True)
+    assert batched == reference
+    with mock.patch.object(sim, "_AUDIT_CALL_FLOOR", 2 * one_value_width(scheme, m)):
+        paired = json.dumps(privacy_audit_exhaustive(scheme, m=m).to_json(), sort_keys=True)
+    assert paired == reference
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -477,27 +491,73 @@ class CountingScheme:
         return self.inner.encode(data, keys)
 
 
-def test_audit_encodes_once_per_value_of_x1():
-    for handle, m in [(fixture_handle(), 1), (fixture_handle(), 2),
-                      (make_handle(shamir_params(F5, 2, 2)), 1)]:
-        widths = []
+def batch_sizes(scheme, m):
+    """The values of X_1 in each of the auditor's calls: b = max(1, floor // W)
+    per call, in product order, the last call taking what is left."""
+    b = max(1, sim._AUDIT_CALL_FLOOR // one_value_width(scheme, m))
+    values = scheme.field.p ** m
+    return [min(b, values - start) for start in range(0, values, b)]
 
-        class WidthScheme(CountingScheme):
-            def encode(self, data, keys):
-                widths.append({v.dim for v in (*data.items, *keys)})
-                return super().encode(data, keys)
 
-        counting = WidthScheme(handle)
-        report = privacy_audit_exhaustive(counting, m=m)
-        assert counting.calls == 5 ** m
-        # every X_2 value under every key tuple, m coordinates each
-        W = 5 ** m * report.key_states * m
-        assert widths == [{W}] * counting.calls
+def audit_widths(scheme, m):
+    """The width of every vector of each of scheme's audit encode calls."""
+    widths = []
+
+    class WidthScheme(CountingScheme):
+        def encode(self, data, keys):
+            widths.append({v.dim for v in (*data.items, *keys)})
+            return super().encode(data, keys)
+
+    privacy_audit_exhaustive(WidthScheme(scheme), m=m)
+    return widths
+
+
+def test_audit_encodes_once_per_batch_of_x1_values():
+    # fixture at m = 1: W = 25, all 5 values in one call; at m = 2:
+    # W = 1250, b = 3 over 25 values; Shamir: W = 125, one call of 5
+    for handle, m, sizes in [(fixture_handle(), 1, [5]), (fixture_handle(), 2, [3] * 8 + [1]),
+                             (make_handle(shamir_params(F5, 2, 2)), 1, [5])]:
+        W = one_value_width(handle, m)
+        assert batch_sizes(handle, m) == sizes
+        assert len(sizes) == math.ceil(5 ** m / max(1, sim._AUDIT_CALL_FLOOR // W))
+        assert audit_widths(handle, m) == [{n * W} for n in sizes]
+
+
+def test_audit_tiny_shapes_encode_in_one_call():
+    # the four instances of perfbench's audit-tiny workload, at the real floor
+    shapes = [(select_params(FieldConfig(11), 2, 2), False),
+              (lcc_params(FieldConfig(7), 2, 2), False),
+              (shamir_params(F5, 2, 2), False),
+              (select_params(F5, 2, 2), True)]
+    for params, leaky in shapes:
+        handle = make_handle(params)
+        if leaky:
+            handle = ClearStorageScheme(handle, leak_worker=1)
+        W = one_value_width(handle, 1)
+        assert audit_widths(handle, 1) == [{params.field.p * W}]
+
+
+def test_audit_at_or_above_the_floor_encodes_once_per_value_of_x1():
+    # three-key Shamir over F_7 at K = 3: W = 7^2 * 7^3 = 16,807 >= the floor
+    handle = make_handle(shamir_params(FieldConfig(7), 3, 1))
+    W = one_value_width(handle, 1)
+    assert W >= sim._AUDIT_CALL_FLOOR
+    assert audit_widths(handle, 1) == [{W}] * 7
+
+
+def test_audit_with_a_short_last_batch_matches_the_reference():
+    # harmonic over F_11 at K = 3: W = 1331, so 3 values of X_1 per call and
+    # 2 in the last; the Shamir shape of the layout test below has 2 per
+    # call over 9 values, 1 in the last
+    handle = make_handle(select_params(FieldConfig(11), 3, 2))
+    assert batch_sizes(handle, 1) == [3, 3, 3, 2]
+    assert_same_report(handle, 1)
 
 
 def test_audit_lays_x2_and_key_tuples_along_the_coordinates():
     # Shamir over F_3 at K=2, m=2: two keys, so the layout of X_2 and of
-    # both keys shows
+    # both keys shows; W = 9 * 81 * 2 = 1458, so two values of X_1 per call
+    # and one alone in the last
     f3, m = FieldConfig(3), 2
     handle = make_handle(shamir_params(f3, 2, 1))
     calls = []
@@ -511,18 +571,21 @@ def test_audit_lays_x2_and_key_tuples_along_the_coordinates():
     values = list(itertools.product(range(3), repeat=m))  # of X_1, and of X_2
     key_tuples = list(itertools.product(range(3), repeat=2 * m))
     W = len(values) * len(key_tuples) * m
-    assert len(calls) == len(values)
-    for (items, keys), x_1 in zip(calls, values):
+    assert batch_sizes(handle, m) == [2, 2, 2, 2, 1]
+    batches = [values[s:s + 2] for s in range(0, len(values), 2)]
+    assert len(calls) == len(batches)
+    for (items, keys), batch in zip(calls, batches):
         assert len(items) == len(keys) == 2
-        assert all(len(v) == W for v in items + keys)
-        assert items[0] == x_1 * (W // m)  # X_1 is constant within a call
-        for r, x_2 in enumerate(values):
-            for j, z in enumerate(key_tuples):
-                for i in range(m):
-                    c = (r * len(key_tuples) + j) * m + i
-                    assert items[1][c] == x_2[i]
-                    assert keys[0][c] == z[i]
-                    assert keys[1][c] == z[m + i]
+        assert all(len(v) == len(batch) * W for v in items + keys)
+        for a, x_1 in enumerate(batch):
+            for r, x_2 in enumerate(values):
+                for j, z in enumerate(key_tuples):
+                    for i in range(m):
+                        c = a * W + (r * len(key_tuples) + j) * m + i
+                        assert items[0][c] == x_1[i]
+                        assert items[1][c] == x_2[i]
+                        assert keys[0][c] == z[i]
+                        assert keys[1][c] == z[m + i]
 
 
 def test_audit_budget_checked_before_any_encode():
