@@ -306,35 +306,32 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     laws: list[list[tuple[int, ...]]] = [[] for _ in range(N)]
     for start in range(0, len(values), per_call):
         batch = values[start:start + per_call]
-        # the batch's values one after another, each with one value's columns;
-        # a lone value's X_1 is one tuple product, not copied into a second
-        # tuple (at W >= the floor that copy would cost a few % of the audit)
-        x_1 = of(field, batch[0] * repeats if len(batch) == 1 else
-                 tuple(itertools.chain.from_iterable(x * repeats for x in batch)))
+        # the batch's values one after another, each with one value's columns
+        x_1 = of(field, tuple(itertools.chain.from_iterable(x * repeats for x in batch)))
         data = Dataset([x_1] + [of(field, col * len(batch)) for col in rest])
         for w, share in enumerate(scheme.encode(data, [of(field, z * len(batch)) for z in keys])):
             laws[w].append(share.values())
 
-    def slices(per_x1):
+    def slices(calls):
         # each dataset value's shares under every key tuple, in dataset
         # order, cut in C: the coordinates in m-tuples (at m = 1 the residues
         # themselves are the shares), then key_states of them per slice
-        shares = itertools.chain.from_iterable(per_x1)
+        shares = itertools.chain.from_iterable(calls)
         if m > 1:
             shares = zip(*[shares] * m)
         return zip(*[shares] * key_states)
 
     cond_equal = []
     mi_bits = []
-    for per_x1 in laws:
-        cut = slices(per_x1)
+    for calls in laws:
+        cut = slices(calls)
         reference = sorted(next(cut))
         equal = all(map(reference.__eq__, map(sorted, cut)))
         cond_equal.append(equal)
         if equal:
             mi_bits.append(0.0)
         else:
-            counts = list(map(Counter, slices(per_x1)))
+            counts = list(map(Counter, slices(calls)))
             marginal: Counter = Counter()
             for c in counts:
                 marginal.update(c)
