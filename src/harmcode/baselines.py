@@ -15,13 +15,15 @@ has PolyMap's ``eval`` and checks the data width there.
 * Lagrange coded computing (LCC): one degree-K vector polynomial hits the
   K inputs plus one key at fixed anchors; workers evaluate it elsewhere,
   and the composed degree-Kd polynomial is interpolated back. Kd+1
-  workers, one key. Its handle encodes through
-  :func:`lcc_residue_encoder`: at the default anchors 0..K and evaluation
-  points K+1..K+N it tabulates the shares by differences, with additions
-  only, when the matrix would pack wide and the differences' slot bound
+  workers, one key. :func:`lcc_residue_encoder` tabulates the shares by
+  differences, with additions only, at the default anchors 0..K and
+  evaluation points K+1..K+N when the differences' slot bound
   (:func:`_difference_bound`, from p, K and N) is at most (K+1)(p-1)^2,
   the dense matrix row's; at any other points or shape it applies the
-  encoding matrix. The module :func:`lcc_encode` always applies the matrix.
+  encoding matrix. Its handle takes the differences from the m where
+  their packed operations (:func:`difference_ops`) weigh less than the
+  matrix's narrow kernel (m = 15 at K = 8, d = 3) and applies the matrix
+  narrow below. The module :func:`lcc_encode` always applies the matrix.
 * Freshman scheme: for the special family g(X) = A (X_1^d, ..., X_m^d)^T
   with d equal to the field characteristic, two workers suffice because
   coordinatewise (a+b)^p = a^p + b^p makes g additive; as a function on
@@ -40,8 +42,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .field import FieldConfig, FieldVector
-from .linear import (DecodeVector, EncodingMatrix, _lagrange_rows, _layout, _pack,
-                     _packs_narrow, _residues)
+from .linear import DecodeVector, EncodingMatrix, _lagrange_rows, _layout, _pack, _residues
 from .poly import Dataset, PolyMap
 
 
@@ -217,6 +218,33 @@ def _difference_bound(p: int, K: int, N: int) -> int:
     return max(tops)
 
 
+def _difference_top(params: LCCParams) -> int | None:
+    """The slot bound of :func:`lcc_residue_encoder`'s differences where they
+    run: at :func:`lcc_params`' consecutive layout, anchors 0..K and
+    evaluation points K+1..K+N, when :func:`_difference_bound` is at most
+    (K+1)(p-1)^2, the dense matrix row's, so that their slots are never
+    wider than the matrix's. None at any other points (explicit ones, or the
+    short-field layout) or where the bound is wider."""
+    p, K, N = params.field.p, params.K, params.N
+    if params.alphas != tuple(range(K + 1)) or params.gammas != tuple(range(K + 1, K + N + 1)):
+        return None
+    top = _difference_bound(p, K, N)
+    return top if top <= (K + 1) * (p - 1) ** 2 else None
+
+
+def difference_ops(params: LCCParams) -> tuple[int, int, int, int] | None:
+    """The packed operations of one call of the differences, as (packs,
+    products, additions, reductions): K+1 column packs, no product, K(K+1)
+    additions for the K(K+1)/2 subtractions and their offsets, NK for the
+    shares, and N reductions; None where :func:`lcc_residue_encoder` applies
+    the matrix. A handle weighs them against its matrix's narrow kernel
+    (:func:`~harmcode.linear._narrow_below`)."""
+    if _difference_top(params) is None:
+        return None
+    K, N = params.K, params.N
+    return K + 1, 0, K * (K + 1) + N * K, N
+
+
 def lcc_residue_encoder(params: LCCParams) -> Callable[..., list[tuple[int, ...]]]:
     """LCC's encoder on residues, as ``encode(cols, m)`` like
     ``EncodingMatrix.apply_residues``: each share's residues from the
@@ -230,29 +258,19 @@ def lcc_residue_encoder(params: LCCParams) -> Callable[..., list[tuple[int, ...]
     2^(j-1) p to every slot of level j so that level j lies in [0, 2^j p),
     then K additions per share, and one :func:`~harmcode.linear._residues`
     call. The slots are sized by :func:`_difference_bound`, once per
-    parameter set.
+    parameter set. The differences give the matrix's shares at every m; a
+    handle takes them only from the m where :func:`difference_ops` weighs
+    less than the matrix's narrow kernel.
 
-    The differences run when the matrix would pack wide at this m and the
-    bound is at most (K+1)(p-1)^2, the dense matrix row's, so that their
-    slots are never wider than the matrix's. At any other points (explicit
-    ones, or the short-field layout) or where the bound is wider, the
-    encoder is :func:`lcc_encoding_matrix`'s ``apply_residues``; where only
-    this m packs narrow, it applies that matrix, built on its first use.
+    Where :func:`_difference_top` is None the encoder is
+    :func:`lcc_encoding_matrix`'s ``apply_residues``.
     """
     p, K, N = params.field.p, params.K, params.N
-    top = _difference_bound(p, K, N)
-    if (params.alphas != tuple(range(K + 1)) or params.gammas != tuple(range(K + 1, K + N + 1))
-            or top > (K + 1) * (p - 1) ** 2):
+    top = _difference_top(params)
+    if top is None:
         return lcc_encoding_matrix(params).apply_residues
-    matrix = None
 
     def encode(cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
-        nonlocal matrix
-        # at these points the matrix is dense: N rows of K+1 nonzero terms
-        if _packs_narrow(m, N, K + 1, N * (K + 1)):
-            if matrix is None:
-                matrix = lcc_encoding_matrix(params)
-            return matrix.apply_residues(cols, m)
         layout = _layout(m, p, top)
         ones = layout[3]
         table = [_pack(layout, col) for col in cols]

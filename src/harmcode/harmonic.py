@@ -35,7 +35,10 @@ supply those last two directly.
 The recursive encoder (:func:`residue_encoder`) turns a_j, b_j and q_ij
 into int residues once per parameter set -- once per handle, for a
 :class:`~harmcode.linear.LinearCode` -- and works on residue columns, like
-every code's core; the handle's ``encode`` is its check-and-wrap shell.
+every code's core. A handle encodes through it from the m where its packed
+operations (:func:`chain_ops`) weigh less than the closed-form matrix's
+narrow kernel, m = 7 at K = 16, d = 2, and applies that matrix narrow
+below; either way the handle's ``encode`` is the check-and-wrap shell.
 Each call packs Z and every X_j into one int with a slot per coordinate,
 and runs every chain step and every blend as one multiply-add
 a * P + b * X on those ints. A chain step ends with a slot-wise Barrett
@@ -230,7 +233,9 @@ def residue_encoder(params: HarmonicParams) -> Callable[..., list[tuple[int, ...
 
     Its scalars come from :func:`_scalars`, once; each call then makes K*d
     two-term combinations (K chain steps, K(d-1) blends), each one
-    multiply-add on packed ints. ZeroInversionError here when c <= K.
+    multiply-add on packed ints, counted by :func:`chain_ops`; a handle
+    takes it where that count weighs no more than its matrix's narrow
+    kernel. ZeroInversionError here when c <= K.
     """
     p, steps = params.field.p, _scalars(params)[1]
 
@@ -242,6 +247,17 @@ def residue_encoder(params: HarmonicParams) -> Callable[..., list[tuple[int, ...
         return [tuple(cols[-1])] + _residues(sums, layout, p)
 
     return encode
+
+
+def chain_ops(params: HarmonicParams) -> tuple[int, int, int, int]:
+    """The packed operations of one :func:`residue_encoder` call, as (packs,
+    products, additions, reductions): K+1 column packs; 2Kd products and Kd
+    additions, one multiply-add a * P + b * X per chain step and blend; and
+    N-1+K reductions, the K Barrett steps of the chain and the N-1 shares
+    after Z. A handle weighs them against its matrix's narrow kernel
+    (:func:`~harmcode.linear._narrow_below`)."""
+    K, d = params.K, params.d
+    return K + 1, 2 * K * d, K * d, params.N - 1 + K
 
 
 def intermediate_vars(params: HarmonicParams, data: Dataset, z: FieldVector) -> list[FieldVector]:

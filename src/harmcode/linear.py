@@ -66,12 +66,23 @@ about 0.5 products for Shamir's sparse 48 x 32 matrix, 3 for harmonic's
 one and for one-row maps of 10 to 48 weights; at 4, every map on the
 benchmark's workloads takes its faster kernel.
 
-Two encoders bypass the matrix kernel on the wide layout, each a scheme's
-``fast_encode``: harmonic's chain (:func:`harmcode.harmonic.residue_encoder`)
-always, and LCC's differences over its consecutive points
-(:func:`harmcode.baselines.lcc_residue_encoder`) where :func:`_packs_narrow`
-would pack its matrix wide and their slots are no wider than the matrix's;
-elsewhere LCC's encoder applies the matrix.
+Two schemes have a wide encoder of their own, each its ``fast_encode``:
+harmonic's chain (:func:`harmcode.harmonic.residue_encoder`) and LCC's
+differences over its consecutive points
+(:func:`harmcode.baselines.lcc_residue_encoder`, where their slots are no
+wider than the matrix's). Each states its packed operations per call,
+(packs, products, additions, reductions), and :func:`_narrow_below` weighs
+them against the matrix's narrow kernel: a pack or a reduction weighs 2, a
+product or an addition 1, and the narrow kernel m * (width + N/2 + 2),
+since each of its products works on an N-slot int. The handle works that
+threshold out once, from K, d and N, and applies the matrix narrow below
+it and the wide encoder from it on, one comparison per encode: harmonic's
+chain from m = 7 at K = 16, d = 2 and at K = 8, d = 2 or 3, and LCC's
+differences from m = 15 at K = 8, d = 3 and m = 14 at K = 8, d = 2. Of the
+benchmark's encodes that have a wide encoder, only `many-inputs` harmonic
+(m = 4) goes narrow. A scheme without one -- Shamir, freshman, and LCC
+where its differences do not run, as at K = 16 -- applies its matrix, whose
+two kernels :func:`_packs_narrow` chooses between.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -161,6 +172,18 @@ def _packs_narrow(m: int, rows: int, width: int, nnz: int) -> bool:
     ``m * width < nnz + rows + _PACK * width``, fewer packed operations, a
     pack weighing _PACK products. A map of no terms never does."""
     return nnz > 0 and m * width < nnz + rows + _PACK * width
+
+
+def _narrow_below(ops: tuple[int, int, int, int], width: int, rows: int) -> int:
+    """The least m at which a wide encoder of ``ops`` = (packs, products,
+    additions, reductions) per call weighs no more than the narrow kernel of
+    a ``rows`` x ``width`` matrix: a pack or a reduction weighs 2, a product
+    or an addition 1, and the narrow kernel m * (width + rows / 2 + 2), its
+    products and reductions working on ``rows``-slot ints. Below that m the
+    narrow kernel weighs less. Both sides are doubled to stay in ints."""
+    packs, products, additions, reductions = ops
+    wide = 2 * packs + products + additions + 2 * reductions
+    return -(-2 * wide // (2 * width + rows + 4))
 
 
 def _apply_rows(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
@@ -386,11 +409,12 @@ class LinearCode:
 
     ``scheme`` is the parameters' :class:`~harmcode.sim.Scheme` entry; the
     kind, the key count, the builders, ``fast_encode`` and the worker
-    function all come from it. ``matrix``, ``vector`` and the residue
-    encoder are built on first use and kept, so an encode-only caller never
-    builds the decode vector and a decode-only caller never builds the
-    matrix, and a bad parameter set still makes a handle and fails at its
-    first encode.
+    function all come from it. ``matrix``, ``vector`` and the wide encoder
+    are built on first use and kept, so an encode-only caller never builds
+    the decode vector, a decode-only caller never builds the matrix, an
+    encode narrower than the handle's threshold (see :func:`_narrow_below`)
+    builds no wide encoder and a wider one no matrix, and a bad parameter
+    set still makes a handle and fails at its first encode.
 
     :meth:`encode_residues` and ``vector.apply_residues`` are the code's
     core; :meth:`encode` and :meth:`decode` check and wrap around them. A
@@ -418,15 +442,28 @@ class LinearCode:
         return self.scheme.build_vector(self.params)
 
     @cached_property
-    def _encoder(self) -> Callable[[Sequence[Sequence[int]], int], list[tuple[int, ...]]]:
-        if self.scheme.fast_encode is None:
-            return self.matrix.apply_residues
-        return self.scheme.fast_encode(self.params)
+    def _threshold(self) -> int:
+        """The m below which an encode applies the matrix narrow: where the
+        scheme's wide encoder makes more weighted packed operations
+        (:func:`_narrow_below`); 0, the matrix's own rule, where there is
+        none or it applies the matrix."""
+        fast = self.scheme.fast_encode
+        ops = None if fast is None else fast[1](self.params)
+        if ops is None:
+            return 0
+        return _narrow_below(ops, self.K + self.num_keys, self.worker_count)
+
+    @cached_property
+    def _wide(self) -> Callable[[Sequence[Sequence[int]], int], list[tuple[int, ...]]]:
+        fast = self.scheme.fast_encode
+        return self.matrix.apply_residues if fast is None else fast[0](self.params)
 
     def encode_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
         """Each share's residues, in worker order, from the residue columns
         X_1..X_K, Z_1..Z_num_keys, each m wide, unchecked."""
-        return self._encoder(cols, m)
+        if m < self._threshold:
+            return _apply_narrow(self.matrix, cols, m, self.field.p)
+        return self._wide(cols, m)
 
     def encode(self, data: Dataset, keys: Sequence[FieldVector]) -> list[FieldVector]:
         cols = _columns(self.field, self.K, self.num_keys, data, keys)

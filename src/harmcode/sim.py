@@ -98,9 +98,12 @@ class Scheme(namedtuple("Scheme", (
     width, only sizes freshman's placeholder matrix); ``from_points``, or
     ``params_type`` when None, builds them from explicit points. The header
     stores the attributes in ``scalars`` as residues, in ``lists`` as lists.
-    ``fast_encode`` is a builder ``params -> encode(cols, m)`` that the
-    handle calls on its first encode, in place of ``matrix.apply_residues``;
-    the residue encoder it builds must give the same shares.
+    ``fast_encode`` is a pair (build, ops) for a scheme with a wide encoder
+    of its own: ``build(params)`` makes the residue encoder
+    ``encode(cols, m)``, which must give the matrix's shares, and
+    ``ops(params)`` counts its packed operations per call, or is None where
+    it applies the matrix; the handle weighs that count against the
+    matrix's narrow kernel (:func:`~harmcode.linear._narrow_below`).
     ``worker_fn(params)``, set only by a scheme that fixes g itself, builds
     that g, used as a PolyMap is: ``eval``, ``_check`` and ``_evaluate``
     (see :class:`~harmcode.baselines.FreshmanMap`).
@@ -125,11 +128,12 @@ SCHEMES = {s.name: s for s in (
            lambda f, K, d, m: harmonic.select_params(f, K, d),
            harmonic.encoding_matrix, harmonic.decode_vector,
            scalars=("c",), lists=("betas",), from_points=harmonic.select_params,
-           fast_encode=harmonic.residue_encoder),
+           fast_encode=(harmonic.residue_encoder, harmonic.chain_ops)),
     Scheme("lcc", baselines.LCCParams,
            lambda f, K, d, m: baselines.lcc_params(f, K, d),
            baselines.lcc_encoding_matrix, baselines.lcc_decode_vector,
-           lists=("alphas", "gammas"), fast_encode=baselines.lcc_residue_encoder),
+           lists=("alphas", "gammas"),
+           fast_encode=(baselines.lcc_residue_encoder, baselines.difference_ops)),
     Scheme("shamir", baselines.ShamirParams,
            lambda f, K, d, m: baselines.shamir_params(f, K, d),
            baselines.shamir_encoding_matrix, baselines.shamir_decode_vector,

@@ -16,6 +16,7 @@ from harmcode.errors import FieldTooSmallError
 from harmcode.field import FieldConfig
 from harmcode.fileio import load_decoded, load_shares, write_outputs
 from harmcode.harmonic import select_params
+from harmcode.linear import LinearCode
 from harmcode.poly import Dataset, PolyMap, direct_gradient_sum
 
 DEMO_GOLDEN = """\
@@ -337,6 +338,25 @@ def test_encode_decode_pipeline(tmp_path, capsys, scheme, p, d):
                  "--outputs", str(outputs_path), "--out", str(out_path)]) == 0
     capsys.readouterr()
     assert load_decoded(out_path, field) == oracle
+
+
+@pytest.mark.parametrize("scheme", ["harmonic", "lcc"])
+@pytest.mark.parametrize("K,d,m", [(8, 3, 512), (8, 2, 128)])  # wide, file-pipeline
+def test_encode_at_wide_workload_shapes_builds_no_matrix(tmp_path, capsys, monkeypatch,
+                                                         scheme, K, d, m):
+    # harmonic's chain and LCC's differences encode these shapes on their own
+    def refuse(handle):
+        raise AssertionError(f"{handle!r} built its matrix")
+
+    monkeypatch.setattr(LinearCode, "matrix", property(refuse))
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps({"K": K, "data": [[k * m + i for i in range(m)]
+                                                      for k in range(K)]}))
+    assert main(["encode", "--scheme", scheme, "--p", "2147483647", "--d", str(d),
+                 "--data", str(data_path), "--out", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    params, shares = load_shares(tmp_path / "s.json")
+    assert len(shares) == params.N and shares[0].dim == m
 
 
 def test_encode_is_byte_deterministic(tmp_path, capsys):

@@ -21,7 +21,7 @@ from harmcode.harmonic import select_params
 from harmcode.linear import (DecodeVector, EncodingMatrix, LinearCode, _apply_narrow,
                              _apply_wide, _layout, _pack, _residues)
 from harmcode.poly import Dataset, direct_gradient_sum, random_dataset, random_poly
-from harmcode.sim import SCHEMES, ClearStorageScheme, make_handle
+from harmcode.sim import SCHEMES, ClearStorageScheme, make_handle, privacy_audit_exhaustive
 from reference_field import FieldElement, element, vector
 
 # scheme -> (params builder, module encode taking the key list, module decode)
@@ -141,11 +141,24 @@ def test_matrix_and_vector_are_built_once_and_only_on_demand():
 
 
 def test_harmonic_handle_encodes_without_the_matrix():
+    # K = 3, d = 2 encodes narrow below m = 5, so m = 5 takes the chain
     handle = make_handle(select_params(FieldConfig(13), 3, 2))
     rng = random.Random(1)
-    data = random_dataset(rng, handle.field, 3, 2)
-    handle.encode(data, [sample_uniform_vector(rng, handle.field, 2)])
+    data = random_dataset(rng, handle.field, 3, 5)
+    handle.encode(data, [sample_uniform_vector(rng, handle.field, 5)])
     assert "matrix" not in vars(handle)
+    assert "_wide" in vars(handle)
+
+
+def test_harmonic_handle_encodes_narrow_without_the_chain():
+    handle = make_handle(select_params(FieldConfig(13), 3, 2))
+    rng = random.Random(1)
+    data = random_dataset(rng, handle.field, 3, 4)
+    z = sample_uniform_vector(rng, handle.field, 4)
+    shares = handle.encode(data, [z])
+    assert "_wide" not in vars(handle)
+    assert "matrix" in vars(handle)
+    assert shares == harmonic.encode(handle.params, data, z)
 
 
 def test_clear_storage_forwards_the_worker_function():
@@ -531,6 +544,102 @@ def test_rule_packs_narrow_up_to_where_the_packings_meet(label, code, top):
     assert rule_is_narrow(code, 512) is False
 
 
+def kernels_built(handle):
+    """Which of the matrix and the wide encoder a handle has built."""
+    return [k for k in ("matrix", "_wide") if k in vars(handle)]
+
+
+def plain_apply(rows, cols, m, p):
+    """Each row's sum_k c * cols[k][i] mod p, one coordinate at a time."""
+    return [tuple(sum(c * col[i] for c, col in zip(row, cols)) % p for i in range(m))
+            for row in rows]
+
+
+# (scheme, K, d, t): a handle at p = 2^31 - 1 encodes through its matrix's
+# narrow kernel below m = t and through its wide encoder from m = t. LCC at
+# K = 16 has no differences (their bound is wider than the dense row's), so
+# its matrix keeps its own rule; at K = 1, d = 1 and K = 2, d = 2 that rule
+# packs narrow up to m = 6 and m = 10, where the differences run from m = 3
+# and m = 5
+THRESHOLDS = [
+    ("harmonic", 16, 2, 7),   # many-inputs, m = 4: narrow
+    ("harmonic", 8, 3, 7),    # wide, m = 512: the chain
+    ("harmonic", 8, 2, 7),    # file-pipeline, m = 128: the chain
+    ("harmonic", 3, 3, 6),
+    ("harmonic", 1, 1, 3),
+    ("lcc", 8, 3, 15),
+    ("lcc", 8, 2, 14),
+    ("lcc", 1, 1, 3),
+    ("lcc", 2, 2, 5),
+    ("lcc", 16, 2, 0),
+]
+
+
+@pytest.mark.parametrize("scheme,K,d,t", THRESHOLDS)
+def test_handles_encode_narrow_below_their_threshold(scheme, K, d, t):
+    params = MODULE[scheme][0](F_TOP, K, d)
+    assert make_handle(params)._threshold == t
+    rng = random.Random(f"threshold-{scheme}-{K}-{d}")
+    for m, kernel in ((t - 1, "matrix"), (t, "_wide")):
+        if m < 1:
+            continue
+        handle = make_handle(params)
+        cols = [tuple(rng.randrange(TOP) for _ in range(m)) for _ in range(K + 1)]
+        shares = handle.encode_residues(cols, m)
+        assert kernels_built(handle) == [kernel], m
+        assert shares == plain_apply(handle.matrix.rows, cols, m, TOP)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101, 2**30 + 3, 2**31 - 1])
+def test_handles_match_the_matrix_across_their_threshold(p):
+    # random, all-(p-1) and all-zero columns at m = 1 and on both sides of
+    # each handle's threshold t
+    field = FieldConfig(p)
+    for scheme, K, d in itertools.product(("harmonic", "lcc"), range(1, 17), (1, 2, 3)):
+        try:
+            params = MODULE[scheme][0](field, K, d)
+        except FieldTooSmallError:
+            continue
+        handle = make_handle(params)
+        t = handle._threshold
+        rng = random.Random(f"across-{p}-{scheme}-{K}-{d}")
+        for m in sorted({1, t - 1, t, t + 1} - {-1, 0}):
+            for cols in ([tuple(rng.randrange(p) for _ in range(m)) for _ in range(K + 1)],
+                         [(p - 1,) * m] * (K + 1), [(0,) * m] * (K + 1)):
+                want = handle.matrix.apply_residues(cols, m)
+                assert handle.encode_residues(cols, m) == want, (scheme, K, d, m)
+                assert want == plain_apply(handle.matrix.rows, cols, m, p)
+
+
+@pytest.mark.parametrize("K,d,m,kernel", [
+    (16, 2, 4, "matrix"),   # many-inputs: the matrix packs narrow below m = 7
+    (8, 3, 512, "_wide"),   # wide
+    (8, 2, 128, "_wide"),   # file-pipeline
+])
+def test_harmonic_workload_shapes_take_their_paths(K, d, m, kernel):
+    p = 2**31 - 1
+    handle = make_handle(select_params(FieldConfig(p), K, d))
+    cols = [(p - 1,) * m] * (K + 1)
+    shares = handle.encode_residues(cols, m)
+    assert kernels_built(handle) == [kernel]
+    assert shares == harmonic.encoding_matrix(handle.params).apply_residues(cols, m)
+
+
+@pytest.mark.parametrize("p", [11, 5])
+def test_harmonic_audit_tiny_calls_take_the_chain(p):
+    # audit-tiny's harmonic instance (p = 11) and its leaky mutant (p = 5)
+    # encode every value of X_1 in one call, 1,331 and 125 coordinates wide
+    for handle in (make_handle(select_params(FieldConfig(p), 2, 2)),
+                   ClearStorageScheme(make_handle(select_params(FieldConfig(p), 2, 2)), 1)):
+        widths = []
+        encode_residues = handle.encode_residues
+        handle.encode_residues = lambda cols, m: widths.append(m) or encode_residues(cols, m)
+        report = privacy_audit_exhaustive(handle, m=1)
+        assert report.conditional_equal_per_worker[0] is True
+        assert widths == [p**3]
+        assert kernels_built(handle) == ["_wide"]
+
+
 def layouts_made(apply):
     """What ``apply()`` returns, and the (slot count, layout) of every
     layout it builds."""
@@ -732,17 +841,17 @@ def test_eight_byte_slots_are_one_count_code(p):
 
 
 def test_workload_maps_keep_their_layouts_at_top():
-    # at p = 2^31 - 1 the general residues of harmonic's chain and LCC's
-    # matrix need 13-byte slots, Q and five pad bytes, and Shamir's heaviest
-    # row fits 8, one count code; LCC's differences, where they run, need
-    # 12 bytes at `wide` and 11 at `file-pipeline`; the decode vectors, at
-    # n <= 4 outputs, pack narrow on no layout
+    # at p = 2^31 - 1 the general residues of harmonic's chain and matrix
+    # and LCC's matrix need 13-byte slots, Q and five pad bytes, and
+    # Shamir's heaviest row fits 8, one count code; LCC's differences, where
+    # they run, need 12 bytes at `wide` and 11 at `file-pipeline`; the decode
+    # vectors, at n <= 4 outputs, pack narrow on no layout
     def padded(size):
         return "Q" + "x" * (size - 8)
 
     layouts_of = {  # (K, d, m, n) -> (slots, slot bytes) of harmonic, LCC and Shamir
         (8, 3, 512, 4): ((512, 13), (512, 12), (512, 8)),   # wide
-        (16, 2, 4, 2): ((4, 13), (33, 13), (48, 8)),        # many-inputs: LCC, Shamir narrow
+        (16, 2, 4, 2): ((18, 13), (33, 13), (48, 8)),       # many-inputs: all three narrow
         (8, 2, 128, 4): ((128, 13), (128, 11), (128, 8)),   # file-pipeline
     }
     for (K, d, m, n), layouts in layouts_of.items():
