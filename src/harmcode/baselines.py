@@ -16,14 +16,13 @@ has PolyMap's ``eval`` and checks the data width there.
   K inputs plus one key at fixed anchors; workers evaluate it elsewhere,
   and the composed degree-Kd polynomial is interpolated back. Kd+1
   workers, one key. :func:`lcc_residue_encoder` tabulates the shares by
-  differences, with additions only, at the default anchors 0..K and
-  evaluation points K+1..K+N when the differences' slot bound
-  (:func:`_difference_bound`, from p, K and N) is at most (K+1)(p-1)^2,
-  the dense matrix row's; at any other points or shape it applies the
-  encoding matrix. Its handle takes the differences from the m where
-  their packed operations (:func:`difference_ops`) weigh less than the
-  matrix's narrow kernel (m = 15 at K = 8, d = 3) and applies the matrix
-  narrow below. The module :func:`lcc_encode` always applies the matrix.
+  differences, with additions only. :func:`difference_ops` alone says
+  where they run: at the default anchors 0..K and evaluation points
+  K+1..K+N, when their slot bound (:func:`_difference_bound`, from p, K
+  and N) is at most (K+1)(p-1)^2, the dense matrix row's. There the handle
+  takes them from the m where their packed operations weigh less than the
+  matrix's narrow kernel (m = 15 at K = 8, d = 3); everywhere else it
+  applies the matrix, as :func:`lcc_encode` always does.
 * Freshman scheme: for the special family g(X) = A (X_1^d, ..., X_m^d)^T
   with d equal to the field characteristic, two workers suffice because
   coordinatewise (a+b)^p = a^p + b^p makes g additive; as a function on
@@ -236,9 +235,9 @@ def difference_ops(params: LCCParams) -> tuple[int, int, int, int] | None:
     """The packed operations of one call of the differences, as (packs,
     products, additions, reductions): K+1 column packs, no product, K(K+1)
     additions for the K(K+1)/2 subtractions and their offsets, NK for the
-    shares, and N reductions; None where :func:`lcc_residue_encoder` applies
-    the matrix. A handle weighs them against its matrix's narrow kernel
-    (:func:`~harmcode.linear._narrow_below`)."""
+    shares, and N reductions; None where the differences do not run, and a
+    handle then applies its matrix. A handle weighs them against its
+    matrix's narrow kernel (:func:`~harmcode.linear._narrow_below`)."""
     if _difference_top(params) is None:
         return None
     K, N = params.K, params.N
@@ -246,29 +245,27 @@ def difference_ops(params: LCCParams) -> tuple[int, int, int, int] | None:
 
 
 def lcc_residue_encoder(params: LCCParams) -> Callable[..., list[tuple[int, ...]]]:
-    """LCC's encoder on residues, as ``encode(cols, m)`` like
+    """LCC's encoder by differences on residues, as ``encode(cols, m)`` like
     ``EncodingMatrix.apply_residues``: each share's residues from the
-    unchecked residue columns X_1..X_K, Z, each m wide.
+    unchecked residue columns X_1..X_K, Z, each m wide, for params where
+    :func:`difference_ops` is not None.
 
-    At :func:`lcc_params`' consecutive layout, anchors 0..K and evaluation
-    points K+1..K+N, share w is u(K+w) for the degree-<=K polynomial with
-    u(0..K) = X_1..X_K, Z, and it is tabulated by differences (Knuth,
-    TAOCP vol. 2, 4.6.4) on packed ints, with no products: the backward
-    differences of u at K from K(K+1)/2 subtractions, each adding
-    2^(j-1) p to every slot of level j so that level j lies in [0, 2^j p),
-    then K additions per share, and one :func:`~harmcode.linear._residues`
-    call. The slots are sized by :func:`_difference_bound`, once per
-    parameter set. The differences give the matrix's shares at every m; a
-    handle takes them only from the m where :func:`difference_ops` weighs
-    less than the matrix's narrow kernel.
-
-    Where :func:`_difference_top` is None the encoder is
-    :func:`lcc_encoding_matrix`'s ``apply_residues``.
+    There, at :func:`lcc_params`' consecutive layout, share w is u(K+w) for
+    the degree-<=K polynomial with u(0..K) = X_1..X_K, Z, and it is
+    tabulated by differences (Knuth, TAOCP vol. 2, 4.6.4) on packed ints,
+    with no products: the backward differences of u at K from K(K+1)/2
+    subtractions, each adding 2^(j-1) p to every slot of level j so that
+    level j lies in [0, 2^j p), then K additions per share, and one
+    :func:`~harmcode.linear._residues` call. The slots are sized by
+    :func:`_difference_bound`, once per parameter set. The differences give
+    the matrix's shares at every m; a handle takes them only from the m
+    where :func:`difference_ops` weighs less than the matrix's narrow
+    kernel. ValueError at any other params.
     """
     p, K, N = params.field.p, params.K, params.N
     top = _difference_top(params)
     if top is None:
-        return lcc_encoding_matrix(params).apply_residues
+        raise ValueError(f"LCC's differences do not run at {params!r}")
 
     def encode(cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
         layout = _layout(m, p, top)

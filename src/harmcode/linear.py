@@ -24,23 +24,42 @@ objects. A caller that has checked its inputs itself, as
 :func:`harmcode.sim.run_trial` does, calls the core directly and wraps
 nothing per share.
 
-Every map is applied by one kernel, :func:`_apply_rows`: rows of int
-coefficients over columns of residues, in one of two packings, whichever
-makes fewer packed operations. A map with N rows, ``width`` = len(columns)
-columns read and ``nnz`` nonzero coefficients, all kept on the map when it
-is built, applied m coordinates wide, packs
+Every map has two kernels, each a packing of rows of int coefficients over
+columns of residues. A map of N rows, ``width`` columns read and nnz
+nonzero coefficients, applied m coordinates wide, packs
 
 - *wide*: each column it reads, once per call, into one Python int with a
-  slot per coordinate; each row sums c * packed over its terms in C,
-  starting from its first product, and a coefficient of 1 adds its packed
-  column with no multiply: width packs, a product of m slots per
-  coefficient other than 1 and N row reductions in all. The rule below
-  counts every one of the nnz terms as a product, a pack weighing
-  _PACK = 4 of them;
-- *narrow*, when ``m * width < nnz + N + 4 * width``: each coefficient
-  column, once per map and kept in its ``narrow``, into one int with a slot
-  per row; each coordinate i sums cols[k][i] * packed_k over the columns in
-  C, m * width products in all.
+  slot per coordinate; each row sums c * packed over its terms in C from
+  its first product, a coefficient of 1 adding its packed column with no
+  multiply: width packs, at most nnz products of m slots and N reductions;
+- *narrow*: each coefficient column, once per map and kept in its
+  ``narrow``, into one int with a slot per row; each coordinate i sums
+  cols[k][i] * packed_k over the columns in C: m * width products.
+
+One threshold, worked out once, picks the narrow kernel below it and the
+wide one from it on. A map's own, its ``narrow_below``, is set when it is
+built: the least m with m * width >= nnz + N + 4 * width, a pack weighing 4
+products, or 0 for a map of no terms. :func:`_apply_rows` compares with it,
+so a decode vector, the one-row case with its N worker outputs as columns,
+packs narrow at n <= 5 outputs and wide above. The measured crossovers put
+a pack at about 0.5 products for Shamir's sparse 48 x 32 matrix, 3 for
+harmonic's 18 x 9 one, 4 for Shamir's 32 x 16 one and 7 or more for LCC's
+dense 25 x 9 one and for one-row maps of 10 to 48 weights; at 4, every map
+on the benchmark's workloads takes its faster kernel.
+
+A handle's threshold is its matrix's ``narrow_below``, except where the
+scheme has a wide encoder of its own, its ``fast_encode``: harmonic's chain
+(:func:`harmcode.harmonic.residue_encoder`), and LCC's differences
+(:func:`harmcode.baselines.lcc_residue_encoder`) where
+:func:`harmcode.baselines.difference_ops` says they run. Each states its
+packed operations per call, (packs, products, additions, reductions), and
+:func:`_narrow_below` weighs them against the matrix's narrow kernel: a
+pack or a reduction weighs 2, a product or an addition 1, and the narrow
+kernel m * (width + N/2 + 2), since each of its products works on an N-slot
+int. Harmonic's chain runs from m = 7 at K = 16, d = 2 and at K = 8, d = 2
+or 3, and LCC's differences from m = 15 at K = 8, d = 3 and m = 14 at
+K = 8, d = 2; of the benchmark's encodes that have a wide encoder, only
+`many-inputs` harmonic (m = 4) goes narrow.
 
 One call of :func:`_residues` then reduces every packed sum with a
 slot-wise Barrett step and one conditional subtraction of p over all of its
@@ -58,31 +77,7 @@ theta_r <= d+1, so at p = 2^31-1 and d = 3 its slots take 8 bytes, where
 the general residues of harmonic's and LCC's maps take 13. At the small
 primes of an exhaustive audit every slot takes 1, 2 or 4 bytes: harmonic's
 chain takes 2 at p <= 11 and 4 at p = 13 to 101, and LCC's and Shamir's
-matrices take 1 at p <= 5. The decode vector is the one-row case, with its N
-worker outputs as columns: it packs narrow while m * N < 5N + 1, so at
-n <= 5 outputs, and wide above. The measured crossovers put a pack at
-about 0.5 products for Shamir's sparse 48 x 32 matrix, 3 for harmonic's
-18 x 9 one, 4 for Shamir's 32 x 16 one and 7 or more for LCC's dense 25 x 9
-one and for one-row maps of 10 to 48 weights; at 4, every map on the
-benchmark's workloads takes its faster kernel.
-
-Two schemes have a wide encoder of their own, each its ``fast_encode``:
-harmonic's chain (:func:`harmcode.harmonic.residue_encoder`) and LCC's
-differences over its consecutive points
-(:func:`harmcode.baselines.lcc_residue_encoder`, where their slots are no
-wider than the matrix's). Each states its packed operations per call,
-(packs, products, additions, reductions), and :func:`_narrow_below` weighs
-them against the matrix's narrow kernel: a pack or a reduction weighs 2, a
-product or an addition 1, and the narrow kernel m * (width + N/2 + 2),
-since each of its products works on an N-slot int. The handle works that
-threshold out once, from K, d and N, and applies the matrix narrow below
-it and the wide encoder from it on, one comparison per encode: harmonic's
-chain from m = 7 at K = 16, d = 2 and at K = 8, d = 2 or 3, and LCC's
-differences from m = 15 at K = 8, d = 3 and m = 14 at K = 8, d = 2. Of the
-benchmark's encodes that have a wide encoder, only `many-inputs` harmonic
-(m = 4) goes narrow. A scheme without one -- Shamir, freshman, and LCC
-where its differences do not run, as at K = 16 -- applies its matrix, whose
-two kernels :func:`_packs_narrow` chooses between.
+matrices take 1 at p <= 5.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -94,7 +89,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Callable, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import mul
 
 from .errors import (
@@ -161,19 +156,6 @@ def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...
     return out
 
 
-# A per-call column pack (a Struct pack and an int.from_bytes) costs about
-# as much as this many slot products at the sizes where the kernels meet.
-_PACK = 4
-
-
-def _packs_narrow(m: int, rows: int, width: int, nnz: int) -> bool:
-    """Whether a map of ``rows`` rows reading ``width`` columns through
-    ``nnz`` nonzero coefficients packs narrow m wide:
-    ``m * width < nnz + rows + _PACK * width``, fewer packed operations, a
-    pack weighing _PACK products. A map of no terms never does."""
-    return nnz > 0 and m * width < nnz + rows + _PACK * width
-
-
 def _narrow_below(ops: tuple[int, int, int, int], width: int, rows: int) -> int:
     """The least m at which a wide encoder of ``ops`` = (packs, products,
     additions, reductions) per call weighs no more than the narrow kernel of
@@ -188,8 +170,8 @@ def _narrow_below(ops: tuple[int, int, int, int], width: int, rows: int) -> int:
 
 def _apply_rows(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[tuple[int, ...]]:
     """sum_k c * cols[k] mod p for each row's ``terms`` of the map, m wide,
-    packed narrow when :func:`_packs_narrow` says so and wide otherwise."""
-    if _packs_narrow(m, len(lmap.rows), len(lmap.columns), lmap.nnz):
+    packed narrow below the map's ``narrow_below`` and wide from it on."""
+    if m < lmap.narrow_below:
         return _apply_narrow(lmap, cols, m, p)
     return _apply_wide(lmap, cols, m, p)
 
@@ -214,7 +196,7 @@ def _apply_narrow(lmap, cols: Sequence[Sequence[int]], m: int, p: int) -> list[t
     of c is c itself and a one-slot reduction is % p, so it packs and
     unpacks nothing, and its first apply, the only one a ``harmcode decode``
     makes, costs what its later ones do. A map that reads no column would
-    get no coordinates here; the rule never sends one (nnz = 0)."""
+    get no coordinates here; its ``narrow_below`` is 0, so it never comes."""
     rows, columns = lmap.rows, lmap.columns
     if lmap.narrow is None:
         if len(rows) == 1:
@@ -295,19 +277,21 @@ class LinearMap:
     """Rows of residues over ``field`` and what the kernels read of them:
     per row, its (column, coefficient) nonzero ``terms``; the ``columns``
     read, ascending; ``heaviest``, the largest sum of one row's
-    coefficients, which times p-1 bounds a slot; ``nnz``, the nonzero
-    count; and ``narrow``, None until the first narrow apply fills in the
+    coefficients, which times p-1 bounds a slot; ``narrow_below``, the
+    least m with m * width >= nnz + rows + 4 * width, or 0 with no terms;
+    and ``narrow``, None until the first narrow apply fills in the
     row-packed layout (None for one row) and coefficient columns."""
 
-    __slots__ = ("field", "rows", "terms", "columns", "heaviest", "nnz", "narrow")
+    __slots__ = ("field", "rows", "terms", "columns", "heaviest", "narrow_below", "narrow")
 
     def __init__(self, field: FieldConfig, rows: Sequence[Sequence[int]]):
         self.field = field
         self.rows = rows = tuple(field.residues(row) for row in rows)
         self.terms = terms = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
-        self.columns = tuple(sorted({k for row in terms for k, _ in row}))
+        self.columns = columns = tuple(sorted({k for row in terms for k, _ in row}))
         self.heaviest = max(map(sum, rows), default=0)
-        self.nnz = sum(map(len, terms))
+        nnz, width = sum(map(len, terms)), len(columns)
+        self.narrow_below = -(-(nnz + len(rows) + 4 * width) // width) if nnz else 0
         self.narrow = None
 
     def apply_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
@@ -409,12 +393,15 @@ class LinearCode:
 
     ``scheme`` is the parameters' :class:`~harmcode.sim.Scheme` entry; the
     kind, the key count, the builders, ``fast_encode`` and the worker
-    function all come from it. ``matrix``, ``vector`` and the wide encoder
-    are built on first use and kept, so an encode-only caller never builds
-    the decode vector, a decode-only caller never builds the matrix, an
-    encode narrower than the handle's threshold (see :func:`_narrow_below`)
-    builds no wide encoder and a wider one no matrix, and a bad parameter
-    set still makes a handle and fails at its first encode.
+    function all come from it. An encode applies the matrix narrow below
+    one threshold and ``_wide`` from it on: the scheme's own wide encoder
+    past :func:`_narrow_below` of its count where it runs, else the matrix's
+    wide kernel past its ``narrow_below``. ``matrix``, ``vector`` and
+    ``_wide`` are built on first use and kept, so an encode-only caller never
+    builds the decode vector, a decode-only caller never builds the matrix,
+    an encode below the threshold builds no wide encoder, one that takes
+    the scheme's own builds no matrix, and a bad parameter set still makes
+    a handle and fails at its first encode.
 
     :meth:`encode_residues` and ``vector.apply_residues`` are the code's
     core; :meth:`encode` and :meth:`decode` check and wrap around them. A
@@ -442,21 +429,26 @@ class LinearCode:
         return self.scheme.build_vector(self.params)
 
     @cached_property
+    def _ops(self) -> tuple[int, int, int, int] | None:
+        """The packed operations per call of the scheme's own wide encoder,
+        or None where it has none or that encoder does not run."""
+        fast = self.scheme.fast_encode
+        return None if fast is None else fast[1](self.params)
+
+    @cached_property
     def _threshold(self) -> int:
         """The m below which an encode applies the matrix narrow: where the
-        scheme's wide encoder makes more weighted packed operations
-        (:func:`_narrow_below`); 0, the matrix's own rule, where there is
-        none or it applies the matrix."""
-        fast = self.scheme.fast_encode
-        ops = None if fast is None else fast[1](self.params)
-        if ops is None:
-            return 0
-        return _narrow_below(ops, self.K + self.num_keys, self.worker_count)
+        scheme's own wide encoder makes more weighted packed operations
+        (:func:`_narrow_below`), else the matrix's ``narrow_below``."""
+        if self._ops is None:
+            return self.matrix.narrow_below
+        return _narrow_below(self._ops, self.K + self.num_keys, self.worker_count)
 
     @cached_property
     def _wide(self) -> Callable[[Sequence[Sequence[int]], int], list[tuple[int, ...]]]:
-        fast = self.scheme.fast_encode
-        return self.matrix.apply_residues if fast is None else fast[0](self.params)
+        if self._ops is None:
+            return partial(_apply_wide, self.matrix, p=self.field.p)
+        return self.scheme.fast_encode[0](self.params)
 
     def encode_residues(self, cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
         """Each share's residues, in worker order, from the residue columns

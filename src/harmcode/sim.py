@@ -99,11 +99,12 @@ class Scheme(namedtuple("Scheme", (
     ``params_type`` when None, builds them from explicit points. The header
     stores the attributes in ``scalars`` as residues, in ``lists`` as lists.
     ``fast_encode`` is a pair (build, ops) for a scheme with a wide encoder
-    of its own: ``build(params)`` makes the residue encoder
-    ``encode(cols, m)``, which must give the matrix's shares, and
-    ``ops(params)`` counts its packed operations per call, or is None where
-    it applies the matrix; the handle weighs that count against the
-    matrix's narrow kernel (:func:`~harmcode.linear._narrow_below`).
+    of its own: ``ops(params)`` counts its packed operations per call, or
+    is None where it does not run, and where it runs ``build(params)``
+    makes it, ``encode(cols, m)``, which must give the matrix's shares. The
+    handle weighs that count against the matrix's narrow kernel
+    (:func:`~harmcode.linear._narrow_below`); with no count it applies the
+    matrix, by the matrix's own ``narrow_below``.
     ``worker_fn(params)``, set only by a scheme that fixes g itself, builds
     that g, used as a PolyMap is: ``eval``, ``_check`` and ``_evaluate``
     (see :class:`~harmcode.baselines.FreshmanMap`).

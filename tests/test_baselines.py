@@ -5,7 +5,6 @@ import math
 import random
 import re
 from collections import Counter
-from unittest import mock
 
 import pytest
 
@@ -21,6 +20,7 @@ from harmcode.baselines import (
     FreshmanParams,
     LCCParams,
     ShamirParams,
+    difference_ops,
     lcc_decode,
     lcc_decode_vector,
     lcc_encode,
@@ -294,31 +294,34 @@ DIFFERENCE_PRIMES = (5, 7, 11, 13, 101, 2**30 + 3, 2**31 - 1)
 
 
 def encoder_path(params, cols, m):
-    """The encoder's shares and the path it took: "matrix" when it built
+    """A fresh handle's shares and the path it took: "matrix" when it built
     LCC's encoding matrix, "differences" when it did not."""
-    built = []
-    build = baselines.lcc_encoding_matrix
-    with mock.patch.object(baselines, "lcc_encoding_matrix",
-                           lambda params: built.append(1) or build(params)):
-        shares = lcc_residue_encoder(params)(cols, m)
-    return shares, "matrix" if built else "differences"
+    handle = make_handle(params)
+    shares = handle.encode_residues(cols, m)
+    return shares, "matrix" if "matrix" in vars(handle) else "differences"
 
 
 @pytest.mark.parametrize("p", DIFFERENCE_PRIMES)
 def test_lcc_differences_give_the_matrix_shares(p):
-    # random, all-(p-1) and all-zero columns at every m, on both paths
+    # random, all-(p-1) and all-zero columns at every m: the differences
+    # wherever difference_ops says they run, and the handle everywhere
     field = FieldConfig(p)
     for K, d in itertools.product((1, 2, 3, 5, 8, 16), (1, 2, 3)):
         try:
             params = lcc_params(field, K, d)
         except FieldTooSmallError:
             continue
-        encode, matrix = lcc_residue_encoder(params), lcc_encoding_matrix(params)
+        matrix, handle = lcc_encoding_matrix(params), make_handle(params)
+        encoders = [handle.encode_residues]
+        if difference_ops(params) is not None:
+            encoders.append(lcc_residue_encoder(params))
         rng = random.Random(f"lcc-differences-{p}-{K}-{d}")
         for m in (1, 4, 31, 32, 33, 128, 512):
             for cols in ([tuple(rng.randrange(p) for _ in range(m)) for _ in range(K + 1)],
                          [(p - 1,) * m] * (K + 1), [(0,) * m] * (K + 1)):
-                assert encode(cols, m) == matrix.apply_residues(cols, m), (K, d, m)
+                want = matrix.apply_residues(cols, m)
+                for encode in encoders:
+                    assert encode(cols, m) == want, (K, d, m)
 
 
 @pytest.mark.parametrize("p,K,d", [(13, 1, 1), (13, 1, 3), (13, 2, 1), (31, 2, 2)])
@@ -344,7 +347,9 @@ def test_lcc_difference_bound_is_newtons_backward_sum(p):
 
 def test_lcc_differences_fall_back_to_the_matrix_elsewhere():
     # the short-field layout, and explicit points that are not anchors 0..K
-    # with evaluations K+1..K+N: shifted either way, or out of order
+    # with evaluations K+1..K+N: shifted either way, or out of order. There
+    # the differences do not run, their encoder refuses to be built, and the
+    # handle applies its matrix
     field = FieldConfig(2**31 - 1)
     cases = [lcc_params(FieldConfig(7), 2, 2)]
     for gammas in (range(4, 11), range(2, 9), [3, 4, 5, 6, 7, 9, 8]):
@@ -352,6 +357,9 @@ def test_lcc_differences_fall_back_to_the_matrix_elsewhere():
     cases.append(LCCParams(field, 2, 3, [1, 0, 2], range(3, 10)))
     rng = random.Random("lcc-fallback")
     for params in cases:
+        assert difference_ops(params) is None, params
+        with pytest.raises(ValueError, match="differences do not run"):
+            lcc_residue_encoder(params)
         p, m = params.field.p, 64
         cols = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(params.K + 1)]
         shares, path = encoder_path(params, cols, m)
@@ -371,7 +379,7 @@ def test_lcc_workload_shapes_take_their_paths(p, K, d, m, path):
     cols = [(p - 1,) * m] * (K + 1)
     shares, took = encoder_path(params, cols, m)
     assert took == path
-    assert make_handle(params).encode_residues(cols, m) == shares
+    assert shares == lcc_encoding_matrix(params).apply_residues(cols, m)
 
 
 # ---------------------------------------------------------------------------

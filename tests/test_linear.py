@@ -498,7 +498,7 @@ def test_wide_rows_add_unit_terms_unmultiplied(p):
                 if label == "lone-ones":
                     assert want == [c.values() for c in columns] + [(0,) * m]
                 if label == "zero-weights":
-                    assert lmap.nnz == 0
+                    assert lmap.narrow_below == 0
                     assert DecodeVector(field, rows[0]).apply(columns) == field.zero_vector(m)
 
 
@@ -550,11 +550,13 @@ def kernels_built(handle):
 
 
 # (scheme, K, d, t): a handle at p = 2^31 - 1 encodes through its matrix's
-# narrow kernel below m = t and through its wide encoder from m = t. LCC at
-# K = 16 has no differences (their bound is wider than the dense row's), so
-# its matrix keeps its own rule; at K = 1, d = 1 and K = 2, d = 2 that rule
-# packs narrow up to m = 6 and m = 10, where the differences run from m = 3
-# and m = 5
+# narrow kernel below m = t and through its wide encoder from m = t.
+# Harmonic's chain and LCC's differences weigh their packed operations
+# against the narrow matrix; at K = 1, d = 1 and K = 2, d = 2 LCC's matrix
+# alone would pack narrow up to m = 6 and m = 10, where the differences run
+# from m = 3 and m = 5. Shamir, freshman and LCC at K = 16, whose
+# differences do not run (their bound is wider than the dense row's), take
+# the matrix's narrow_below and apply it wide from there (RULE_SHAPES)
 THRESHOLDS = [
     ("harmonic", 16, 2, 7),   # many-inputs, m = 4: narrow
     ("harmonic", 8, 3, 7),    # wide, m = 512: the chain
@@ -565,22 +567,27 @@ THRESHOLDS = [
     ("lcc", 8, 2, 14),
     ("lcc", 1, 1, 3),
     ("lcc", 2, 2, 5),
-    ("lcc", 16, 2, 0),
+    ("lcc", 16, 2, 39),       # 33 x 17, 561 nonzeros
+    ("shamir", 8, 3, 10),     # 32 x 16, 64 nonzeros
+    ("shamir", 16, 2, 9),     # 48 x 32, 96 nonzeros
+    ("freshman", 3, TOP, 6),  # 2 x 4, 5 nonzeros
 ]
 
 
 @pytest.mark.parametrize("scheme,K,d,t", THRESHOLDS)
 def test_handles_encode_narrow_below_their_threshold(scheme, K, d, t):
-    params = MODULE[scheme][0](F_TOP, K, d)
+    params = SCHEMES[scheme].params(F_TOP, K, d)
     assert make_handle(params)._threshold == t
+    # the scheme's own wide encoder builds no matrix; the matrix's wide
+    # kernel needs it
+    wide = ["_wide"] if make_handle(params)._ops else ["matrix", "_wide"]
     rng = random.Random(f"threshold-{scheme}-{K}-{d}")
-    for m, kernel in ((t - 1, "matrix"), (t, "_wide")):
-        if m < 1:
-            continue
+    for m, kernels in ((t - 1, ["matrix"]), (t, wide)):
         handle = make_handle(params)
-        cols = [tuple(rng.randrange(TOP) for _ in range(m)) for _ in range(K + 1)]
+        cols = [tuple(rng.randrange(TOP) for _ in range(m))
+                for _ in range(K + handle.num_keys)]
         shares = handle.encode_residues(cols, m)
-        assert kernels_built(handle) == [kernel], m
+        assert kernels_built(handle) == kernels, m
         want = reference_apply(F_TOP, handle.matrix.rows, [F_TOP.vector(col) for col in cols])
         assert shares == [s.values() for s in want]
 
@@ -689,6 +696,40 @@ def test_no_slot_is_wider_than_the_densest_rows_bound():
         assert made, label
         for slots, layout in made:
             assert layout[-1].size <= _layout(slots, p, most * (p - 1) ** 2)[-1].size, label
+
+
+def least_wide_m(rows):
+    """The least m at which m * width < nnz + rows + 4 * width fails, width
+    the columns some row reads and nnz the nonzero coefficients; 0 for rows
+    with no nonzero coefficient."""
+    nonzero = [(k, c) for row in rows for k, c in enumerate(row) if c]
+    nnz, width = len(nonzero), len({k for k, _ in nonzero})
+    if not nnz:
+        return 0
+    m = 1
+    while m * width < nnz + len(rows) + 4 * width:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("p", [2, 13, 101, TOP])
+def test_each_map_keeps_the_one_rule_and_dispatches_by_it(p):
+    # every map of grid_maps, RULE_SHAPES and the workloads' maps: the
+    # threshold a map keeps from when it is built is the inequality's, and
+    # _apply_rows turns from narrow to wide between t - 1 and t; maps of no
+    # terms keep 0 and pack wide at every m
+    field = FieldConfig(p)
+    maps = [lmap for _, lmap in grid_maps(random.Random(f"one-rule-{p}"), p)]
+    if p == TOP:
+        maps += [code for _, code, _ in RULE_SHAPES + list(workload_codes())]
+    for lmap in maps:
+        t = least_wide_m(lmap.rows)
+        assert lmap.narrow_below == t > 1, lmap.rows
+        assert (rule_is_narrow(lmap, t - 1), rule_is_narrow(lmap, t)) == (True, False)
+    for empty in (EncodingMatrix(field, 2, []), DecodeVector(field, [0, 0, 0]),
+                  linear.LinearMap(field, [[0] * 5] * 3)):
+        assert least_wide_m(empty.rows) == empty.narrow_below == 0
+        assert not rule_is_narrow(empty, 1)
 
 
 @pytest.mark.parametrize("N", [18, 25, 32, 48])

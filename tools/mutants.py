@@ -28,6 +28,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Mutant = namedtuple("Mutant", ("name", "path", "old", "new", "tests"))
 
 _THRESHOLDS = "tests/test_linear.py::test_handles_encode_narrow_below_their_threshold"
+_ONE_RULE = "tests/test_linear.py::test_each_map_keeps_the_one_rule_and_dispatches_by_it"
+_KERNELS = "tests/test_linear.py::test_both_kernels_agree_on_every_shape"
+_LAYOUTS = "tests/test_linear.py::test_layout_bounds_every_slot"
+_CHAIN = "tests/test_linear.py::test_packed_chain_encoder_matches_the_matrix_and_the_reference"
+_UNIT_ROWS = "tests/test_linear.py::test_wide_rows_add_unit_terms_unmultiplied"
+_EQUALITY = "tests/test_linear.py::test_maps_are_equal_by_kind_field_rows_and_key_split"
+_STREAM = "tests/test_field.py::test_sampling_draws_the_randrange_stream"
+_AUDIT = "tests/test_sim.py::test_batched_audit_matches_per_state_reference"
 
 MUTANTS = [
     # the handle's kernel choice: one weighted count per wide encoder,
@@ -85,6 +93,81 @@ MUTANTS = [
     Mutant("difference count: reductions dropped", "src/harmcode/baselines.py",
            "return K + 1, 0, K * (K + 1) + N * K, N",
            "return K + 1, 0, K * (K + 1) + N * K, 0", (_THRESHOLDS,)),
+    Mutant("handle: the matrix's threshold one higher", "src/harmcode/linear.py",
+           "return self.matrix.narrow_below", "return self.matrix.narrow_below + 1",
+           (_THRESHOLDS,)),
+    # a map's own threshold, the least m with m * width >= nnz + rows +
+    # 4 * width, kept when it is built, and the one comparison with it
+    Mutant("narrow_below: nnz dropped", "src/harmcode/linear.py",
+           "-(-(nnz + len(rows) + 4 * width) // width)",
+           "-(-(len(rows) + 4 * width) // width)", (_ONE_RULE,)),
+    Mutant("narrow_below: rows dropped", "src/harmcode/linear.py",
+           "-(-(nnz + len(rows) + 4 * width) // width)",
+           "-(-(nnz + 4 * width) // width)", (_ONE_RULE,)),
+    Mutant("narrow_below: the packs' 4 * width dropped", "src/harmcode/linear.py",
+           "-(-(nnz + len(rows) + 4 * width) // width)",
+           "-(-(nnz + len(rows)) // width)", (_ONE_RULE,)),
+    Mutant("narrow_below: a map of no terms at 1", "src/harmcode/linear.py",
+           "// width) if nnz else 0", "// width) if nnz else 1", (_ONE_RULE,)),
+    Mutant("_apply_rows: narrow at the threshold too", "src/harmcode/linear.py",
+           "if m < lmap.narrow_below:", "if m <= lmap.narrow_below:", (_ONE_RULE,)),
+    # slot sizes: each kernel's bound, the heaviest row, the layout itself
+    # and the chain's bound
+    Mutant("wide kernel: the slot bound halved", "src/harmcode/linear.py",
+           "_layout(m, p, lmap.heaviest * (p - 1))",
+           "_layout(m, p, lmap.heaviest * (p - 1) // 2)", (_KERNELS,)),
+    Mutant("wide kernel: the (p - 1) factor dropped", "src/harmcode/linear.py",
+           "_layout(m, p, lmap.heaviest * (p - 1))", "_layout(m, p, lmap.heaviest)",
+           (_KERNELS,)),
+    Mutant("narrow kernel: the (p - 1) factor dropped", "src/harmcode/linear.py",
+           "_layout(len(rows), p, lmap.heaviest * (p - 1))", "_layout(len(rows), p, lmap.heaviest)",
+           (_KERNELS,)),
+    Mutant("heaviest: the largest coefficient", "src/harmcode/linear.py",
+           "self.heaviest = max(map(sum, rows), default=0)",
+           "self.heaviest = max(map(max, rows), default=0)", (_KERNELS,)),
+    Mutant("heaviest: the first row's sum", "src/harmcode/linear.py",
+           "self.heaviest = max(map(sum, rows), default=0)",
+           "self.heaviest = sum(rows[0]) if rows else 0", (_KERNELS,)),
+    Mutant("layout: s one bit short", "src/harmcode/linear.py",
+           "s = top.bit_length()", "s = max(top.bit_length() - 1, 0)", (_KERNELS,)),
+    Mutant("layout: slots past 8 bytes padded to 16", "src/harmcode/linear.py",
+           'fmt = "<" + ("Q" + "x" * (width - 8)) * m',
+           'width = 16\n        fmt = "<" + ("Q" + "x" * 8) * m', (_LAYOUTS,)),
+    Mutant("layout: 1- and 2-byte slots rounded up to 4", "src/harmcode/linear.py",
+           "width = 1 << (width - 1).bit_length()",
+           "width = max(4, 1 << (width - 1).bit_length())", (_LAYOUTS,)),
+    Mutant("chain: slots sized for _CHAIN_TERMS * (p - 1)", "src/harmcode/harmonic.py",
+           "_CHAIN_TERMS * (p - 1) ** 2", "_CHAIN_TERMS * (p - 1)", (_CHAIN,)),
+    # the wide kernel's rows
+    Mutant("wide rows: the first product dropped", "src/harmcode/linear.py",
+           "sum(products[1:], products[0]) if products else 0",
+           "sum(products[1:]) if products else 0", (_UNIT_ROWS,)),
+    Mutant("wide rows: every nonzero coefficient taken as 1", "src/harmcode/linear.py",
+           "[packed[k] if c == 1 else c * packed[k] for k, c in row]",
+           "[packed[k] for k, c in row]", (_UNIT_ROWS,)),
+    Mutant("wide rows: an empty row sums to 1", "src/harmcode/linear.py",
+           "sum(products[1:], products[0]) if products else 0",
+           "sum(products[1:], products[0]) if products else 1", (_UNIT_ROWS,)),
+    # map equality
+    Mutant("__eq__: the key count dropped", "src/harmcode/linear.py",
+           'for a in ("field", "rows", "K", "num_keys"))', 'for a in ("field", "rows", "K"))',
+           (_EQUALITY,)),
+    Mutant("__eq__: any LinearMap of the same rows", "src/harmcode/linear.py",
+           "return type(other) is type(self) and all(",
+           "return isinstance(other, LinearMap) and all(", (_EQUALITY,)),
+    # the key draw: one getrandbits per round, rejected slots cut
+    Mutant("draw: the words in reverse order", "src/harmcode/field.py",
+           "return FieldVector._of(field, words.unpack(drawn))",
+           "return FieldVector._of(field, words.unpack(drawn)[::-1])", (_STREAM,)),
+    Mutant("draw: rejected slots not cut", "src/harmcode/field.py",
+           '.to_bytes(4 * n, "little").replace(_REJECTED, b"")', '.to_bytes(4 * n, "little")',
+           (_STREAM,)),
+    # the auditor's law slices
+    Mutant("auditor: coordinates not cut into m-tuples", "src/harmcode/sim.py",
+           "shares = zip(*[shares] * m)", "pass", (_AUDIT,)),
+    Mutant("auditor: half as many shares per slice", "src/harmcode/sim.py",
+           "return zip(*[shares] * key_states)",
+           "return zip(*[shares] * max(1, key_states // 2))", (_AUDIT,)),
     # the validity gate: decode weights, parameter checks, the auditor and
     # the oracle
     Mutant("harmonic decode: head weight off by one", "src/harmcode/harmonic.py",
