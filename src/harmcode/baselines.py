@@ -32,6 +32,7 @@ has PolyMap's ``eval`` and checks the data width there.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from operator import mul
 
 from .errors import (
@@ -205,11 +206,14 @@ def lcc_encoding_matrix(params: LCCParams) -> EncodingMatrix:
     return EncodingMatrix(field, params.K, rows)
 
 
+@lru_cache(maxsize=64)
 def _difference_bound(p: int, K: int, N: int) -> int:
     """The largest slot sum :func:`lcc_residue_encoder`'s differences can
     form over N steps: level j of the table lies in [0, 2^j p), and each
     step adds level j+1, already stepped, to level j, for j = K-1 down
-    to 0. Those are the steps run here on the levels' largest values."""
+    to 0. Those are the steps run here on the levels' largest values, an
+    O(NK) walk on ints, cached: a handle asks once in :func:`difference_ops`
+    and once more when it builds :func:`lcc_residue_encoder`."""
     tops = [(p << j) - 1 for j in range(K + 1)]
     for _ in range(N):
         for j in reversed(range(K)):
@@ -269,7 +273,7 @@ def lcc_residue_encoder(params: LCCParams) -> Callable[..., list[tuple[int, ...]
 
     def encode(cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
         layout = _layout(m, p, top)
-        ones = layout[3]
+        ones = layout[1]
         table = [_pack(layout, col) for col in cols]
         # level j in place: table[i] = Delta^j u(i) for i <= K-j, so that
         # table[K-j] ends as the backward difference nabla^j u(K)

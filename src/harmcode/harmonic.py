@@ -41,10 +41,14 @@ narrow kernel, m = 7 at K = 16, d = 2, and applies that matrix narrow
 below; either way the handle's ``encode`` is the check-and-wrap shell.
 Each call packs Z and every X_j into one int with a slot per coordinate,
 and runs every chain step and every blend as one multiply-add
-a * P + b * X on those ints. A chain step ends with a slot-wise Barrett
-step that leaves P_j in [0, 2p), so each sum stays below 4 (p-1)^2; one
-call of :func:`~harmcode.linear._residues` then reduces the blends and
-P_K to [0, p) together.
+a * P + b * X on those ints. A chain step ends with its layout's slot-wise
+step, the one :func:`~harmcode.linear._residues` takes, which leaves P_j in
+[0, 2p), so each sum stays below 4 (p-1)^2; one call of
+:func:`~harmcode.linear._residues` then reduces the blends and P_K to
+[0, p) together. At a Mersenne prime that step is a fold, with no
+multiply, and the slots hold the sums alone: 8 bytes at p = 2^31-1, where
+a Barrett step elsewhere needs room for each sum times mu. So the chain's
+gain from the fold holds at Mersenne primes only.
 """
 
 from __future__ import annotations
@@ -203,7 +207,9 @@ def _scalars(params: HarmonicParams) -> tuple[int, list[tuple[int, int, tuple]]]
 
 # a * P + b * X with P in [0, 2p) and a, b general residues stays below
 # 4 (p-1)^2, four products of two residues: the chain's slots are sized for
-# sums up to _CHAIN_TERMS * (p-1)^2
+# sums up to _CHAIN_TERMS * (p-1)^2. At p = 2^31-1 that is below 2^64, so a
+# layout that folds takes 8-byte slots and two folds per step, where a
+# Barrett layout at p = 2^30+3 takes 12
 _CHAIN_TERMS = 4
 
 
@@ -211,16 +217,16 @@ def _chain(p: int, steps, cols: Sequence[Sequence[int]],
            m: int) -> tuple[tuple, list[int], list[int]]:
     """P_0 = Z to P_K and X_1..X_K packed on m slots, and their layout, from
     the residue columns X_1..X_K, Z. Each step P_j = a_j P_{j-1} + b_j X_j is
-    one multiply-add and one Barrett step, so every slot of P_1..P_K lies in
-    [0, 2p), not yet [0, p)."""
+    one multiply-add and the layout's step, a fold at a Mersenne prime and
+    a Barrett step elsewhere, so every slot of P_1..P_K lies in [0, 2p), not
+    yet [0, p)."""
     layout = _layout(m, p, _CHAIN_TERMS * (p - 1) ** 2)
-    shift, mu, mask = layout[:3]
+    step = layout[0]
     xs = [_pack(layout, x) for x in cols[:-1]]
     prev = _pack(layout, cols[-1])
     chain = [prev]
     for (a, b, _), x in zip(steps, xs):
-        v = a * prev + b * x
-        prev = v - (v * mu >> shift & mask) * p
+        prev = step(a * prev + b * x)
         chain.append(prev)
     return layout, chain, xs
 
@@ -253,7 +259,7 @@ def chain_ops(params: HarmonicParams) -> tuple[int, int, int, int]:
     """The packed operations of one :func:`residue_encoder` call, as (packs,
     products, additions, reductions): K+1 column packs; 2Kd products and Kd
     additions, one multiply-add a * P + b * X per chain step and blend; and
-    N-1+K reductions, the K Barrett steps of the chain and the N-1 shares
+    N-1+K reductions, the K reduction steps of the chain and the N-1 shares
     after Z. A handle weighs them against its matrix's narrow kernel
     (:func:`~harmcode.linear._narrow_below`)."""
     K, d = params.K, params.d
@@ -296,7 +302,7 @@ def encode(params: HarmonicParams, data: Dataset, z: FieldVector,
 
     The result is coordinate-identical to ``encoding_matrix(params).apply(data, z)``.
     ``stats`` gains K*d, K chain steps plus K(d-1) blends; it is kept only
-    for perfbench, until ROADMAP item 2b deletes this function.
+    for perfbench, until ROADMAP item 6b deletes this function.
     """
     field, core = params.field, residue_encoder(params)
     shares = _vectors(field, core(_columns(field, params.K, 1, data, (z,)), data.m))

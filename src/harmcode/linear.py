@@ -61,23 +61,36 @@ or 3, and LCC's differences from m = 15 at K = 8, d = 3 and m = 14 at
 K = 8, d = 2; of the benchmark's encodes that have a wide encoder, only
 `many-inputs` harmonic (m = 4) goes narrow.
 
-One call of :func:`_residues` then reduces every packed sum with a
-slot-wise Barrett step and one conditional subtraction of p over all of its
-slots at once, and unpacks each with one Struct. :func:`_layout` sizes the
-slots from the map's heaviest row, the largest sum of one row's
-coefficients: a slot sums one row's coefficients times residues of at most
-p-1 -- over a coordinate when wide, over the columns when narrow -- so it
-stays below heaviest * (p-1) < 2^s either way, and a slot holds each sum
-times mu = floor(2^s / p) and bit p.bit_length(), so no carry or borrow
-crosses a slot at any row length or modulus. Every coefficient is at most
-p-1, so no slot is wider than the densest row's terms * (p-1)^2 would make
-it. A slot takes 1, 2, 4 or 8 bytes, the fewest of them that hold it, or
-past 8 the fewest whole bytes that do. Shamir's coefficients are 1 and
-theta_r <= d+1, so at p = 2^31-1 and d = 3 its slots take 8 bytes, where
-the general residues of harmonic's and LCC's maps take 13. At the small
-primes of an exhaustive audit every slot takes 1, 2 or 4 bytes: harmonic's
-chain takes 2 at p <= 11 and 4 at p = 13 to 101, and LCC's and Shamir's
-matrices take 1 at p <= 5.
+One call of :func:`_residues` then reduces every packed sum with the
+layout's slot-wise step, which leaves each slot in [0, 2p), and one
+conditional subtraction of p over all of its slots at once, and unpacks
+each with one Struct. :func:`_layout` sizes the slots from the map's
+heaviest row, the largest sum of one row's coefficients: a slot sums one
+row's coefficients times residues of at most p-1 -- over a coordinate when
+wide, over the columns when narrow -- so it stays below heaviest * (p-1)
+either way. The layout also decides the step, once:
+
+- at a Mersenne prime p = 2^k - 1 (up to 2^31: 3, 7, 31, 127, 8,191,
+  131,071, 524,287 and 2^31-1) 2^k = 1 mod p, so a slot's hi * 2^k + lo is
+  congruent to hi + lo, and the step folds a slot's bits from k up onto
+  its low k bits, as many times as take every sum below 2p. A fold needs
+  no multiply, and a slot holds only its sums and bit p.bit_length() + 1;
+- at every other prime the step is a Barrett step, and a slot holds each
+  sum times mu = floor(2^s / p), top < 2^s, and bit p.bit_length() + 1.
+
+Either way no carry or borrow crosses a slot at any row length or
+modulus. Every coefficient is at most p-1, so no slot is wider than the
+densest row's terms * (p-1)^2 would make it. A slot takes 1, 2, 4 or 8
+bytes, the fewest of them that hold it, or past 8 the fewest whole bytes
+that do. At p = 2^31-1 the sums of harmonic's chain, below 4 (p-1)^2 <
+2^64, and of LCC's differences, below 2^63, take 8-byte slots, as do
+Shamir's, whose coefficients are 1 and theta_r <= d+1. The fold's gain, a
+step with no multiply on slots sized for the sums alone, holds at
+Mersenne primes only: at p = 2^30+3 the same chain takes 12-byte slots, as
+the Barrett product needs. At the small primes of an exhaustive audit
+every slot takes 1, 2 or 4 bytes: harmonic's chain takes 1 at p = 7, 2 at
+p = 5, 11 and 31 and 4 at the other primes from 13 to 101, and LCC's and
+Shamir's matrices take 1 at p <= 7.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --
@@ -105,33 +118,67 @@ from .poly import Dataset
 @lru_cache(maxsize=64)
 def _layout(m: int, p: int, top: int) -> tuple:
     """The packed layout of m slots for sums of at most ``top``, as
-    (s, mu, mask, ones, bias, bit, slots):
+    (step, ones, bias, bit, slots), its reduction chosen once, here:
 
-    - s covers the largest slot sum, top < 2^s, and mu = 2^s // p (top = 0,
-      rows that are all zero, gives s = mu = 0: every sum is 0);
-    - a slot is the fewest bytes, ``width``, that hold both 2^s * mu and
-      bit = p.bit_length(): the smallest of 1, 2, 4 and 8 that do, else
-      the fewest above 8;
-    - mask holds the low 8 * width - s bits of every slot, where
-      v * mu >> s leaves each slot's quotient; ones holds 1 and bias
-      2^bit - p in every slot;
+    - at a Mersenne prime p = 2^k - 1, where 2^k = 1 mod p, ``step`` folds
+      (:func:`_fold`): a slot holds top and bit + 1 bits, bit =
+      p.bit_length() = k, and the fold count is the least that takes every
+      slot sum of at most top below 2p, a fold taking sums of at most t to
+      at most max((t & p) + (t >> k), p + (t >> k) - 1);
+    - at every other p, ``step`` is a Barrett step (:func:`_barrett`): s
+      covers the largest slot sum, top < 2^s, mu = 2^s // p (top = 0, rows
+      that are all zero, gives s = mu = 0: every sum is 0), and a slot holds
+      both 2^s * mu and bit + 1 bits;
+    - a slot is the fewest bytes, ``width``, that hold what it must: the
+      smallest of 1, 2, 4 and 8 that do, else the fewest above 8;
+    - ones holds 1 and bias 2^bit - p in every slot (1 when p folds);
     - the Struct ``slots`` packs a residue into each slot, or into its low
       8 bytes with zeros above them when it is wider; slots of 1, 2, 4 or 8
       bytes are spelled as one count code (B, H, I or Q), because CPython
       keeps about 32 bytes per code of a format.
     """
-    s = top.bit_length()
-    mu = (1 << s) // p
     bit = p.bit_length()
-    width = -(-max((mu << s).bit_length(), bit + 1) // 8)
+    mersenne = not p & (p + 1)
+    if mersenne:
+        need = top.bit_length()
+    else:
+        s = top.bit_length()
+        mu = (1 << s) // p
+        need = (mu << s).bit_length()
+    width = -(-max(need, bit + 1) // 8)
     if width <= 8:
         width = 1 << (width - 1).bit_length()
         fmt = f"<{m}" + "BHIQ"[width.bit_length() - 1]
     else:
         fmt = "<" + ("Q" + "x" * (width - 8)) * m
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * m, "little")
-    return (s, mu, ones * ((1 << (8 * width - s)) - 1), ones, ones * ((1 << bit) - p), bit,
-            struct.Struct(fmt))
+    if mersenne:
+        count, t = 0, top
+        while t >= 2 * p:
+            t = max((t & p) + (t >> bit), p + (t >> bit) - 1)
+            count += 1
+        step = partial(_fold, count, bit, ones * p, ones * ((1 << (8 * width - bit)) - 1))
+    else:
+        step = partial(_barrett, s, mu, ones * ((1 << (8 * width - s)) - 1), p)
+    return step, ones, ones * ((1 << bit) - p), bit, struct.Struct(fmt)
+
+
+def _barrett(s: int, mu: int, mask: int, p: int, v: int) -> int:
+    """v's slots, each below 2^s, brought into [0, 2p) by one slot-wise
+    Barrett step, v - (((v * mu) >> s) & mask) * p: mask keeps each
+    slot's quotient floor(v * mu / 2^s), which is floor(v / p) or one
+    less."""
+    return v - (v * mu >> s & mask) * p
+
+
+def _fold(count: int, k: int, low: int, high: int, v: int) -> int:
+    """v's slots brought into [0, 2p) at p = 2^k - 1 by ``count`` slot-wise
+    folds: a slot's hi * 2^k + lo is lo + hi mod p, since 2^k = 1 mod p, so
+    each fold adds a slot's bits from k up (``high`` keeps them apart from
+    the next slot's) to its low k bits (``low``, p in every slot)."""
+    for _ in range(count):
+        v = (v & low) + (v >> k & high)
+    return v
 
 
 def _pack(layout: tuple, values: Sequence[int]) -> int:
@@ -142,15 +189,16 @@ def _pack(layout: tuple, values: Sequence[int]) -> int:
 def _residues(sums: Sequence[int], layout: tuple, p: int) -> list[tuple[int, ...]]:
     """The slots of each packed sum, reduced mod p.
 
-    A Barrett step, v - (((v * mu) >> s) & mask) * p, leaves every slot in
-    [0, 2p); adding 2^bit - p then sets bit ``bit`` in exactly the slots
-    still >= p, and one more subtraction of p clears them.
+    The layout's step, a fold at a Mersenne prime and a Barrett step
+    elsewhere, leaves every slot in [0, 2p); adding 2^bit - p then sets bit
+    ``bit`` in exactly the slots still >= p, and one more subtraction of p
+    clears them.
     """
-    s, mu, mask, ones, bias, bit, slots = layout
+    step, ones, bias, bit, slots = layout
     size, unpack = slots.size, slots.unpack
     out = []
     for v in sums:
-        v -= (v * mu >> s & mask) * p
+        v = step(v)
         v -= ((v + bias) >> bit & ones) * p
         out.append(unpack(v.to_bytes(size, "little")))
     return out

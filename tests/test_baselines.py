@@ -345,6 +345,19 @@ def test_lcc_difference_bound_is_newtons_backward_sum(p):
         assert baselines._difference_bound(p, K, N) == want, (K, N)
 
 
+def test_lcc_handle_walks_the_difference_bound_once():
+    # difference_ops and the encoder it unlocks both read the bound: the
+    # O(NK) walk runs once per (p, K, N), however many handles ask for it
+    baselines._difference_bound.cache_clear()
+    params = lcc_params(FieldConfig(2**31 - 1), 8, 3)
+    cols = [(1,) * 512] * 9
+    make_handle(params).encode_residues(cols, 512)
+    info = baselines._difference_bound.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    make_handle(params).encode_residues(cols, 512)
+    assert baselines._difference_bound.cache_info().misses == 1
+
+
 def test_lcc_differences_fall_back_to_the_matrix_elsewhere():
     # the short-field layout, and explicit points that are not anchors 0..K
     # with evaluations K+1..K+N: shifted either way, or out of order. There

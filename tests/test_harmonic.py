@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from harmcode import harmonic
+from harmcode import harmonic, linear
 from harmcode.errors import (
     DimensionMismatchError,
     FieldTooSmallError,
@@ -239,8 +239,16 @@ def test_intermediate_vars_are_residues_though_the_chain_runs_below_2p():
             bits = 8 * layout[-1].size // 64
             slots = [v >> (i * bits) & (2**bits - 1) for v in chain for i in range(64)]
             assert max(slots) < 2 * p
-            # so a chain step a_j P + b_j X peaks at (p-1)(2p-1) + (p-1)^2
-            assert (p - 1) * (3 * p - 2) < 2 ** layout[0]
+            # so a chain step a_j P + b_j X peaks at (p-1)(2p-1) + (p-1)^2,
+            # within the bound the chain's slots are sized for: p = 7 folds
+            # them, 11 and 13 take a Barrett step
+            assert (p - 1) * (3 * p - 2) <= harmonic._CHAIN_TERMS * (p - 1) ** 2 < 2**bits
+            step = layout[0]
+            if p == 7:
+                assert step.func is linear._fold
+            else:
+                assert step.func is linear._barrett
+                assert harmonic._CHAIN_TERMS * (p - 1) ** 2 < 2 ** step.args[0]
             above_p += sum(v >= p for v in slots)
             chain = intermediate_vars(params, data, z)
             assert all(0 <= x < p for v in chain for x in v.values())

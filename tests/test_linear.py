@@ -804,19 +804,38 @@ def test_row_packed_columns_are_built_once_and_only_for_narrow_maps(monkeypatch)
         assert packed == [m] * vector.N
 
 
-LAYOUT_PRIMES = [2, 3, 5, 7, 11, 13, 65521, 2**31 - 1]
+LAYOUT_PRIMES = [2, 3, 5, 7, 11, 13, 31, 8191, 65521, 2**30 + 3, 2**31 - 1]
 LAYOUT_TERMS = [1, 2, 3, 4, 17, 2**16, 2**17, 2**20]
+# every Mersenne prime up to 2^31: the primes whose layouts fold
+MERSENNE = [3, 7, 31, 127, 8191, 131071, 524287, 2**31 - 1]
 
 
 def slot_bits(layout, m):
     return 8 * layout[-1].size // m
 
 
-def fewest_slot_bits(s, mu, bit):
+def fewest_slot_bits(largest, bit):
     """The fewest of 8, 16, 32, 64, 72, 80, ... bits that hold both
-    2^s * mu and bit + 1 bits."""
+    ``largest`` and bit + 1 bits."""
     return next(b for b in itertools.chain((8, 16, 32), itertools.count(64, 8))
-                if 2**s * mu < 2**b and bit < b)
+                if largest < 2**b and bit < b)
+
+
+def fold_top(p, t):
+    """The largest (v & p) + (v >> k) over 0 <= v <= t at p = 2^k - 1: by
+    trying every v when t is small, else at the two candidates, t itself
+    and the last v below t's high part with all k low bits set."""
+    k = p.bit_length()
+    if t < 2**12:
+        return max((v & p) + (v >> k) for v in range(t + 1))
+    return max((t & p) + (t >> k), p + (t >> k) - 1)
+
+
+def folded_top(p, top, count):
+    """The largest slot value left after ``count`` folds of sums <= top."""
+    for _ in range(count):
+        top = fold_top(p, top)
+    return top
 
 
 def packed_sums(layout, sums):
@@ -826,32 +845,66 @@ def packed_sums(layout, sums):
     return sum(v << (i * bits) for i, v in enumerate(sums))
 
 
+def test_exactly_the_mersenne_primes_fold():
+    # every prime below 2^13, and the larger primes the suite runs at
+    primes = [p for p in range(2, 2**13) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    for p in primes + [65521, 131071, 524287, 2**30 + 3, 2**31 - 1]:
+        kind = _layout(3, p, 4 * (p - 1) ** 2)[0].func
+        assert kind is (linear._fold if p in MERSENNE else linear._barrett), p
+
+
+def test_fold_top_is_at_one_of_two_candidates():
+    # the largest fold of any v <= t, tried v by v, is at t itself or at the
+    # last v below t's high part with every low bit set, once t >= 2^k
+    for p in (3, 7, 31, 127):
+        k, best = p.bit_length(), 0
+        for t in range(2**14):
+            best = max(best, (t & p) + (t >> k))
+            if t >> k:
+                assert best == max((t & p) + (t >> k), p + (t >> k) - 1), (p, t)
+
+
 # terms = 0 is the layout of an all-zero decode vector or a matrix with no rows
 @pytest.mark.parametrize("p", LAYOUT_PRIMES)
 @pytest.mark.parametrize("terms", [0] + LAYOUT_TERMS)
 def test_layout_bounds_every_slot(p, terms):
     m = 3
-    layout = _layout(m, p, terms * (p - 1) ** 2)
-    s, mu, mask, ones, bias, bit, slots = layout
+    top = terms * (p - 1) ** 2
+    layout = _layout(m, p, top)
+    step, ones, bias, bit, slots = layout
     bits = slot_bits(layout, m)
-    assert terms * (p - 1) ** 2 < 2**s
-    assert mu == 2**s // p
-    assert 2**s * mu < 2**bits       # no slot's v * mu reaches the next slot
-    assert bit == p.bit_length() < bits
+    assert top < 2**bits
+    assert bit == p.bit_length() < bits    # room for the subtraction's bit + 1
     # and no slot is wider than it needs: 1, 2, 4 or 8 bytes, or whole bytes
     # above 8
-    assert bits == fewest_slot_bits(s, mu, bit)
-    for i in range(m):
-        assert [v >> (i * bits) & (2**bits - 1) for v in (ones, mask, bias)] == [
-            1, 2**(bits - s) - 1, 2**bit - p]
+    if p in MERSENNE:
+        # count folds take every slot sum below 2p, and one fewer does not;
+        # low keeps each slot's k low bits, high its bits from k up
+        count, k, low, high = step.args
+        assert step.func is linear._fold and 2**k - 1 == p and k == bit
+        assert folded_top(p, top, count) < 2 * p
+        assert count == 0 or folded_top(p, top, count - 1) >= 2 * p
+        assert bits == fewest_slot_bits(top, bit)
+        masks = [(low, p), (high, 2**(bits - k) - 1)]
+    else:
+        s, mu, mask, q = step.args
+        assert step.func is linear._barrett and q == p
+        assert top < 2**s
+        assert mu == 2**s // p
+        assert 2**s * mu < 2**bits       # no slot's v * mu reaches the next slot
+        assert bits == fewest_slot_bits(2**s * mu, bit)
+        masks = [(mask, 2**(bits - s) - 1)]
+    for packed, each in [(ones, 1), (bias, 2**bit - p)] + masks:
+        assert [packed >> (i * bits) & (2**bits - 1) for i in range(m)] == [each] * m
     values = (p - 1, 0, p // 2)
     assert _pack(layout, values) == packed_sums(layout, values)
     assert slots.unpack(_pack(layout, values).to_bytes(slots.size, "little")) == values
 
 
 # each prime's slot code for sums up to 4 (p - 1)^2, the chain's bound: 1, 2,
-# 4 and 8 bytes
-SLOT_CODES = {2: "B", 5: "H", 7: "H", 11: "H", 101: "I", 65521: "Q"}
+# 4 and 8 bytes. The Mersenne primes fold, so their slots hold the sums alone
+SLOT_CODES = {2: "B", 5: "H", 7: "B", 11: "H", 31: "H", 101: "I", 8191: "I", 65521: "Q",
+              2**31 - 1: "Q"}
 
 
 @pytest.mark.parametrize("p", list(SLOT_CODES))
@@ -861,12 +914,17 @@ def test_eight_byte_slots_are_one_count_code(p):
     rng = random.Random(p)
     code = SLOT_CODES[p]
     size = struct.calcsize(code)
+    top = 4 * (p - 1) ** 2
     for m in (1, 25, 10_201):
-        layout = _layout(m, p, 4 * (p - 1) ** 2)
+        layout = _layout(m, p, top)
         slots = layout[-1]
         assert slots.size == size * m
         assert slots.format == f"<{m}{code}"
-        assert 8 * size == fewest_slot_bits(*layout[:2], layout[5])
+        if p in MERSENNE:
+            assert 8 * size == fewest_slot_bits(top, layout[3])
+        else:
+            s, mu = layout[0].args[:2]
+            assert 8 * size == fewest_slot_bits(2**s * mu, layout[3])
         values = [rng.randrange(p) for _ in range(m)]
         per_slot = struct.Struct("<" + code * m)
         packed = slots.pack(*values)
@@ -876,18 +934,20 @@ def test_eight_byte_slots_are_one_count_code(p):
 
 
 def test_workload_maps_keep_their_layouts_at_top():
-    # at p = 2^31 - 1 the general residues of harmonic's chain and matrix
-    # and LCC's matrix need 13-byte slots, Q and five pad bytes, and
-    # Shamir's heaviest row fits 8, one count code; LCC's differences, where
-    # they run, need 12 bytes at `wide` and 11 at `file-pipeline`; the decode
-    # vectors, at n <= 4 outputs, pack narrow on no layout
+    # p = 2^31 - 1 folds: harmonic's chain sums below 4 (p-1)^2 < 2^64 and
+    # LCC's differences below 2^63, so both take 8-byte slots, one count
+    # code, at `wide` and `file-pipeline`, as Shamir's heaviest row does; the
+    # matrices of general residues that `many-inputs` applies narrow sum
+    # past 2^64 and take 9, Q and one pad byte. The decode vectors, at n <= 4
+    # outputs, pack narrow on no layout. Each slot holds its sums, and the
+    # fold count takes them below 2p
     def padded(size):
         return "Q" + "x" * (size - 8)
 
     layouts_of = {  # (K, d, m, n) -> (slots, slot bytes) of harmonic, LCC and Shamir
-        (8, 3, 512, 4): ((512, 13), (512, 12), (512, 8)),   # wide
-        (16, 2, 4, 2): ((18, 13), (33, 13), (48, 8)),       # many-inputs: all three narrow
-        (8, 2, 128, 4): ((128, 13), (128, 11), (128, 8)),   # file-pipeline
+        (8, 3, 512, 4): ((512, 8), (512, 8), (512, 8)),     # wide
+        (16, 2, 4, 2): ((18, 9), (33, 9), (48, 8)),         # many-inputs: all three narrow
+        (8, 2, 128, 4): ((128, 8), (128, 8), (128, 8)),     # file-pipeline
     }
     for (K, d, m, n), layouts in layouts_of.items():
         for scheme, (count, size) in zip(("harmonic", "lcc", "shamir"), layouts):
@@ -896,18 +956,29 @@ def test_workload_maps_keep_their_layouts_at_top():
             outputs = [(TOP - 1,) * n] * handle.worker_count
             # harmonic's chain and LCC's differences build their layouts
             # through linear's
-            with mock.patch.object(harmonic, "_layout", lambda *args: linear._layout(*args)), \
-                    mock.patch.object(baselines, "_layout", lambda *args: linear._layout(*args)):
-                _, made = layouts_made(lambda: (handle.encode_residues(cols, m),
-                                                handle.vector.apply_residues(outputs, n)))
+            made, layout = [], linear._layout
+
+            def record(slots, p, top):
+                made.append((slots, top, layout(slots, p, top)))
+                return made[-1][-1]
+
+            with mock.patch.object(harmonic, "_layout", record), \
+                    mock.patch.object(baselines, "_layout", record), \
+                    mock.patch.object(linear, "_layout", record):
+                handle.encode_residues(cols, m)
+                handle.vector.apply_residues(outputs, n)
             want = f"<{count}Q" if size == 8 else "<" + padded(size) * count
-            assert [(n_slots, layout[-1].format) for n_slots, layout in made] == [(count, want)], (
-                scheme, K, d, m)
+            assert [(n_slots, made_layout[-1].format) for n_slots, _, made_layout in made] == [
+                (count, want)], (scheme, K, d, m)
+            [(_, top, (step, _, _, bit, _))] = made
+            assert step.func is linear._fold and top < 2 ** (8 * size) and bit < 8 * size
+            assert folded_top(TOP, top, step.args[0]) < 2 * TOP
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31])
 @pytest.mark.parametrize("terms", [0, 1, 2, 3, 4])
 def test_residues_of_every_slot_sum(p, terms):
+    # p = 3, 7 and 31 fold, the others take a Barrett step
     top = terms * (p - 1) ** 2
     sums = list(range(top + 1))
     layout = _layout(len(sums), p, top)
@@ -917,16 +988,86 @@ def test_residues_of_every_slot_sum(p, terms):
     assert got == [want, want[::-1]]
 
 
-@pytest.mark.parametrize("terms", LAYOUT_TERMS)
-def test_residues_at_the_top_of_the_range(terms):
-    p = 2**31 - 1
+def residues_at_the_top(p, terms):
+    """Reduces sums near terms * (p - 1)^2 on its layout, checks each
+    against v % p, and returns the layout's step function."""
     top = terms * (p - 1) ** 2
     q = top // p
-    # the top sums, the multiples of p at and below them, and their neighbours
+    shift = p.bit_length()
+    # the top sums, the multiples of p at and below them, and their
+    # neighbours; and the sums whose folds peak: every low bit set under
+    # each of the eight highest high parts, and every run of low ones
     sums = [top - k for k in range(64)] + [
         k * p + e for k in (q, q - 1, q - 2, 1) for e in (-1, 0, 1, p - 1) if k * p + e <= top]
+    sums += [(h << shift) - 1 for h in range(top >> shift, max((top >> shift) - 8, 0), -1)]
+    sums += [2**j - 1 for j in range(1, top.bit_length())]
     layout = _layout(len(sums), p, top)
+    assert max(sums) <= top
     assert _residues([packed_sums(layout, sums)], layout, p) == [tuple(v % p for v in sums)]
+    return layout[0].func
+
+
+@pytest.mark.parametrize("terms", LAYOUT_TERMS)
+def test_residues_at_the_top_of_the_range(terms):
+    assert residues_at_the_top(2**31 - 1, terms) is linear._fold
+
+
+@pytest.mark.parametrize("terms", LAYOUT_TERMS)
+def test_barrett_residues_at_the_top_of_the_range(terms):
+    assert residues_at_the_top(2**30 + 3, terms) is linear._barrett
+
+
+def fold_kernels(params):
+    """Every kernel that encodes one parameter set, by name: its matrix
+    narrow and wide, and harmonic's chain or LCC's differences where they
+    run; and its decode vector narrow and wide."""
+    handle = make_handle(params)
+    p = params.field.p
+    encoders = {"narrow": lambda cols, m: _apply_narrow(handle.matrix, cols, m, p),
+                "wide": lambda cols, m: _apply_wide(handle.matrix, cols, m, p)}
+    if handle.kind == "harmonic":
+        encoders["chain"] = harmonic.residue_encoder(params)
+    elif handle.kind == "lcc" and baselines.difference_ops(params) is not None:
+        encoders["differences"] = baselines.lcc_residue_encoder(params)
+    decoders = {"narrow": lambda outs, n: _apply_narrow(handle.vector, outs, n, p),
+                "wide": lambda outs, n: _apply_wide(handle.vector, outs, n, p)}
+    return handle, encoders, decoders
+
+
+@pytest.mark.parametrize("p", MERSENNE)
+def test_every_kernel_folds_to_the_reference_at_mersenne_primes(p):
+    # harmonic, LCC and Shamir at every K and d the prime has room for, on
+    # random, all-zero and all-(p - 1) columns, at m = 1, 2 and 9: each
+    # encode kernel's shares, and each decode kernel's sum of the shares as
+    # worker outputs, equal the element-wise reference
+    field = FieldConfig(p)
+    rng = random.Random(f"fold-{p}")
+    ran = set()
+    for scheme, K, d in itertools.product(("harmonic", "lcc", "shamir"), (1, 2, 3, 8, 16),
+                                          (1, 2, 3)):
+        try:
+            params = MODULE[scheme][0](field, K, d)
+        except FieldTooSmallError:
+            continue
+        handle, encoders, decoders = fold_kernels(params)
+        width = K + handle.num_keys
+        for columns in ([sample_uniform_vector(rng, field, 9) for _ in range(width)],
+                        [field.zero_vector(9)] * width, [field.vector([p - 1] * 9)] * width):
+            want = [s.values() for s in reference_apply(field, handle.matrix.rows, columns)]
+            f = reference_apply(field, [handle.vector.weights], [field.vector(w) for w in want])
+            for m in (1, 2, 9):
+                cols = [c.values()[:m] for c in columns]
+                shares = [w[:m] for w in want]
+                for name, encode in encoders.items():
+                    assert encode(cols, m) == shares, (scheme, K, d, m, name)
+                    ran.add((scheme, name))
+                for name, decode in decoders.items():
+                    assert decode(shares, m) == [f[0].values()[:m]], (scheme, K, d, m, name)
+    # every kernel ran, LCC's differences at each prime but 3, where LCC
+    # takes the short-field layout
+    kernels = {("harmonic", "chain"), *itertools.product(("harmonic", "lcc", "shamir"),
+                                                          ("narrow", "wide"))}
+    assert ran == kernels | ({("lcc", "differences")} if p > 3 else set())
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 2**31 - 1])

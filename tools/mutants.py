@@ -32,6 +32,8 @@ _ONE_RULE = "tests/test_linear.py::test_each_map_keeps_the_one_rule_and_dispatch
 _KERNELS = "tests/test_linear.py::test_both_kernels_agree_on_every_shape"
 _LAYOUTS = "tests/test_linear.py::test_layout_bounds_every_slot"
 _CHAIN = "tests/test_linear.py::test_packed_chain_encoder_matches_the_matrix_and_the_reference"
+_SLOT_SUMS = "tests/test_linear.py::test_residues_of_every_slot_sum"
+_FOLDS = "tests/test_linear.py::test_exactly_the_mersenne_primes_fold"
 _UNIT_ROWS = "tests/test_linear.py::test_wide_rows_add_unit_terms_unmultiplied"
 _EQUALITY = "tests/test_linear.py::test_maps_are_equal_by_kind_field_rows_and_key_split"
 _STREAM = "tests/test_field.py::test_sampling_draws_the_randrange_stream"
@@ -138,6 +140,28 @@ MUTANTS = [
            "width = max(4, 1 << (width - 1).bit_length())", (_LAYOUTS,)),
     Mutant("chain: slots sized for _CHAIN_TERMS * (p - 1)", "src/harmcode/harmonic.py",
            "_CHAIN_TERMS * (p - 1) ** 2", "_CHAIN_TERMS * (p - 1)", (_CHAIN,)),
+    # the reduction each layout decides: which primes fold, the fold's
+    # masks and count, and the conditional subtraction's bias
+    Mutant("layout: the Mersenne test admits p + 1", "src/harmcode/linear.py",
+           "mersenne = not p & (p + 1)",
+           "mersenne = not p & (p + 1) or not (p + 1) & (p + 2)", (_FOLDS,)),
+    Mutant("layout: the Mersenne test admits p - 1", "src/harmcode/linear.py",
+           "mersenne = not p & (p + 1)", "mersenne = not p & (p + 1) or not (p - 1) & p",
+           (_FOLDS,)),
+    Mutant("fold: the high mask one bit short", "src/harmcode/linear.py",
+           "ones * ((1 << (8 * width - bit)) - 1)", "ones * ((1 << (8 * width - bit - 1)) - 1)",
+           (_SLOT_SUMS,)),
+    Mutant("fold: the low mask one bit short", "src/harmcode/linear.py",
+           "partial(_fold, count, bit, ones * p,", "partial(_fold, count, bit, ones * (p >> 1),",
+           (_SLOT_SUMS,)),
+    Mutant("fold: one fold too few", "src/harmcode/linear.py",
+           "for _ in range(count):", "for _ in range(count - 1):", (_SLOT_SUMS,)),
+    Mutant("fold count: the largest fold taken at the top sum only", "src/harmcode/linear.py",
+           "t = max((t & p) + (t >> bit), p + (t >> bit) - 1)",
+           "t = (t & p) + (t >> bit)", (_LAYOUTS,)),
+    Mutant("residues: the bias dropped", "src/harmcode/linear.py",
+           "return step, ones, ones * ((1 << bit) - p), bit,", "return step, ones, 0, bit,",
+           (_SLOT_SUMS,)),
     # the wide kernel's rows
     Mutant("wide rows: the first product dropped", "src/harmcode/linear.py",
            "sum(products[1:], products[0]) if products else 0",
