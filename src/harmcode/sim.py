@@ -12,7 +12,10 @@ enumerates *every* dataset and key value, tabulates exact integer counts
 of each worker's share, and declares a worker private only when its share
 distribution is literally identical for all dataset values -- mutual
 information is derived from the same counts for reporting, but the
-pass/fail criterion never touches floating point.
+pass/fail criterion never touches floating point. Each distinct law slice
+is sorted and compared once: a linear code's slice for a dataset value is
+its share's data part added to a key part that is the same for every
+value, so at most p^m of a worker's p^(Km) slices are distinct.
 
 The auditor encodes once per batch of consecutive values of X_1, not once
 per (dataset, key) pair: every X_2..X_K tuple and every key tuple is laid
@@ -274,9 +277,13 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     tuple, in dataset order; every linear code does. Each worker keeps one
     share tuple per call. Its laws are cut from them in C -- the tuples
     chained, the coordinates zipped into m-tuples when m > 1, then
-    key_states shares zipped into each dataset value's slice -- and each
-    sorted slice is compared with the first. m is checked, then the
-    budget, before anything is built.
+    key_states shares zipped into each dataset value's slice. The first
+    slice is sorted; the rest go into a set, built in C, and only its
+    members are sorted and compared with it. Equal tuples are equal
+    multisets, so this is exact for any scheme. For a linear code the set
+    holds at most p^m slices, one per data part of the share; for any
+    other scheme it may hold every slice. m is checked, then the budget,
+    before anything is built.
     """
     if m < 1:
         raise DimensionMismatchError(f"m must be >= 1, got {m}")
@@ -331,7 +338,7 @@ def privacy_audit_exhaustive(scheme, m: int = 1,
     for calls in laws:
         cut = slices(calls)
         reference = sorted(next(cut))
-        equal = all(map(reference.__eq__, map(sorted, cut)))
+        equal = all(map(reference.__eq__, map(sorted, set(cut))))
         cond_equal.append(equal)
         if equal:
             mi_bits.append(0.0)

@@ -173,9 +173,10 @@ def test_audit_report_digests(name):
 
 # `harmcode privacy-audit --scheme <args>`, with and without --inject-leak ->
 # (exit code, SHA-256 of standard output). The first six shapes are the
-# audits CI runs through the entry point; the last two split X_1 into
+# audits CI runs through the entry point; the next two split X_1 into
 # batches whose last one is short (Shamir: 2, 2, 2, 2, 1 of the 9 values;
-# harmonic: 3, 3, 3, 2 of the 11).
+# harmonic: 3, 3, 3, 2 of the 11). The last is CI's auditor-memory shape:
+# 101 calls of W = 10,201 coordinates, one per value of X_1.
 CLI_AUDIT = {
     "shamir --p 5 --K 2 --d 2 --m 2": (
         (0, "575f09c187981059ee707f603c10b4c94573044d474b01135fb8c86736ce1016"),
@@ -201,6 +202,9 @@ CLI_AUDIT = {
     "harmonic --p 11 --K 3 --d 2": (
         (0, "2c70ce75642cccc8c6f9ab487712385d704e461823a3a52b613af72335128f36"),
         (1, "0c8ab4b4d1a8ed8392c3ee3f247e4e23776bcb9391bb40257f403cba4bbfde30")),
+    "harmonic --p 101 --d 2": (
+        (0, "ab403bd11c3921ae13a65e9469da7d0775df3d5806f061c81ff0773b92d42f3d"),
+        (1, "5083cf3114b9b83afe636c8ff8892f109de80565df5309176768d1908f75309f")),
 }
 
 

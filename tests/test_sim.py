@@ -476,6 +476,87 @@ def test_audit_flags_laws_that_differ_only_in_multiplicity():
         assert_same_report(scheme, m)
 
 
+class SliceTableScheme:
+    """One worker at p = 3, K = 1, one key, whose share of each m-coordinate
+    chunk is slices[x][j], for the chunk's value x of X_1 and its j-th key
+    tuple in product order: each dataset value's law slice is given outright.
+    It acts on chunks, not coordinates, which the auditor's layout allows:
+    each dataset value and key tuple takes m consecutive coordinates."""
+
+    kind = "slice-table"
+    field = FieldConfig(3)
+    K = 1
+    num_keys = 1
+    d = 1
+    worker_count = 1
+
+    def __init__(self, m, slices):
+        self.m = m
+        self.slices = slices
+
+    def encode(self, data, keys):
+        m, p = self.m, self.field.p
+        xs, zs = data.items[0].values(), keys[0].values()
+        shares = []
+        for c in range(0, len(xs), m):
+            j = 0
+            for z in zs[c:c + m]:
+                j = j * p + z
+            shares.extend(self.slices[xs[c:c + m]][j])
+        return [self.field.vector(shares)]
+
+
+def clipped_pad_slices(m):
+    """Slice x is min(x + z, 1) coordinatewise under every key tuple z: a
+    permutation of one multiset with repeats, and no two slices equal."""
+    values = list(itertools.product(range(3), repeat=m))
+    return {x: tuple(tuple(min((a + b) % 3, 1) for a, b in zip(x, z)) for z in values)
+            for x in values}
+
+
+def test_audit_compares_distinct_permutations_of_one_law():
+    for m in (1, 2):
+        slices = clipped_pad_slices(m)
+        assert len(set(slices.values())) == 3 ** m
+        assert len({tuple(sorted(s)) for s in slices.values()}) == 1
+        scheme = SliceTableScheme(m, slices)
+        assert privacy_audit_exhaustive(scheme, m=m).conditional_equal_per_worker == (True,)
+        assert_same_report(scheme, m)
+
+
+def test_audit_catches_one_deviating_last_slice():
+    # the last value of X_1 comes last in product order, alone in the last
+    # call at assert_same_report's floor of 2W; one of its shares moves
+    for m in (1, 2):
+        slices = clipped_pad_slices(m)
+        last = (2,) * m
+        slices[last] = ((0,) * m,) + slices[last][1:]
+        reference = sorted(slices[(0,) * m])
+        assert [x for x, s in slices.items() if sorted(s) != reference] == [last]
+        scheme = SliceTableScheme(m, slices)
+        assert privacy_audit_exhaustive(scheme, m=m).conditional_equal_per_worker == (False,)
+        assert_same_report(scheme, m)
+
+
+def test_audit_counts_a_deviating_slice_once_per_dataset_value_for_its_mi():
+    # every value of X_1 whose first coordinate is not 0 has the same
+    # deviating slice: one member of the set, but the MI, which
+    # assert_same_report checks against the reference's, counts each of them
+    for m in (1, 2):
+        slices = clipped_pad_slices(m)
+        first = slices[(0,) * m]
+        deviating = ((1,) * m,) + first[1:]
+        for x in slices:
+            if x[0]:
+                slices[x] = deviating
+        assert sorted(deviating) != sorted(first)
+        scheme = SliceTableScheme(m, slices)
+        report = privacy_audit_exhaustive(scheme, m=m)
+        assert report.conditional_equal_per_worker == (False,)
+        assert report.mi_bits_per_worker[0] > 0
+        assert_same_report(scheme, m)
+
+
 class CountingScheme:
     """Forwards to a handle and counts its encode calls."""
 

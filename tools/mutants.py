@@ -38,6 +38,9 @@ _UNIT_ROWS = "tests/test_linear.py::test_wide_rows_add_unit_terms_unmultiplied"
 _EQUALITY = "tests/test_linear.py::test_maps_are_equal_by_kind_field_rows_and_key_split"
 _STREAM = "tests/test_field.py::test_sampling_draws_the_randrange_stream"
 _AUDIT = "tests/test_sim.py::test_batched_audit_matches_per_state_reference"
+_LEAK = "tests/test_sim.py::test_audit_clear_storage_leak_detected"
+_LAST_SLICE = "tests/test_sim.py::test_audit_catches_one_deviating_last_slice"
+_MULTIPLICITY = "tests/test_sim.py::test_audit_flags_laws_that_differ_only_in_multiplicity"
 
 MUTANTS = [
     # the handle's kernel choice: one weighted count per wide encoder,
@@ -192,6 +195,14 @@ MUTANTS = [
     Mutant("auditor: half as many shares per slice", "src/harmcode/sim.py",
            "return zip(*[shares] * key_states)",
            "return zip(*[shares] * max(1, key_states // 2))", (_AUDIT,)),
+    # the verdict compares each distinct slice once: every one of them, as
+    # a multiset
+    Mutant("auditor: only one distinct slice compared", "src/harmcode/sim.py",
+           "map(sorted, set(cut))", "map(sorted, set(itertools.islice(cut, 1)))",
+           (_LEAK, _LAST_SLICE)),
+    Mutant("auditor: slices de-duplicated by their support", "src/harmcode/sim.py",
+           "map(sorted, set(cut))", "map(sorted, {frozenset(s): s for s in cut}.values())",
+           (_MULTIPLICITY,)),
     # the validity gate: decode weights, parameter checks, the auditor and
     # the oracle
     Mutant("harmonic decode: head weight off by one", "src/harmcode/harmonic.py",
@@ -204,7 +215,7 @@ MUTANTS = [
            ("tests/test_harmonic.py::test_corrupt_params_raise_at_decode",)),
     Mutant("auditor: conditional equality forced true", "src/harmcode/sim.py",
            "cond_equal.append(equal)", "cond_equal.append(True)",
-           ("tests/test_sim.py::test_audit_clear_storage_leak_detected",)),
+           (_LEAK,)),
     Mutant("oracle: one input fewer", "src/harmcode/poly.py",
            "_gradient_sum(g, [item.values() for item in data.items])",
            "_gradient_sum(g, [item.values() for item in data.items[1:]])",
