@@ -17,7 +17,8 @@ def load_ci_local():
 
 def test_lists_the_workflow_steps_that_run_commands():
     # the unnamed step that only installs pytest and hypothesis drops out
-    assert [name for name, _ in load_ci_local().steps()] == [
+    ci_local = load_ci_local()
+    assert [name for name, _ in ci_local.steps(ci_local.WORKFLOW)] == [
         "Tier-1 tests", "Mutants", "Benchmark smoke check", "Benchmark tests",
         "Traced workload replays", "Installed entry point",
         "Auditor memory through the entry point",
@@ -37,19 +38,21 @@ jobs:
           python -m pip install .
           test -f src/harmcode/sim.py
           harmcode demo > /dev/null
+      # a comment at the steps' own indent
       - name: Fails
         run: exit 3
 """
 
 
-def test_runs_each_step_and_reports_its_exit_code(tmp_path, capsys):
+def test_runs_each_step_and_reports_its_exit_code(tmp_path, capsys, monkeypatch):
     ci_local = load_ci_local()
     workflow = tmp_path / "tests.yml"
     workflow.write_text(WORKFLOW)
+    monkeypatch.setattr(ci_local, "WORKFLOW", str(workflow))
     assert ci_local.steps(str(workflow)) == [
         ("Entry point", "test -f src/harmcode/sim.py\nharmcode demo > /dev/null\n"),
         ("Fails", "exit 3\n")]
-    assert ci_local.main(["--workflow", str(workflow)]) == 1
+    assert ci_local.main([]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "not a CI host" in out[0] and "not from a wheel" in out[0]
     reports = [re.fullmatch(r"exit +(\d+) +[\d.]+ s  (.+)", line) for line in out]

@@ -4,12 +4,12 @@
     python tools/ci_local.py "Auditor memory" ...  # steps whose name contains one of these
 
 Run from anywhere inside a checkout. This reads the ``run:`` block of each
-step of ``.github/workflows/tests.yml`` (``--workflow`` names another file),
-drops its ``pip install`` lines, and runs what is left under
-``bash -eo pipefail`` in a fresh temporary copy of the checkout. There
-``PYTHONPATH`` points at the copy's ``src``, and ``python``, ``python3`` and
-a ``harmcode`` wrapper (``python3 -m harmcode.cli``) on ``PATH`` all run the
-interpreter running this. It prints each step's exit code, seconds and name,
+step of ``.github/workflows/tests.yml``, drops its ``pip install`` lines,
+and runs what is left under ``bash -eo pipefail`` in a fresh temporary
+copy of the checkout. There ``PYTHONPATH`` points at the copy's ``src``,
+and ``python``, ``python3`` and a ``harmcode`` wrapper
+(``python3 -m harmcode.cli``) on ``PATH`` all run the interpreter running
+this. It prints each step's exit code, seconds and name,
 and exits 1 if any step fails, else 0.
 
 This is not a CI host: the matrix's other Python versions do not run, and
@@ -40,10 +40,11 @@ _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  "traces", "*.egg-info", "build")
 
 
-def steps(path: str = WORKFLOW) -> list[tuple[str, str]]:
-    """(name, script) of each step with a ``run:`` block, in file order, its
-    ``pip install`` lines dropped; a step left with no command is skipped.
-    A step with no ``name:`` is named by its script's first line."""
+def steps(path: str) -> list[tuple[str, str]]:
+    """(name, script) of each step of the workflow at path with a ``run:``
+    block, in file order, its ``pip install`` lines dropped; a step left with
+    no command is skipped. A step with no ``name:`` is named by its script's
+    first line. Blank and ``#`` comment lines outside a block are passed over."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     found = []
@@ -63,6 +64,8 @@ def steps(path: str = WORKFLOW) -> list[tuple[str, str]]:
         stripped = line.lstrip()
         indent = len(line) - len(stripped)
         i += 1
+        if not stripped or stripped.startswith("#"):
+            continue
         if stripped == "steps:":
             in_steps = True
             continue
@@ -73,7 +76,7 @@ def steps(path: str = WORKFLOW) -> list[tuple[str, str]]:
                 close()
             item, name, script = indent, None, None
             stripped, indent = stripped[2:], indent + 2
-        elif item is not None and stripped and indent < item + 2:
+        elif item is not None and indent < item + 2:
             close()
             item, in_steps = None, False
         if item is None:
@@ -118,11 +121,10 @@ def run_step(script: str, root: str = ROOT) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the CI workflow's steps locally.")
     parser.add_argument("names", nargs="*", help="run only steps whose name contains one")
-    parser.add_argument("--workflow", default=WORKFLOW)
     args = parser.parse_args(argv)
-    chosen = [(name, script) for name, script in steps(args.workflow)
+    chosen = [(name, script) for name, script in steps(WORKFLOW)
               if not args.names or any(n in name for n in args.names)]
-    print(f"ci_local: {os.path.relpath(args.workflow)} on {sys.executable} "
+    print(f"ci_local: {os.path.relpath(WORKFLOW)} on {sys.executable} "
           f"(Python {sys.version.split()[0]}); not a CI host, and harmcode runs from the "
           "checkout's src, not from a wheel", flush=True)
     failed = 0
