@@ -12,6 +12,13 @@ has PolyMap's ``eval`` and checks the data width there.
 * Shamir-style MPC: every input is masked separately (X_k + Z_k * theta),
   each of the d+1 share points gets one worker per input, and each
   g(X_k) is recovered by interpolating at 0. K(d+1) workers, K keys.
+  :func:`shamir_residue_encoder` tabulates the shares as running sums,
+  X_k + r Z_k from X_k + (r-1) Z_k, with additions only, on slots that
+  hold 2(p-1). :func:`running_sum_ops` alone says where they run: at
+  :func:`shamir_params`' points theta_r = r. There the handle takes them
+  from the m where their packed operations weigh less than the matrix's
+  narrow kernel (m = 4 at K = 8, d = 3); at other points it applies the
+  matrix, as :func:`shamir_encode` always does.
 * Lagrange coded computing (LCC): one degree-K vector polynomial hits the
   K inputs plus one key at fixed anchors; workers evaluate it elsewhere,
   and the composed degree-Kd polynomial is interpolated back. Kd+1
@@ -107,6 +114,56 @@ def shamir_encoding_matrix(params: ShamirParams) -> EncodingMatrix:
     return EncodingMatrix(params.field, K, rows, num_keys=K)
 
 
+def running_sum_ops(params: ShamirParams) -> tuple[int, int, int, int] | None:
+    """The packed operations of one :func:`shamir_residue_encoder` call, as
+    (packs, products, additions, reductions): 2K column packs, no product,
+    and one addition and one conditional subtraction per share, N of each;
+    None where the running sums do not run, at share points other than
+    :func:`shamir_params`' 1..d+1, and a handle then applies its matrix. A
+    handle weighs them against its matrix's narrow kernel
+    (:func:`~harmcode.linear._narrow_below`)."""
+    if params.thetas != tuple(range(1, params.d + 2)):
+        return None
+    return 2 * params.K, 0, params.N, params.N
+
+
+def shamir_residue_encoder(params: ShamirParams) -> Callable[..., list[tuple[int, ...]]]:
+    """Shamir's encoder by running sums on residues, as ``encode(cols, m)``
+    like ``EncodingMatrix.apply_residues``: each share's residues from the
+    unchecked residue columns X_1..X_K, Z_1..Z_K, each m wide, for params
+    where :func:`running_sum_ops` is not None.
+
+    There theta_r = r, so share (k, r) = X_k + r Z_k is share (k, r-1) +
+    Z_k, with share (k, 0) = X_k. Each input packs X_k and Z_k, then d+1
+    times adds Z_k and applies the layout's conditional subtraction of p:
+    a share in [0, p) plus Z_k lies in [0, 2p), and leaves it in [0, p)
+    again, so no product, fold or Barrett step runs, and each share is
+    unpacked as it is made. A slot holds 2(p-1) and bit p.bit_length() + 1:
+    4 bytes at p = 2^31-1. The running sums give the matrix's shares at
+    every m; a handle takes them only from the m where
+    :func:`running_sum_ops` weighs less than the matrix's narrow kernel.
+    ValueError at any other params.
+    """
+    p, K, d = params.field.p, params.K, params.d
+    if running_sum_ops(params) is None:
+        raise ValueError(f"Shamir's running sums do not run at {params!r}")
+
+    def encode(cols: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
+        layout = _layout(m, p, 2 * (p - 1))
+        _, ones, bias, bit, slots = layout
+        size, unpack = slots.size, slots.unpack
+        shares = []
+        for x, z in zip(cols[:K], cols[K:]):
+            share, z = _pack(layout, x), _pack(layout, z)
+            for _ in range(d + 1):
+                share += z
+                share -= ((share + bias) >> bit & ones) * p
+                shares.append(unpack(share.to_bytes(size, "little")))
+        return shares
+
+    return encode
+
+
 def shamir_decode_vector(params: ShamirParams) -> DecodeVector:
     """Each input's d+1 outputs interpolated at 0: the same weights per input."""
     field = params.field
@@ -178,8 +235,9 @@ def lcc_params(field: FieldConfig, K: int, d: int) -> LCCParams:
     """Canonical points: anchors 0..K and evaluations K+1..K+N.
 
     When the field is one residue short, the key anchor K doubles as the
-    last evaluation point (a share equal to Z leaks nothing); below that
-    there is no collision-free layout.
+    last evaluation point (a share equal to Z leaks nothing), so every
+    prime p >= K + N hosts them; below that there is no collision-free
+    layout.
     """
     p = field.p
     N = K * d + 1
@@ -191,7 +249,7 @@ def lcc_params(field: FieldConfig, K: int, d: int) -> LCCParams:
     else:
         raise FieldTooSmallError(
             f"F_{p} cannot host {N} evaluation points clear of {K} data anchors; "
-            f"any prime >= {K + N + 1} works")
+            f"any prime >= {K + N} works")
     return LCCParams(field, K, d, range(K + 1), gammas)
 
 

@@ -49,17 +49,21 @@ on the benchmark's workloads takes its faster kernel.
 
 A handle's threshold is its matrix's ``narrow_below``, except where the
 scheme has a wide encoder of its own, its ``fast_encode``: harmonic's chain
-(:func:`harmcode.harmonic.residue_encoder`), and LCC's differences
+(:func:`harmcode.harmonic.residue_encoder`), LCC's differences
 (:func:`harmcode.baselines.lcc_residue_encoder`) where
-:func:`harmcode.baselines.difference_ops` says they run. Each states its
-packed operations per call, (packs, products, additions, reductions), and
-:func:`_narrow_below` weighs them against the matrix's narrow kernel: a
-pack or a reduction weighs 2, a product or an addition 1, and the narrow
-kernel m * (width + N/2 + 2), since each of its products works on an N-slot
-int. Harmonic's chain runs from m = 7 at K = 16, d = 2 and at K = 8, d = 2
-or 3, and LCC's differences from m = 15 at K = 8, d = 3 and m = 14 at
-K = 8, d = 2; of the benchmark's encodes that have a wide encoder, only
-`many-inputs` harmonic (m = 4) goes narrow.
+:func:`harmcode.baselines.difference_ops` says they run, and Shamir's
+running sums (:func:`harmcode.baselines.shamir_residue_encoder`) at its
+default points, where :func:`harmcode.baselines.running_sum_ops` says they
+run. Each states its packed operations per call, (packs, products,
+additions, reductions), and :func:`_narrow_below` weighs them against the
+matrix's narrow kernel: a pack or a reduction weighs 2, a product or an
+addition 1, and the narrow kernel m * (width + N/2 + 2), since each of its
+products works on an N-slot int. Harmonic's chain runs from m = 7 at
+K = 16, d = 2 and at K = 8, d = 2 or 3, LCC's differences from m = 15 at
+K = 8, d = 3 and m = 14 at K = 8, d = 2, and Shamir's running sums from
+m = 4 at K = 16, d = 2 and at K = 8, d = 2 or 3; of the benchmark's
+encodes that have a wide encoder, only `many-inputs` harmonic (m = 4)
+goes narrow.
 
 One call of :func:`_residues` then reduces every packed sum with the
 layout's slot-wise step, which leaves each slot in [0, 2p), and one
@@ -83,14 +87,17 @@ modulus. Every coefficient is at most p-1, so no slot is wider than the
 densest row's terms * (p-1)^2 would make it. A slot takes 1, 2, 4 or 8
 bytes, the fewest of them that hold it, or past 8 the fewest whole bytes
 that do. At p = 2^31-1 the sums of harmonic's chain, below 4 (p-1)^2 <
-2^64, and of LCC's differences, below 2^63, take 8-byte slots, as do
-Shamir's, whose coefficients are 1 and theta_r <= d+1. The fold's gain, a
-step with no multiply on slots sized for the sums alone, holds at
-Mersenne primes only: at p = 2^30+3 the same chain takes 12-byte slots, as
-the Barrett product needs. At the small primes of an exhaustive audit
-every slot takes 1, 2 or 4 bytes: harmonic's chain takes 1 at p = 7, 2 at
-p = 5, 11 and 31 and 4 at the other primes from 13 to 101, and LCC's and
-Shamir's matrices take 1 at p <= 7.
+2^64, and of LCC's differences, below 2^63, take 8-byte slots, as does
+Shamir's matrix, whose coefficients are 1 and theta_r <= d+1. Shamir's
+running sums reduce each share as it is made, so their slots hold only
+2(p-1) and take 4 bytes; they run no step, only the conditional
+subtraction. The fold's gain, a step with no multiply on slots sized for
+the sums alone, holds at Mersenne primes only: at p = 2^30+3 the same
+chain takes 12-byte slots, as the Barrett product needs, and the running
+sums 8, sized for a Barrett step they never take. At the small primes of
+an exhaustive audit every slot takes 1, 2 or 4 bytes: harmonic's chain
+takes 1 at p = 7, 2 at p = 5, 11 and 31 and 4 at the other primes from 13
+to 101, and LCC's and Shamir's matrices take 1 at p <= 7.
 
 Every scheme's coefficients that come from interpolation -- LCC's matrix
 and decode vector, Shamir's decode weights and harmonic's group weights --

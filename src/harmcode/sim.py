@@ -102,12 +102,14 @@ class Scheme(namedtuple("Scheme", (
     ``params_type`` when None, builds them from explicit points. The header
     stores the attributes in ``scalars`` as residues, in ``lists`` as lists.
     ``fast_encode`` is a pair (build, ops) for a scheme with a wide encoder
-    of its own: ``ops(params)`` counts its packed operations per call, or
-    is None where it does not run, and where it runs ``build(params)``
-    makes it, ``encode(cols, m)``, which must give the matrix's shares. The
-    handle weighs that count against the matrix's narrow kernel
-    (:func:`~harmcode.linear._narrow_below`); with no count it applies the
-    matrix, by the matrix's own ``narrow_below``.
+    of its own -- harmonic's chain, LCC's differences and Shamir's running
+    sums: ``ops(params)`` counts its packed operations per call, or is None
+    where it does not run (LCC away from its default points or where the
+    differences' slots would be wider, Shamir away from its default points),
+    and where it runs ``build(params)`` makes it, ``encode(cols, m)``, which
+    must give the matrix's shares. The handle weighs that count against the
+    matrix's narrow kernel (:func:`~harmcode.linear._narrow_below`); with no
+    count it applies the matrix, by the matrix's own ``narrow_below``.
     ``worker_fn(params)``, set only by a scheme that fixes g itself, builds
     that g, used as a PolyMap is: ``eval``, ``_check`` and ``_evaluate``
     (see :class:`~harmcode.baselines.FreshmanMap`).
@@ -141,7 +143,8 @@ SCHEMES = {s.name: s for s in (
     Scheme("shamir", baselines.ShamirParams,
            lambda f, K, d, m: baselines.shamir_params(f, K, d),
            baselines.shamir_encoding_matrix, baselines.shamir_decode_vector,
-           lists=("thetas",), keys_per_input=True),
+           lists=("thetas",), keys_per_input=True,
+           fast_encode=(baselines.shamir_residue_encoder, baselines.running_sum_ops)),
     Scheme("freshman", baselines.FreshmanParams,
            lambda f, K, d, m: baselines.FreshmanParams(f, K, m, 1, [[1] * m]),
            baselines.freshman_encoding_matrix, baselines.freshman_decode_vector,

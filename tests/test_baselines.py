@@ -27,9 +27,12 @@ from harmcode.baselines import (
     lcc_encoding_matrix,
     lcc_params,
     lcc_residue_encoder,
+    running_sum_ops,
     shamir_decode,
     shamir_encode,
+    shamir_encoding_matrix,
     shamir_params,
+    shamir_residue_encoder,
 )
 from harmcode.field import FieldConfig, sample_uniform_vector
 from harmcode.poly import Dataset, PolyMap, direct_gradient_sum, random_dataset, random_poly
@@ -151,6 +154,85 @@ def test_shamir_wrong_key_count():
         shamir_encode(params, data, [field.vector([1])])
 
 
+def shamir_path(params, cols, m):
+    """A fresh handle's shares and which encoder made them: the matrix, or
+    the running sums, which build no matrix."""
+    handle = make_handle(params)
+    shares = handle.encode_residues(cols, m)
+    return shares, "matrix" if "matrix" in vars(handle) else "running sums"
+
+
+def test_shamir_running_sums_count():
+    # 2K packs, no product, one addition and one reduction per share
+    field = FieldConfig(2**31 - 1)
+    for K, d in itertools.product((1, 2, 8, 16), (1, 2, 3)):
+        params = shamir_params(field, K, d)
+        assert running_sum_ops(params) == (2 * K, 0, K * (d + 1), K * (d + 1))
+
+
+@pytest.mark.parametrize("thetas", [(2, 3, 4), (1, 3, 4), (3, 2, 1), (1, 2, 4), (2, 1, 3)])
+def test_shamir_other_share_points_keep_the_matrix(thetas):
+    # points other than 1..d+1 in order -- shifted, with a gap, or permuted --
+    # have no running sums: the encoder refuses to be built and the handle
+    # applies its matrix, with the matrix's shares, at every m
+    for p in (13, 2**31 - 1):
+        params = ShamirParams(FieldConfig(p), 3, 2, thetas)
+        assert running_sum_ops(params) is None
+        with pytest.raises(ValueError, match="running sums do not run"):
+            shamir_residue_encoder(params)
+        rng = random.Random(f"shamir-points-{p}-{thetas}")
+        for m in (1, 4, 64, 512):
+            cols = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(6)]
+            shares, path = shamir_path(params, cols, m)
+            assert path == "matrix"
+            assert shares == shamir_encoding_matrix(params).apply_residues(cols, m)
+
+
+def test_shamir_points_that_reduce_to_one_to_d_plus_one_take_the_running_sums():
+    # share points are residues once they are checked: p + 1, 2, 3 and
+    # 1, 2 + p, 3 - 2p are shamir_params' own points 1, 2, 3
+    for p in (7, 101, 2**31 - 1):
+        field = FieldConfig(p)
+        for thetas in ((p + 1, 2, 3), (1, 2 + p, 3 - 2 * p)):
+            params = ShamirParams(field, 4, 2, thetas)
+            assert params.thetas == (1, 2, 3)
+            assert running_sum_ops(params) == running_sum_ops(shamir_params(field, 4, 2))
+            m = 64
+            cols = [(p - 1,) * m] * 4 + [(p - 2,) * m] * 4
+            shares, path = shamir_path(params, cols, m)
+            assert path == "running sums"
+            assert shares == shamir_encoding_matrix(params).apply_residues(cols, m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101, 127, 8191, 65521, 2**30 + 3,
+                               2**31 - 1])
+def test_shamir_running_sums_give_the_matrix_shares(p):
+    # random, all-(p-1) and all-zero columns: the sums of the largest
+    # residues are the largest the slots meet
+    field = FieldConfig(p)
+    for K, d in itertools.product((1, 2, 3, 8, 16), (1, 2, 3)):
+        try:
+            params = shamir_params(field, K, d)
+        except FieldTooSmallError:
+            continue
+        matrix, encode = shamir_encoding_matrix(params), shamir_residue_encoder(params)
+        rng = random.Random(f"shamir-sums-{p}-{K}-{d}")
+        for m in (1, 3, 4, 9, 128):
+            for cols in ([tuple(rng.randrange(p) for _ in range(m)) for _ in range(2 * K)],
+                         [(p - 1,) * m] * (2 * K), [(0,) * m] * (2 * K)):
+                assert encode(cols, m) == matrix.apply_residues(cols, m), (K, d, m)
+
+
+def test_shamir_running_sums_on_every_input_at_small_primes():
+    # every value of (X_1, Z_1) laid along the coordinates, so every sum a
+    # slot can meet
+    for p, d in ((3, 1), (5, 3), (7, 2), (31, 3)):
+        params = shamir_params(FieldConfig(p), 1, d)
+        cols = [tuple(col) for col in zip(*itertools.product(range(p), repeat=2))]
+        want = [tuple((x + r * z) % p for x, z in zip(*cols)) for r in range(1, d + 2)]
+        assert shamir_residue_encoder(params)(cols, p * p) == want
+
+
 # ---------------------------------------------------------------------------
 # LCC
 
@@ -174,6 +256,28 @@ def test_lcc_params_tight_field_fallback():
 def test_lcc_params_collision_error():
     with pytest.raises(FieldTooSmallError):
         lcc_params(FieldConfig(5), 2, 2)  # needs 5 points clear of 2 anchors
+
+
+def test_lcc_params_take_every_prime_from_the_one_the_refusal_names():
+    # the short-field layout hosts N evaluation points at p = K + N, so the
+    # refusal names K + N: every prime below it is refused, and the primes
+    # from it on are taken
+    primes = [q for q in range(2, 64) if all(q % f for f in range(2, q))]
+    for K, d in itertools.product(range(1, 5), range(1, 5)):
+        bound = K + K * d + 1
+        for q in primes:
+            if q < bound:
+                with pytest.raises(FieldTooSmallError, match=f"any prime >= {bound} works"):
+                    lcc_params(FieldConfig(q), K, d)
+            else:
+                assert lcc_params(FieldConfig(q), K, d).N == K * d + 1
+    # K = 3, d = 1 and K = 4, d = 2 run exact at the bound itself
+    for p, K, d in ((7, 3, 1), (13, 4, 2)):
+        params = lcc_params(FieldConfig(p), K, d)
+        rng = random.Random(f"lcc-bound-{p}")
+        g = random_poly(rng, params.field, 2, 1, d)
+        report = run_trial(make_handle(params), g, random_dataset(rng, params.field, K, 2), 3)
+        assert report.exact_match
 
 
 def test_lcc_rejects_anchor_collisions():

@@ -551,12 +551,14 @@ def kernels_built(handle):
 
 # (scheme, K, d, t): a handle at p = 2^31 - 1 encodes through its matrix's
 # narrow kernel below m = t and through its wide encoder from m = t.
-# Harmonic's chain and LCC's differences weigh their packed operations
-# against the narrow matrix; at K = 1, d = 1 and K = 2, d = 2 LCC's matrix
-# alone would pack narrow up to m = 6 and m = 10, where the differences run
-# from m = 3 and m = 5. Shamir, freshman and LCC at K = 16, whose
-# differences do not run (their bound is wider than the dense row's), take
-# the matrix's narrow_below and apply it wide from there (RULE_SHAPES)
+# Harmonic's chain, LCC's differences and Shamir's running sums weigh their
+# packed operations against the narrow matrix; at K = 1, d = 1 and K = 2,
+# d = 2 LCC's matrix alone would pack narrow up to m = 6 and m = 10, where
+# the differences run from m = 3 and m = 5, and Shamir's alone up to m = 9
+# at K = 8, d = 3 and m = 8 at K = 16, d = 2 (RULE_SHAPES), where the running
+# sums run from m = 4. Freshman and LCC at K = 16, whose differences do not
+# run (their bound is wider than the dense row's), take the matrix's
+# narrow_below and apply it wide from there
 THRESHOLDS = [
     ("harmonic", 16, 2, 7),   # many-inputs, m = 4: narrow
     ("harmonic", 8, 3, 7),    # wide, m = 512: the chain
@@ -568,8 +570,10 @@ THRESHOLDS = [
     ("lcc", 1, 1, 3),
     ("lcc", 2, 2, 5),
     ("lcc", 16, 2, 39),       # 33 x 17, 561 nonzeros
-    ("shamir", 8, 3, 10),     # 32 x 16, 64 nonzeros
-    ("shamir", 16, 2, 9),     # 48 x 32, 96 nonzeros
+    ("shamir", 8, 3, 4),      # wide, m = 512: the running sums
+    ("shamir", 16, 2, 4),     # many-inputs, m = 4: the running sums
+    ("shamir", 8, 2, 4),      # file-pipeline, m = 128: the running sums
+    ("shamir", 1, 1, 2),
     ("freshman", 3, TOP, 6),  # 2 x 4, 5 nonzeros
 ]
 
@@ -597,17 +601,18 @@ def test_handles_match_the_matrix_across_their_threshold(p):
     # random, all-(p-1) and all-zero columns at m = 1 and on both sides of
     # each handle's threshold t
     field = FieldConfig(p)
-    for scheme, K, d in itertools.product(("harmonic", "lcc"), range(1, 17), (1, 2, 3)):
+    for scheme, K, d in itertools.product(("harmonic", "lcc", "shamir"), range(1, 17),
+                                          (1, 2, 3)):
         try:
             params = MODULE[scheme][0](field, K, d)
         except FieldTooSmallError:
             continue
         handle = make_handle(params)
-        t = handle._threshold
+        t, width = handle._threshold, K + handle.num_keys
         rng = random.Random(f"across-{p}-{scheme}-{K}-{d}")
         for m in sorted({1, t - 1, t, t + 1} - {-1, 0}):
-            for cols in ([tuple(rng.randrange(p) for _ in range(m)) for _ in range(K + 1)],
-                         [(p - 1,) * m] * (K + 1), [(0,) * m] * (K + 1)):
+            for cols in ([tuple(rng.randrange(p) for _ in range(m)) for _ in range(width)],
+                         [(p - 1,) * m] * width, [(0,) * m] * width):
                 assert handle.encode_residues(cols, m) == handle.matrix.apply_residues(cols, m), (
                     scheme, K, d, m)
 
@@ -624,6 +629,36 @@ def test_harmonic_workload_shapes_take_their_paths(K, d, m, kernel):
     shares = handle.encode_residues(cols, m)
     assert kernels_built(handle) == [kernel]
     assert shares == harmonic.encoding_matrix(handle.params).apply_residues(cols, m)
+
+
+@pytest.mark.parametrize("K,d,m,kernel", [
+    (16, 2, 4, "_wide"),    # many-inputs: the running sums from m = 4
+    (8, 3, 512, "_wide"),   # wide
+    (8, 2, 128, "_wide"),   # file-pipeline
+    (8, 3, 3, "matrix"),    # below the running sums' threshold
+])
+def test_shamir_workload_shapes_take_their_paths(K, d, m, kernel):
+    p = 2**31 - 1
+    handle = make_handle(shamir_params(FieldConfig(p), K, d))
+    cols = [(p - 1,) * m] * (2 * K)
+    shares = handle.encode_residues(cols, m)
+    assert kernels_built(handle) == [kernel]
+    assert shares == baselines.shamir_encoding_matrix(handle.params).apply_residues(cols, m)
+
+
+def test_shamir_audit_tiny_calls_take_the_running_sums():
+    # audit-tiny's Shamir instance (p = 5, K = 2, d = 2) and its leaky
+    # mutant encode every value of X_1 in one call, 625 coordinates wide
+    field = FieldConfig(5)
+    for handle in (make_handle(shamir_params(field, 2, 2)),
+                   ClearStorageScheme(make_handle(shamir_params(field, 2, 2)), 1)):
+        widths = []
+        encode_residues = handle.encode_residues
+        handle.encode_residues = lambda cols, m: widths.append(m) or encode_residues(cols, m)
+        report = privacy_audit_exhaustive(handle, m=1)
+        assert report.conditional_equal_per_worker[1] is (handle.kind == "shamir")
+        assert widths == [5**4]
+        assert kernels_built(handle) == ["_wide"]
 
 
 @pytest.mark.parametrize("p", [11, 5])
@@ -653,8 +688,9 @@ def layouts_made(apply):
 
 def test_shamir_wide_matrix_packs_eight_byte_slots():
     # Shamir's rows hold 1 on X_k and theta_r <= d + 1 on Z_k: at the `wide`
-    # shape (K = 8, d = 3, m = 512) a slot sums below 5 (p - 1) < 2^34, so
-    # its slots are 8 bytes, one count code, where 2 (p - 1)^2 took 12
+    # shape (K = 8, d = 3, m = 512) a slot of the matrix, which
+    # shamir_encode applies, sums below 5 (p - 1) < 2^34, so its slots are
+    # 8 bytes, one count code, where 2 (p - 1)^2 took 12
     matrix = baselines.shamir_encoding_matrix(shamir_params(F_TOP, 8, 3))
     rng = random.Random("shamir-wide")
     worst = F_TOP.vector([TOP - 1] * 512)
@@ -936,26 +972,28 @@ def test_eight_byte_slots_are_one_count_code(p):
 def test_workload_maps_keep_their_layouts_at_top():
     # p = 2^31 - 1 folds: harmonic's chain sums below 4 (p-1)^2 < 2^64 and
     # LCC's differences below 2^63, so both take 8-byte slots, one count
-    # code, at `wide` and `file-pipeline`, as Shamir's heaviest row does; the
-    # matrices of general residues that `many-inputs` applies narrow sum
-    # past 2^64 and take 9, Q and one pad byte. The decode vectors, at n <= 4
-    # outputs, pack narrow on no layout. Each slot holds its sums, and the
-    # fold count takes them below 2p
-    def padded(size):
-        return "Q" + "x" * (size - 8)
+    # code, at `wide` and `file-pipeline`; the matrices of general residues
+    # that `many-inputs` applies narrow sum past 2^64 and take 9, Q and one
+    # pad byte. Shamir's running sums hold at most 2 (p-1) < 2^32 and take
+    # 4-byte slots on all three, where its matrix took 8. The decode
+    # vectors, at n <= 4 outputs, pack narrow on no layout. Each slot holds
+    # its sums, and the fold count takes them below 2p (the running sums,
+    # already below 2p, fold none and run no step)
+    def code(size):
+        return {4: "I", 8: "Q"}.get(size, "Q" + "x" * (size - 8))
 
     layouts_of = {  # (K, d, m, n) -> (slots, slot bytes) of harmonic, LCC and Shamir
-        (8, 3, 512, 4): ((512, 8), (512, 8), (512, 8)),     # wide
-        (16, 2, 4, 2): ((18, 9), (33, 9), (48, 8)),         # many-inputs: all three narrow
-        (8, 2, 128, 4): ((128, 8), (128, 8), (128, 8)),     # file-pipeline
+        (8, 3, 512, 4): ((512, 8), (512, 8), (512, 4)),     # wide
+        (16, 2, 4, 2): ((18, 9), (33, 9), (4, 4)),          # many-inputs: two narrow
+        (8, 2, 128, 4): ((128, 8), (128, 8), (128, 4)),     # file-pipeline
     }
     for (K, d, m, n), layouts in layouts_of.items():
         for scheme, (count, size) in zip(("harmonic", "lcc", "shamir"), layouts):
             handle = make_handle(MODULE[scheme][0](F_TOP, K, d))
             cols = [(TOP - 1,) * m] * (K + handle.num_keys)
             outputs = [(TOP - 1,) * n] * handle.worker_count
-            # harmonic's chain and LCC's differences build their layouts
-            # through linear's
+            # harmonic's chain, LCC's differences and Shamir's running sums
+            # build their layouts through linear's
             made, layout = [], linear._layout
 
             def record(slots, p, top):
@@ -967,7 +1005,7 @@ def test_workload_maps_keep_their_layouts_at_top():
                     mock.patch.object(linear, "_layout", record):
                 handle.encode_residues(cols, m)
                 handle.vector.apply_residues(outputs, n)
-            want = f"<{count}Q" if size == 8 else "<" + padded(size) * count
+            want = f"<{count}{code(size)}" if size <= 8 else "<" + code(size) * count
             assert [(n_slots, made_layout[-1].format) for n_slots, _, made_layout in made] == [
                 (count, want)], (scheme, K, d, m)
             [(_, top, (step, _, _, bit, _))] = made
@@ -1019,8 +1057,8 @@ def test_barrett_residues_at_the_top_of_the_range(terms):
 
 def fold_kernels(params):
     """Every kernel that encodes one parameter set, by name: its matrix
-    narrow and wide, and harmonic's chain or LCC's differences where they
-    run; and its decode vector narrow and wide."""
+    narrow and wide, and harmonic's chain, LCC's differences or Shamir's
+    running sums where they run; and its decode vector narrow and wide."""
     handle = make_handle(params)
     p = params.field.p
     encoders = {"narrow": lambda cols, m: _apply_narrow(handle.matrix, cols, m, p),
@@ -1029,6 +1067,8 @@ def fold_kernels(params):
         encoders["chain"] = harmonic.residue_encoder(params)
     elif handle.kind == "lcc" and baselines.difference_ops(params) is not None:
         encoders["differences"] = baselines.lcc_residue_encoder(params)
+    elif handle.kind == "shamir" and baselines.running_sum_ops(params) is not None:
+        encoders["running sums"] = baselines.shamir_residue_encoder(params)
     decoders = {"narrow": lambda outs, n: _apply_narrow(handle.vector, outs, n, p),
                 "wide": lambda outs, n: _apply_wide(handle.vector, outs, n, p)}
     return handle, encoders, decoders
@@ -1063,10 +1103,10 @@ def test_every_kernel_folds_to_the_reference_at_mersenne_primes(p):
                     ran.add((scheme, name))
                 for name, decode in decoders.items():
                     assert decode(shares, m) == [f[0].values()[:m]], (scheme, K, d, m, name)
-    # every kernel ran, LCC's differences at each prime but 3, where LCC
-    # takes the short-field layout
-    kernels = {("harmonic", "chain"), *itertools.product(("harmonic", "lcc", "shamir"),
-                                                          ("narrow", "wide"))}
+    # every kernel ran, Shamir's running sums at each prime and LCC's
+    # differences at each but 3, where LCC takes the short-field layout
+    kernels = {("harmonic", "chain"), ("shamir", "running sums"),
+               *itertools.product(("harmonic", "lcc", "shamir"), ("narrow", "wide"))}
     assert ran == kernels | ({("lcc", "differences")} if p > 3 else set())
 
 

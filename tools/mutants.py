@@ -41,6 +41,9 @@ _AUDIT = "tests/test_sim.py::test_batched_audit_matches_per_state_reference"
 _LEAK = "tests/test_sim.py::test_audit_clear_storage_leak_detected"
 _LAST_SLICE = "tests/test_sim.py::test_audit_catches_one_deviating_last_slice"
 _MULTIPLICITY = "tests/test_sim.py::test_audit_flags_laws_that_differ_only_in_multiplicity"
+_SUMS_EVERY_INPUT = ("tests/test_baselines.py::"
+                     "test_shamir_running_sums_on_every_input_at_small_primes")
+_SUMS_POINTS = "tests/test_baselines.py::test_shamir_other_share_points_keep_the_matrix"
 
 MUTANTS = [
     # the handle's kernel choice: one weighted count per wide encoder,
@@ -98,6 +101,9 @@ MUTANTS = [
     Mutant("difference count: reductions dropped", "src/harmcode/baselines.py",
            "return K + 1, 0, K * (K + 1) + N * K, N",
            "return K + 1, 0, K * (K + 1) + N * K, 0", (_THRESHOLDS,)),
+    Mutant("running-sum count: additions dropped", "src/harmcode/baselines.py",
+           "return 2 * params.K, 0, params.N, params.N",
+           "return 2 * params.K, 0, 0, params.N", (_THRESHOLDS,)),
     Mutant("handle: the matrix's threshold one higher", "src/harmcode/linear.py",
            "return self.matrix.narrow_below", "return self.matrix.narrow_below + 1",
            (_THRESHOLDS,)),
@@ -165,6 +171,22 @@ MUTANTS = [
     Mutant("residues: the bias dropped", "src/harmcode/linear.py",
            "return step, ones, ones * ((1 << bit) - p), bit,", "return step, ones, 0, bit,",
            (_SLOT_SUMS,)),
+    # Shamir's running sums: each share X_k + r Z_k one addition of Z_k and
+    # one conditional subtraction past the last, at points 1..d+1 only
+    Mutant("running sums: the conditional subtraction's bias dropped",
+           "src/harmcode/baselines.py",
+           "share -= ((share + bias) >> bit & ones) * p",
+           "share -= (share >> bit & ones) * p", (_SUMS_EVERY_INPUT,)),
+    Mutant("running sums: the conditional subtraction's shift one bit short",
+           "src/harmcode/baselines.py",
+           "share -= ((share + bias) >> bit & ones) * p",
+           "share -= ((share + bias) >> (bit - 1) & ones) * p", (_SUMS_EVERY_INPUT,)),
+    Mutant("running sums: the first share skips its + Z_k", "src/harmcode/baselines.py",
+           "share += z\n", "share += z if shares else 0\n", (_SUMS_EVERY_INPUT,)),
+    Mutant("running sums: the gate admits points from 2", "src/harmcode/baselines.py",
+           "if params.thetas != tuple(range(1, params.d + 2)):",
+           "if params.thetas not in (tuple(range(1, params.d + 2)),"
+           " tuple(range(2, params.d + 3))):", (_SUMS_POINTS,)),
     # the wide kernel's rows
     Mutant("wide rows: the first product dropped", "src/harmcode/linear.py",
            "sum(products[1:], products[0]) if products else 0",
