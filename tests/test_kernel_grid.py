@@ -1,6 +1,7 @@
 """tools/kernel_grid.py compares two trees' kernels case by case and times
 them."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -28,10 +29,7 @@ def equivalence_of(tmp_path, old=None, new=None):
         text = path.read_text()
         assert text.count(old) == 1
         path.write_text(text.replace(old, new))
-    out = tmp_path / "report.json"
-    code = load_kernel_grid().main(["equivalence", str(src), "--grid", "small",
-                                    "--out", str(out)])
-    return code, json.loads(out.read_text())
+    return load_kernel_grid().equivalence(str(src), "small")
 
 
 def test_the_tree_is_equivalent_to_itself(tmp_path):
@@ -74,3 +72,20 @@ def test_timing_times_each_kernel_that_runs(tmp_path):
             report["rows"]] == [(7, 1, ["narrow", "own", "wide"], "narrow"),
                                 (7, 4, ["narrow", "own", "wide"], "own")]
     assert report["shapes"] == 2 and 0 <= report["taken_within"] <= 2
+
+
+def test_default_timing_shapes_are_the_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "src"))
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import specs
+
+    kernel_grid = load_kernel_grid()
+    shapes = kernel_grid.timing_shapes(argparse.Namespace(scheme=None, p=None, K=None,
+                                                          d=None, m=None))
+    sizes = [specs.WIDE, specs.MANY_INPUTS, specs.FILE_PIPELINE]
+    assert shapes[:9] == [(s, w["p"], w["K"], w["d"], w["m"]) for w in sizes
+                          for s in specs.SCHEMES]
+    # one audit-tiny call takes every value of X_1 under every X_2 and key
+    # value: p^(K + num_keys) coordinates at m = 1
+    assert shapes[9:] == [("harmonic", 11, 2, 2, 11**3), ("lcc", 7, 2, 2, 7**3),
+                          ("shamir", 5, 2, 2, 5**4)]

@@ -1,22 +1,23 @@
 """Check and time the encode kernels of two source trees, case by case.
 
-    python tools/kernel_grid.py equivalence PARENT_SRC [--grid full|small] [--out FILE]
+    python tools/kernel_grid.py equivalence PARENT_SRC [--out FILE]
     python tools/kernel_grid.py timing [--scheme S,...] [--p P,...] [--K K,...]
                                        [--d D,...] [--m M,...] [--out FILE]
 
 Run from the root of a checkout.
 
-``equivalence`` encodes and decodes every case of a grid through the
+``equivalence`` encodes and decodes every case of its grid through the
 handles (``harmcode.sim.make_handle``) of two trees: PARENT_SRC, the
 ``src`` directory of another checkout, and this checkout's ``src``. Each
 tree runs in its own subprocess with ``PYTHONPATH`` on it. A case is one
 scheme, prime p, K, d and data width m. Its columns are drawn from
 ``random.Random`` seeded by the case, with coordinate 0 set to p-1 and
 coordinate 1 to 0 in every column, the largest and the smallest residues.
-Its shares are then decoded as the worker outputs. The full grid is p in
+Its shares are then decoded as the worker outputs. The grid is p in
 {2, 3, 5, 7, 11, 13, 101, 2^30+3, 2^31-1}, all four schemes (freshman at
-d = p), K in {1, 2, 3, 5, 8, 16}, d <= 3 and m in 1..44, 64, 128 and 512;
-``--grid small`` is a corner of it. A case whose parameters a tree refuses
+d = p), K in {1, 2, 3, 5, 8, 16}, d <= 3 and m in 1..44, 64, 128 and 512
+(``GRIDS["full"]``; the tests run the corner ``GRIDS["small"]`` through
+:func:`equivalence`). A case whose parameters a tree refuses
 is recorded as refused. The command prints every case whose shares,
 decoded residues or kernel taken differ, and the counts. The kernel taken
 is the matrix narrow, the matrix wide, or the scheme's own wide encoder
@@ -28,7 +29,9 @@ residues is reported, not failed.
 of 5 repeats): the matrix narrow and wide, and the scheme's own wide
 encoder where it runs. For each shape it records which kernel the handle
 takes and whether that one is within 1.10x of the fastest. With no shape
-option it times the benchmark's workload shapes. Otherwise it times every
+option it times the benchmark's workload shapes, read from
+``perfbench/specs.py``: audit-tiny's at the width of the auditor's encode
+calls. Otherwise it times every
 combination of the lists given, with each list not given taken from these
 defaults: harmonic, LCC and Shamir, p = 2^31-1, K = 8, d = 3 and m = 4;
 a combination whose parameters are refused is skipped. It prints the
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -60,11 +64,6 @@ GRIDS = {
              tuple(range(1, 45)) + (64, 128, 512)),
     "small": ((5, TOP), (1, 8), (1, 3), (1, 3, 4, 10, 64)),
 }
-# (label, p, K, d, m) of the benchmark's workloads; audit-tiny's encode
-# widths are its audits' batched calls
-WORKLOADS = (("wide", TOP, 8, 3, 512), ("many-inputs", TOP, 16, 2, 4),
-             ("file-pipeline", TOP, 8, 2, 128))
-AUDIT_TINY = {"harmonic": (11, 2, 2, 1331), "lcc": (7, 2, 2, 343), "shamir": (5, 2, 2, 625)}
 WITHIN = 1.10
 
 
@@ -198,12 +197,39 @@ def time_shape(scheme: str, p: int, K: int, d: int, m: int) -> dict | None:
             "within": times[taken] <= WITHIN * min(times.values())}
 
 
+def audit_width(scheme: str, p: int, K: int, d: int, m: int) -> int:
+    """The coordinates in the auditor's widest encode call
+    (``harmcode.sim.audit``) on one instance."""
+    from harmcode.field import FieldConfig
+    from harmcode.sim import _AUDIT_CALL_FLOOR, SCHEMES as TABLE, make_handle
+
+    handle = make_handle(TABLE[scheme].params(FieldConfig(p), K, d, m))
+    repeats = p ** ((K - 1 + handle.num_keys) * m)
+    return min(max(1, _AUDIT_CALL_FLOOR // (repeats * m)), p ** m) * repeats * m
+
+
+def workload_shapes() -> list[tuple]:
+    """(scheme, p, K, d, m) of each scheme in each benchmark workload."""
+    spec = importlib.util.spec_from_file_location(
+        "specs", os.path.join(ROOT, "perfbench", "specs.py"))
+    specs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specs)
+    shapes = []
+    for name, sizes in specs.SIZES.items():
+        if name != "audit-tiny":
+            shapes += [(s, sizes["p"], sizes["K"], sizes["d"], sizes["m"])
+                       for s in specs.SCHEMES]
+    for s in specs.SCHEMES:
+        inst = specs.AUDIT_TINY[s]
+        shape = inst["p"], inst["K"], inst["d"]
+        shapes.append((s, *shape, audit_width(s, *shape, inst["m"])))
+    return shapes
+
+
 def timing_shapes(args) -> list[tuple]:
     lists = (args.scheme, args.p, args.K, args.d, args.m)
     if not any(lists):
-        shapes = [(s, p, K, d, m) for _, p, K, d, m in WORKLOADS
-                  for s in ("harmonic", "lcc", "shamir")]
-        return shapes + [(s, *shape) for s, shape in AUDIT_TINY.items()]
+        return workload_shapes()
     schemes = args.scheme or ["harmonic", "lcc", "shamir"]
     return list(itertools.product(schemes, args.p or [TOP], args.K or [8], args.d or [3],
                                   args.m or [4]))
@@ -240,7 +266,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     eq = sub.add_parser("equivalence", help="compare shares, decodes and kernels with a tree")
     eq.add_argument("parent_src")
-    eq.add_argument("--grid", choices=sorted(GRIDS), default="full")
     eq.add_argument("--out")
     tm = sub.add_parser("timing", help="time each kernel per shape")
     tm.add_argument("--scheme", type=lambda s: s.split(","))
@@ -249,7 +274,7 @@ def main(argv=None) -> int:
     tm.add_argument("--out")
     args = parser.parse_args(argv)
     if args.command == "equivalence":
-        code, report = equivalence(args.parent_src, args.grid)
+        code, report = equivalence(args.parent_src, "full")
     else:
         sys.path.insert(0, SRC)
         code, report = timing(args)
